@@ -137,28 +137,35 @@ let micro_tests workloads =
   List.map (fun w -> Test.make ~name:w.name (Staged.stage w.fn)) workloads
 
 (* ------------------------------------------------------------------ *)
-(* The mc suite: serial vs incremental vs parallel exhaustive sweeps    *)
+(* The mc suite: the oracle vs the sweep driver on 1 and 4 domains      *)
 
-(* Three drivers over identical state spaces (the results are
-   bit-identical, which the determinism tests assert); what this suite
-   tracks is their relative wall-clock cost. The acceptance bar is the
-   incremental+parallel sweep at n=5, t=2, jobs=4 beating the serial
-   baseline by >= 3x. *)
+(* Every sweep row below runs through the one sweep driver; only the
+   spec and the executor differ from row to row. *)
+let drive ?(jobs = 1) ?prof ?spans ?progress ?checkpoint spec () =
+  match
+    Mc.Distrib.run ~executor:(Mc.Distrib.Domains jobs) ?prof ?spans ?progress
+      ?checkpoint spec
+  with
+  | Ok _ -> ()
+  | Error msg -> failwith msg
+
+(* The from-scratch oracle and the driver over identical state spaces
+   (the results are bit-identical, which the equivalence tests assert);
+   what this suite tracks is their relative wall-clock cost. The
+   acceptance bar is the driver at n=5, t=2, jobs=4 beating the oracle
+   by >= 3x. *)
 let mc_jobs = 4
 
 let mc_workloads () =
   let sweep_case tag algo config =
     let proposals = Sim.Runner.distinct_proposals config in
+    let spec = Mc.Distrib.make ~algo config (Mc.Distrib.Fixed proposals) in
     let prefix = "mc/" ^ tag in
     [
       plain (prefix ^ "/serial") (fun () ->
           ignore (Mc.Exhaustive.sweep ~algo ~config ~proposals ()));
-      plain (prefix ^ "/incremental") (fun () ->
-          ignore (Mc.Exhaustive.sweep_incremental ~algo ~config ~proposals ()));
-      plain
-        (Printf.sprintf "%s/parallel-j%d" prefix mc_jobs)
-        (fun () ->
-          ignore (Mc.Parallel.sweep ~jobs:mc_jobs ~algo ~config ~proposals ()));
+      plain (prefix ^ "/incremental") (drive spec);
+      plain (Printf.sprintf "%s/parallel-j%d" prefix mc_jobs) (drive ~jobs:mc_jobs spec);
     ]
   in
   let at2 = Expt.Registry.at_plus_2.Expt.Registry.algo in
@@ -181,62 +188,37 @@ let mc_workloads () =
 let reduction_workloads () =
   let c52 = Config.make ~n:5 ~t:2 in
   let algo = Expt.Registry.floodset.Expt.Registry.algo in
-  let proposals = Sim.Runner.distinct_proposals c52 in
-  let single =
-    let prefix = "mc-reduction/floodset-n5t2" in
-    [
-      plain (prefix ^ "/none") (fun () ->
-          ignore
-            (Mc.Exhaustive.sweep_incremental ~algo ~config:c52 ~proposals ()));
-      plain (prefix ^ "/dedup") (fun () ->
-          ignore (Mc.Dedup.sweep ~algo ~config:c52 ~proposals ()));
-      plain
-        (Printf.sprintf "%s/dedup-j%d" prefix mc_jobs)
-        (fun () ->
-          ignore
-            (Mc.Parallel.sweep_dedup ~jobs:mc_jobs ~algo ~config:c52
-               ~proposals ()));
-    ]
+  let fixed = Mc.Distrib.Fixed (Sim.Runner.distinct_proposals c52) in
+  let case name scope ?faults rows =
+    List.map
+      (fun (tag, reduce, jobs) ->
+        plain
+          (Printf.sprintf "mc-reduction/%s/%s" name tag)
+          (drive ?jobs (Mc.Distrib.make ?faults ~reduce ~algo c52 scope)))
+      rows
   in
-  let binary =
-    let prefix = "mc-reduction/floodset-n5t2-binary" in
+  let j = Some mc_jobs and jtag tag = Printf.sprintf "%s-j%d" tag mc_jobs in
+  case "floodset-n5t2" fixed
     [
-      plain (prefix ^ "/none") (fun () ->
-          ignore (Mc.Exhaustive.sweep_binary_incremental ~algo ~config:c52 ()));
-      plain (prefix ^ "/dedup") (fun () ->
-          ignore (Mc.Dedup.sweep_binary ~algo ~config:c52 ()));
-      plain (prefix ^ "/dedup+sym") (fun () ->
-          ignore (Mc.Symmetry.sweep_binary ~algo ~config:c52 ()));
-      plain
-        (Printf.sprintf "%s/dedup-j%d" prefix mc_jobs)
-        (fun () ->
-          ignore
-            (Mc.Parallel.sweep_binary_dedup ~jobs:mc_jobs ~algo ~config:c52 ()));
-      plain
-        (Printf.sprintf "%s/dedup+sym-j%d" prefix mc_jobs)
-        (fun () ->
-          ignore
-            (Mc.Parallel.sweep_binary_sym ~jobs:mc_jobs ~algo ~config:c52 ()));
+      ("none", Mc.Distrib.Rnone, None);
+      ("dedup", Mc.Distrib.Rdedup, None);
+      (jtag "dedup", Mc.Distrib.Rdedup, j);
     ]
-  in
-  let omission =
-    (* The omission-fault adversary rides the same no-pessimisation gate:
-       its dedup row (keys extended with the omitter bitsets) must at
-       least match its unreduced sibling. FloodSet at n=5, t=2 under the
-       mixed menu (one crash + one omitter) is large enough that the
-       extended keys must actually collapse states to win. *)
-    let faults = Sim.Model.Mixed in
-    let prefix = "mc-reduction/floodset-n5t2-mixed" in
-    [
-      plain (prefix ^ "/none") (fun () ->
-          ignore
-            (Mc.Exhaustive.sweep_incremental ~faults ~algo ~config:c52
-               ~proposals ()));
-      plain (prefix ^ "/dedup") (fun () ->
-          ignore (Mc.Dedup.sweep ~faults ~algo ~config:c52 ~proposals ()));
-    ]
-  in
-  single @ binary @ omission
+  @ case "floodset-n5t2-binary" Mc.Distrib.Binary
+      [
+        ("none", Mc.Distrib.Rnone, None);
+        ("dedup", Mc.Distrib.Rdedup, None);
+        ("dedup+sym", Mc.Distrib.Rsym, None);
+        (jtag "dedup", Mc.Distrib.Rdedup, j);
+        (jtag "dedup+sym", Mc.Distrib.Rsym, j);
+      ]
+  (* The omission-fault adversary rides the same no-pessimisation gate:
+     its dedup row (keys extended with the omitter bitsets) must at least
+     match its unreduced sibling. FloodSet at n=5, t=2 under the mixed
+     menu (one crash + one omitter) is large enough that the extended keys
+     must actually collapse states to win. *)
+  @ case "floodset-n5t2-mixed" fixed ~faults:Sim.Model.Mixed
+      [ ("none", Mc.Distrib.Rnone, None); ("dedup", Mc.Distrib.Rdedup, None) ]
 
 (* ------------------------------------------------------------------ *)
 (* The fuzz suite: campaign throughput, online monitors on vs off       *)
@@ -279,12 +261,12 @@ let fuzz_workloads () =
 let obs_workloads () =
   let sweep_rows =
     let c42 = Config.make ~n:4 ~t:2 in
-    let algo = Expt.Registry.floodset.Expt.Registry.algo in
-    let proposals = Sim.Runner.distinct_proposals c42 in
-    let sweep ?prof ?spans ?progress () =
-      ignore
-        (Mc.Dedup.sweep ?prof ?spans ?progress ~algo ~config:c42 ~proposals ())
+    let spec =
+      Mc.Distrib.make ~reduce:Mc.Distrib.Rdedup
+        ~algo:Expt.Registry.floodset.Expt.Registry.algo c42
+        (Mc.Distrib.Fixed (Sim.Runner.distinct_proposals c42))
     in
+    let sweep ?prof ?spans ?progress () = drive ?prof ?spans ?progress spec () in
     let prefix = "obs/dedup-sweep-n4t2" in
     [
       plain (prefix ^ "/none") (fun () -> sweep ());
@@ -826,33 +808,16 @@ let obs_rows () =
    must stay in the noise of sweeping them. *)
 let crash_safety_workloads () =
   let c52 = Config.make ~n:5 ~t:2 in
-  let algo = Expt.Registry.floodset.Expt.Registry.algo in
   let spec =
-    {
-      Mc.Distrib.faults = Sim.Model.Crash_only;
-      omit_budget = None;
-      policy = Mc.Serial.Prefixes;
-      horizon = None;
-      algo;
-      config = c52;
-      reduce = Mc.Distrib.Rdedup;
-      scope = Mc.Distrib.Binary;
-      table_cap = None;
-      spill_dir = None;
-    }
+    Mc.Distrib.make ~reduce:Mc.Distrib.Rdedup
+      ~algo:Expt.Registry.floodset.Expt.Registry.algo c52 Mc.Distrib.Binary
   in
-  let params = Obs.Json.Obj [ ("bench", Obs.Json.String "crash-safety") ] in
   let ckpt = Filename.temp_file "ipi-bench-checkpoint" ".json" in
   at_exit (fun () -> try Sys.remove ckpt with Sys_error _ -> ());
-  let sweep ?checkpoint () =
-    match Mc.Distrib.run_serial ?checkpoint ~params spec with
-    | Ok _ -> ()
-    | Error msg -> failwith msg
-  in
   let prefix = "crash-safety/floodset-n5t2-binary-dedup" in
   [
-    plain (prefix ^ "/none") (fun () -> sweep ());
-    plain (prefix ^ "/checkpoint") (fun () -> sweep ~checkpoint:(ckpt, 8) ());
+    plain (prefix ^ "/none") (drive spec);
+    plain (prefix ^ "/checkpoint") (drive ~checkpoint:(ckpt, 8) spec);
   ]
 
 let crash_safety_budget = 1.10
@@ -1131,11 +1096,14 @@ let scaling_smoke_rows () =
    deterministic (allocation does not depend on the machine), so the gate
    below is unconditional. Before the arena port this row read ≈140
    words/round; the budget holds it at the arena's level. *)
+let mc_alloc_spec () =
+  Mc.Distrib.make ~reduce:Mc.Distrib.Rdedup
+    ~algo:Expt.Registry.floodset.Expt.Registry.algo (Config.make ~n:5 ~t:2)
+    Mc.Distrib.Binary
+
 let mc_alloc_words_per_round () =
-  let config = Config.make ~n:5 ~t:2 in
-  let algo = Expt.Registry.floodset.Expt.Registry.algo in
   let a = Obs.Prof.acc () in
-  ignore (Mc.Dedup.sweep_binary ~prof:a ~algo ~config ());
+  drive ~prof:a (mc_alloc_spec ()) ();
   let m = Obs.Metrics.create () in
   Obs.Prof.flush a ~metrics:m ~prefix:"mc" ~per:"round";
   Option.map
@@ -1143,10 +1111,7 @@ let mc_alloc_words_per_round () =
     (Obs.Metrics.find_histogram m "mc.minor_words_per_round")
 
 let mc_alloc_workload () =
-  let config = Config.make ~n:5 ~t:2 in
-  let algo = Expt.Registry.floodset.Expt.Registry.algo in
-  plain "mc-alloc/floodset-n5t2-binary/dedup" (fun () ->
-      ignore (Mc.Dedup.sweep_binary ~algo ~config ()))
+  plain "mc-alloc/floodset-n5t2-binary/dedup" (drive (mc_alloc_spec ()))
 
 let mc_alloc_words_budget = 16.0
 

@@ -456,7 +456,7 @@ let table_cap_arg =
           "Bound the dedup transposition table to $(docv) in-memory \
            entries; overflow entries go to --spill-dir when given, \
            otherwise the overflow is not memoized (aggregates are \
-           bit-identical either way). --reduce dedup only.")
+           bit-identical either way). Applies to --reduce dedup and dedup+sym.")
 
 let spill_dir_arg =
   Cmdliner.Arg.(
@@ -468,6 +468,26 @@ let spill_dir_arg =
            file in $(docv), keeping memoization exact under a bounded \
            heap.")
 
+let reduce_arg =
+  Cmdliner.Arg.(
+    value
+    & opt
+        (enum
+           [
+             ("none", Mc.Distrib.Rnone);
+             ("dedup", Mc.Distrib.Rdedup);
+             ("dedup+sym", Mc.Distrib.Rsym);
+           ])
+        Mc.Distrib.Rnone
+    & info [ "reduce" ] ~docv:"RED"
+        ~doc:
+          "State-space reduction: none (default), dedup (transposition \
+           table over canonical state fingerprints; bit-identical \
+           verdicts), or dedup+sym (additionally collapse --binary \
+           assignments to the n+1 proposal-count orbits when the \
+           algorithm is symmetric; exact aggregates, one witness per \
+           orbit).")
+
 let faults_flag = function
   | Sim.Model.Crash_only -> "crash"
   | Sim.Model.Send_omit_only -> "send-omit"
@@ -478,26 +498,17 @@ let policy_flag = function
   | Mc.Serial.Prefixes -> "prefixes"
   | Mc.Serial.All_subsets -> "all-subsets"
 
-let dreduce_flag = function
+let reduce_flag = function
   | Mc.Distrib.Rnone -> "none"
   | Mc.Distrib.Rdedup -> "dedup"
+  | Mc.Distrib.Rsym -> "dedup+sym"
 
 let distrib_spec ~algo ~config ~faults ~omit_budget ~policy ~horizon ~binary
     ~reduce ~table_cap ~spill_dir =
-  {
-    Mc.Distrib.faults;
-    omit_budget = Some omit_budget;
-    policy;
-    horizon;
-    algo;
-    config;
-    reduce;
-    scope =
-      (if binary then Mc.Distrib.Binary
-       else Mc.Distrib.Fixed (Sim.Runner.distinct_proposals config));
-    table_cap;
-    spill_dir;
-  }
+  Mc.Distrib.make ~faults ~omit_budget ~policy ?horizon ~reduce ?table_cap
+    ?spill_dir ~algo config
+    (if binary then Mc.Distrib.Binary
+     else Mc.Distrib.Fixed (Sim.Runner.distinct_proposals config))
 
 (* The checkpoint's identity block: everything that shapes the task list
    or the per-task results. A snapshot resumes only a sweep with the same
@@ -516,7 +527,7 @@ let sweep_params ~label ~n ~t ~faults ~omit_budget ~horizon ~binary ~policy
       ( "horizon",
         match horizon with Some h -> Obs.Json.Int h | None -> Obs.Json.Null );
       ("scope", Obs.Json.String (if binary then "binary" else "fixed"));
-      ("reduce", Obs.Json.String (dreduce_flag reduce));
+      ("reduce", Obs.Json.String (reduce_flag reduce));
     ]
 
 (* The supervised driver respawns workers as this exact invocation: the
@@ -540,7 +551,7 @@ let sweep_worker_argv ~label ~n ~t ~faults ~omit_budget ~policy ~horizon
     "--policy";
     policy_flag policy;
     "--reduce";
-    dreduce_flag reduce;
+    reduce_flag reduce;
   ]
   @ (match horizon with Some h -> [ "--horizon"; string_of_int h ] | None -> [])
   @ (if binary then [ "--binary" ] else [])
@@ -559,34 +570,8 @@ let sweep_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains for the sweep; 0 means one per recommended \
-             core. The result is bit-identical to --jobs 1.")
-  in
-  let mode_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (enum [ ("serial", `Serial); ("incremental", `Incremental) ])
-          `Incremental
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:
-            "serial re-simulates every schedule from round 1 (the \
-             baseline); incremental (default) shares schedule prefixes. \
-             Ignored when --jobs > 1 (parallel sweeps are always \
-             incremental).")
-  in
-  let reduce_arg =
-    Cmdliner.Arg.(
-      value
-      & opt
-          (enum [ ("none", `None); ("dedup", `Dedup); ("dedup+sym", `Sym) ])
-          `None
-      & info [ "reduce" ] ~docv:"RED"
-          ~doc:
-            "State-space reduction: none (default), dedup (transposition \
-             table over canonical state fingerprints; bit-identical \
-             verdicts), or dedup+sym (additionally collapse --binary \
-             assignments to the n+1 proposal-count orbits when the \
-             algorithm is symmetric; exact aggregates, one witness per \
-             orbit). Reductions imply incremental mode.")
+             core. The result is bit-identical to --jobs 1. Not combined \
+             with --workers.")
   in
   let metrics_arg =
     Cmdliner.Arg.(
@@ -596,8 +581,9 @@ let sweep_cmd =
             "Print the sweep's metrics registry, including the \
              allocation-probe histograms (mc.minor_words_per_round — the \
              checker-core rate, one interval per arena DFS round over the \
-             distinct work — and mc.minor_words_per_sweep) and — with \
-             --jobs > 1 — the par.* worker-utilization gauges.")
+             distinct work — and mc.minor_words_per_sweep) and the par.* \
+             worker-utilization gauges. Under --workers the per-round \
+             probes stay in the worker processes.")
   in
   let trace_file_arg =
     Cmdliner.Arg.(
@@ -606,7 +592,8 @@ let sweep_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Write the sweep's profiling spans (sweep > shard > run \
-             nesting, with per-span GC deltas) to $(docv).")
+             nesting, with per-span GC deltas) to $(docv). Under --workers \
+             only the sweep span is recorded.")
   in
   let trace_format_arg =
     Cmdliner.Arg.(
@@ -702,258 +689,148 @@ let sweep_cmd =
             "Per-shard deadline under --workers: a worker silent past it \
              is killed and its shard reassigned (default 60).")
   in
-  let run label n t faults omit_budget jobs mode binary policy horizon reduce
+  let run label n t faults omit_budget jobs binary policy horizon reduce
       budget_s checkpoint checkpoint_every resume_path workers chaos_mode
       chaos_seed chunk_timeout table_cap spill_dir print_metrics show_progress
       heartbeat trace_file trace_format =
+    let refuse msg =
+      Format.eprintf "%s@." msg;
+      exit 2
+    in
+    if jobs <> 1 && workers > 1 then
+      refuse "--jobs and --workers each choose an executor: pass only one";
+    if chaos_mode <> None && workers <= 1 then
+      refuse "--chaos exercises the --workers pool: add --workers N (N >= 2)";
     let config = Config.make ~n ~t in
-    let entry = lookup_algo label in
-    let algo = entry.Expt.Registry.algo in
-    let jobs = if jobs = 0 then Par.default_jobs () else jobs in
+    let algo = (lookup_algo label).Expt.Registry.algo in
+    let spec =
+      distrib_spec ~algo ~config ~faults ~omit_budget ~policy ~horizon ~binary
+        ~reduce ~table_cap ~spill_dir
+    in
+    let params =
+      sweep_params ~label ~n ~t ~faults ~omit_budget ~horizon ~binary ~policy
+        ~reduce
+    in
+    let resume =
+      Option.map
+        (fun path ->
+          match Mc.Checkpoint.load ~path with
+          | Ok ck -> ck
+          | Error e ->
+              refuse (Format.asprintf "%a" Mc.Checkpoint.pp_load_error e))
+        resume_path
+    in
+    let executor =
+      if workers > 1 then
+        Mc.Distrib.Workers
+          {
+            workers;
+            worker_argv =
+              sweep_worker_argv ~label ~n ~t ~faults ~omit_budget ~policy
+                ~horizon ~binary ~reduce ~table_cap ~spill_dir;
+            chaos =
+              Option.map
+                (fun mode -> Mc.Supervise.default_chaos mode ~seed:chaos_seed)
+                chaos_mode;
+            chunk_timeout = Some chunk_timeout;
+            max_retries = None;
+          }
+      else Mc.Distrib.Domains (if jobs = 0 then Par.default_jobs () else jobs)
+    in
     let deadline = Option.map (fun b -> Unix.gettimeofday () +. b) budget_s in
-    let registry = Obs.Metrics.create () in
-    let metrics = registry in
-    let progress, finish_progress =
-      make_progress ~label:"sweep" ~show:show_progress ~heartbeat
-    in
-    let distributed =
-      workers > 1 || checkpoint <> None || resume_path <> None
-      || chaos_mode <> None || table_cap <> None || spill_dir <> None
-    in
-    if distributed then begin
-      (* The crash-safe drivers: checkpointed in-process execution, or a
-         supervised multi-process pool. Both shard at the same granularity
-         as the domain-parallel driver and merge in task order, so the
-         aggregates are bit-identical to the plain serial sweep. *)
-      let reduce =
-        match reduce with
-        | `None -> Mc.Distrib.Rnone
-        | `Dedup -> Mc.Distrib.Rdedup
-        | `Sym ->
-            Format.eprintf
-              "dedup+sym sweeps are not distributed: drop --reduce \
-               dedup+sym or the \
-               --workers/--checkpoint/--resume/--chaos/--table-cap flags@.";
-            exit 2
-      in
-      let spec =
-        distrib_spec ~algo ~config ~faults ~omit_budget ~policy ~horizon
-          ~binary ~reduce ~table_cap ~spill_dir
-      in
-      let params =
-        sweep_params ~label ~n ~t ~faults ~omit_budget ~horizon ~binary
-          ~policy ~reduce
-      in
-      let resume =
-        Option.map
-          (fun path ->
-            match Mc.Checkpoint.load ~path with
-            | Ok ck -> ck
-            | Error e ->
-                Format.eprintf "%a@." Mc.Checkpoint.pp_load_error e;
-                exit 2)
-          resume_path
-      in
-      let ckpt = Option.map (fun p -> (p, checkpoint_every)) checkpoint in
-      (* SIGINT/SIGTERM request a stop; the driver finishes the shard
-         boundary, flushes a final checkpoint, and we exit 3 (PARTIAL)
-         below — the same path --budget expiry takes. *)
-      let stop = ref false in
-      List.iter
-        (fun s ->
-          try Sys.set_signal s (Sys.Signal_handle (fun _ -> stop := true))
-          with Invalid_argument _ | Sys_error _ -> ())
-        [ Sys.sigint; Sys.sigterm ];
-      let should_stop () =
-        !stop
-        ||
-        match deadline with
-        | Some d -> Unix.gettimeofday () > d
-        | None -> false
-      in
-      let chaos =
-        Option.map
-          (fun mode -> Mc.Supervise.default_chaos mode ~seed:chaos_seed)
-          chaos_mode
-      in
-      let outcome =
-        if workers > 1 then
-          Mc.Distrib.run_supervised ?resume ?checkpoint:ckpt ~should_stop
-            ?chaos ~chunk_timeout ~progress ~workers
-            ~worker_argv:
-              (sweep_worker_argv ~label ~n ~t ~faults ~omit_budget ~policy
-                 ~horizon ~binary ~reduce ~table_cap ~spill_dir)
-            ~params spec
-        else
-          Mc.Distrib.run_serial ?resume ?checkpoint:ckpt ~should_stop
-            ?deadline ~progress ~params spec
-      in
-      finish_progress ();
-      match outcome with
-      | Error msg ->
-          Format.eprintf "%s@." msg;
-          exit 2
-      | Ok r ->
-          let result = r.Mc.Distrib.result in
-          Format.fprintf std "%a@." Mc.Exhaustive.pp_result result;
-          (match r.Mc.Distrib.stats with
-          | Some s -> Format.fprintf std "reduction: %a@." Mc.Dedup.pp_stats s
-          | None -> ());
-          (match result.Mc.Exhaustive.max_witness with
-          | Some choices ->
-              Format.fprintf std "worst run: %a@."
-                (Format.pp_print_list
-                   ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-                   Mc.Serial.pp_choice)
-                choices
-          | None -> ());
-          (match r.Mc.Distrib.sup_metrics with
-          | Some m ->
-              Format.fprintf std "supervisor: %a@." Mc.Supervise.pp_metrics m
-          | None -> ());
-          (match checkpoint with
-          | Some path ->
-              Format.fprintf std "checkpoint (%d/%d shards) written to %s@."
-                (List.length r.Mc.Distrib.completed)
-                r.Mc.Distrib.total_tasks path
-          | None -> ());
-          if result.Mc.Exhaustive.violations <> [] then exit 1;
-          if r.Mc.Distrib.partial || result.Mc.Exhaustive.expired then exit 3
-    end
-    else begin
+    (* SIGINT/SIGTERM request a stop; the driver finishes the shard
+       boundary, flushes a final checkpoint, and we exit 3 (PARTIAL)
+       below — the same path --budget expiry takes. *)
+    let stop = ref false in
+    List.iter
+      (fun s ->
+        try Sys.set_signal s (Sys.Signal_handle (fun _ -> stop := true))
+        with Invalid_argument _ | Sys_error _ -> ())
+      [ Sys.sigint; Sys.sigterm ];
     let spans =
       match trace_file with
       | Some _ -> Obs.Span.recorder ()
       | None -> Obs.Span.disabled
     in
-    (* Two probe granularities: [round_acc] rides inside the sweeps (one
+    (* Two probe granularities: [round_acc] rides inside the tasks (one
        interval per engine round over the distinct work), [sweep_acc]
-       brackets the whole dispatch. *)
-    let round_acc = if print_metrics then Some (Obs.Prof.acc ()) else None in
-    let sweep_acc = if print_metrics then Some (Obs.Prof.acc ()) else None in
-    let dedup_stats = ref None in
-    let reduced r (s : Mc.Dedup.stats) =
-      dedup_stats := Some s;
-      r
+       brackets the whole driver call. *)
+    let registry = Obs.Metrics.create () in
+    let probe () = if print_metrics then Some (Obs.Prof.acc ()) else None in
+    let round_acc = probe () and sweep_acc = probe () in
+    let progress, finish_progress =
+      make_progress ~label:"sweep" ~show:show_progress ~heartbeat
     in
-    let prof = round_acc in
-    let dispatch () =
-      if binary then
-        match reduce with
-        | `Sym ->
-            let r, s =
-              if jobs > 1 then
-                Mc.Parallel.sweep_binary_sym ~faults ~omit_budget ?deadline
-                  ~policy ~metrics ?prof ~spans ~progress ~jobs ?horizon
-                  ~algo ~config ()
-              else
-                Mc.Symmetry.sweep_binary ~faults ~omit_budget ?deadline
-                  ~policy ~metrics ?horizon ?prof ~spans ~progress ~algo
-                  ~config ()
-            in
-            reduced r s
-        | `Dedup ->
-            let r, s =
-              if jobs > 1 then
-                Mc.Parallel.sweep_binary_dedup ~faults ~omit_budget ?deadline
-                  ~policy ~metrics ?prof ~spans ~progress ~jobs ?horizon
-                  ~algo ~config ()
-              else
-                Mc.Dedup.sweep_binary ~faults ~omit_budget ?deadline ~policy
-                  ~metrics ?horizon ?prof ~spans ~progress ~algo ~config ()
-            in
-            reduced r s
-        | `None ->
-            if jobs > 1 then
-              Mc.Parallel.sweep_binary ~faults ~omit_budget ?deadline ~policy
-                ~metrics ?prof ~spans ~progress ~jobs ?horizon ~algo ~config
-                ()
-            else if mode = `Incremental then
-              Mc.Exhaustive.sweep_binary_incremental ~faults ~omit_budget
-                ?deadline ~policy ~metrics ?horizon ?prof ~spans ~progress
-                ~algo ~config ()
-            else
-              Mc.Exhaustive.sweep_binary ~faults ~omit_budget ?deadline
-                ~policy ~metrics ?horizon ~algo ~config ()
-      else begin
-        let proposals = Sim.Runner.distinct_proposals config in
-        match reduce with
-        | `Dedup | `Sym ->
-            (* Symmetry reduces proposal assignments, so on a single fixed
-               assignment dedup+sym degrades to dedup. *)
-            let r, s =
-              if jobs > 1 then
-                Mc.Parallel.sweep_dedup ~faults ~omit_budget ?deadline
-                  ~policy ~metrics ?prof ~spans ~progress ~jobs ?horizon
-                  ~algo ~config ~proposals ()
-              else
-                Mc.Dedup.sweep ~faults ~omit_budget ?deadline ~policy
-                  ~metrics ?horizon ?prof ~spans ~progress ~algo ~config
-                  ~proposals ()
-            in
-            reduced r s
-        | `None ->
-            if jobs > 1 then
-              Mc.Parallel.sweep ~faults ~omit_budget ?deadline ~policy
-                ~metrics ?prof ~spans ~progress ~jobs ?horizon ~algo ~config
-                ~proposals ()
-            else if mode = `Incremental then
-              Mc.Exhaustive.sweep_incremental ~faults ~omit_budget ?deadline
-                ~policy ~metrics ?horizon ?prof ~spans ~progress ~algo
-                ~config ~proposals ()
-            else
-              Mc.Exhaustive.sweep ~faults ~omit_budget ?deadline ~policy
-                ~metrics ?horizon ~algo ~config ~proposals ()
-      end
+    let sweep () =
+      Mc.Distrib.run ~executor ?resume
+        ?checkpoint:(Option.map (fun p -> (p, checkpoint_every)) checkpoint)
+        ~should_stop:(fun () -> !stop)
+        ?deadline
+        ?metrics:(if print_metrics then Some registry else None)
+        ?prof:round_acc ~spans ~progress ~params spec
     in
-    let result =
-      match sweep_acc with
-      | None -> dispatch ()
-      | Some a -> Obs.Prof.measure a dispatch
+    let outcome =
+      match sweep_acc with None -> sweep () | Some a -> Obs.Prof.measure a sweep
     in
     finish_progress ();
-    (match trace_file with
-    | Some path ->
-        let records = Obs.Span.records spans in
-        write_file path (fun oc ->
-            match trace_format with
-            | `Chrome -> output_string oc (Obs.Chrome.spans_to_string records)
-            | `Jsonl ->
-                List.iter
-                  (fun r ->
-                    output_string oc
-                      (Obs.Json.to_string (Obs.Span.record_to_json r));
-                    output_char oc '\n')
-                  records);
-        Format.fprintf std "trace (%d spans) written to %s@."
-          (List.length records) path
-    | None -> ());
-    (* The per-round histogram lands under [mc]: these are checker-core
-       branch rounds (arena DFS steps over the distinct work), not plain
-       simulator runs — [ipi run --metrics] keeps [sim] for those. *)
-    (match round_acc with
-    | Some a -> Obs.Prof.flush a ~metrics:registry ~prefix:"mc" ~per:"round"
-    | None -> ());
-    (match sweep_acc with
-    | Some a -> Obs.Prof.flush a ~metrics:registry ~prefix:"mc" ~per:"sweep"
-    | None -> ());
-    Format.fprintf std "%a@." Mc.Exhaustive.pp_result result;
-    (match !dedup_stats with
-    | Some s -> Format.fprintf std "reduction: %a@." Mc.Dedup.pp_stats s
-    | None -> ());
-    (match result.Mc.Exhaustive.max_witness with
-    | Some choices ->
-        Format.fprintf std "worst run: %a@."
-          (Format.pp_print_list
-             ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-             Mc.Serial.pp_choice)
-          choices
-    | None -> ());
-    if print_metrics then
-      Format.fprintf std "@.metrics:@.%a@." Obs.Metrics.pp registry;
-    if result.Mc.Exhaustive.violations <> [] then exit 1;
-    if result.Mc.Exhaustive.expired then exit 3
-    end
+    match outcome with
+    | Error msg -> refuse msg
+    | Ok r ->
+        let result = r.Mc.Distrib.result in
+        (match trace_file with
+        | Some path ->
+            let records = Obs.Span.records spans in
+            write_file path (fun oc ->
+                match trace_format with
+                | `Chrome ->
+                    output_string oc (Obs.Chrome.spans_to_string records)
+                | `Jsonl ->
+                    List.iter
+                      (fun r ->
+                        output_string oc
+                          (Obs.Json.to_string (Obs.Span.record_to_json r));
+                        output_char oc '\n')
+                      records);
+            Format.fprintf std "trace (%d spans) written to %s@."
+              (List.length records) path
+        | None -> ());
+        Format.fprintf std "%a@." Mc.Exhaustive.pp_result result;
+        (match r.Mc.Distrib.stats with
+        | Some s -> Format.fprintf std "reduction: %a@." Mc.Dedup.pp_stats s
+        | None -> ());
+        (match result.Mc.Exhaustive.max_witness with
+        | Some choices ->
+            Format.fprintf std "worst run: %a@."
+              (Format.pp_print_list
+                 ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
+                 Mc.Serial.pp_choice)
+              choices
+        | None -> ());
+        (match r.Mc.Distrib.sup_metrics with
+        | Some m ->
+            Format.fprintf std "supervisor: %a@." Mc.Supervise.pp_metrics m
+        | None -> ());
+        (match checkpoint with
+        | Some path ->
+            Format.fprintf std "checkpoint (%d/%d shards) written to %s@."
+              (List.length r.Mc.Distrib.completed)
+              r.Mc.Distrib.total_tasks path
+        | None -> ());
+        if print_metrics then begin
+          (* The per-round histogram lands under [mc]: these are
+             checker-core branch rounds (arena DFS steps over the distinct
+             work), not plain simulator runs — [ipi run --metrics] keeps
+             [sim] for those. *)
+          Option.iter
+            (fun a -> Obs.Prof.flush a ~metrics:registry ~prefix:"mc" ~per:"round")
+            round_acc;
+          Option.iter
+            (fun a -> Obs.Prof.flush a ~metrics:registry ~prefix:"mc" ~per:"sweep")
+            sweep_acc;
+          Format.fprintf std "@.metrics:@.%a@." Obs.Metrics.pp registry
+        end;
+        if result.Mc.Exhaustive.violations <> [] then exit 1;
+        if r.Mc.Distrib.partial || result.Mc.Exhaustive.expired then exit 3
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "sweep"
@@ -963,26 +840,16 @@ let sweep_cmd =
           exit if any run violates consensus.")
     Cmdliner.Term.(
       const run $ algo_arg $ n_arg $ t_arg $ faults_arg $ omit_budget_arg
-      $ jobs_arg $ mode_arg $ binary_arg $ policy_arg $ horizon_arg
-      $ reduce_arg $ budget_arg $ checkpoint_arg $ checkpoint_every_arg
-      $ resume_arg $ workers_arg $ chaos_arg $ chaos_seed_arg
-      $ chunk_timeout_arg $ table_cap_arg $ spill_dir_arg $ metrics_arg
-      $ progress_flag_arg $ heartbeat_arg $ trace_file_arg
-      $ trace_format_arg)
+      $ jobs_arg $ binary_arg $ policy_arg $ horizon_arg $ reduce_arg
+      $ budget_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
+      $ workers_arg $ chaos_arg $ chaos_seed_arg $ chunk_timeout_arg
+      $ table_cap_arg $ spill_dir_arg $ metrics_arg $ progress_flag_arg
+      $ heartbeat_arg $ trace_file_arg $ trace_format_arg)
 
 (* ------------------------------------------------------------------ *)
 (* ipi sweep-worker                                                     *)
 
 let sweep_worker_cmd =
-  let reduce_arg =
-    Cmdliner.Arg.(
-      value
-      & opt
-          (enum [ ("none", Mc.Distrib.Rnone); ("dedup", Mc.Distrib.Rdedup) ])
-          Mc.Distrib.Rnone
-      & info [ "reduce" ] ~docv:"RED"
-          ~doc:"State-space reduction, as for `ipi sweep` (none or dedup).")
-  in
   let run label n t faults omit_budget binary policy horizon reduce table_cap
       spill_dir =
     let config = Config.make ~n ~t in

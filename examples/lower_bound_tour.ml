@@ -9,6 +9,15 @@ open Kernel
 let fast = Sim.Algorithm.Packed (module Baselines.Floodset_ws)
 let indulgent = Sim.Algorithm.Packed (module Indulgent.At_plus_2.Standard)
 
+(* Every serial synchronous run under every binary proposal assignment,
+   with all receiver subsets per crash, through the sweep driver. *)
+let sweep_all algo config =
+  let spec =
+    Mc.Distrib.make ~policy:Mc.Serial.All_subsets ~algo config
+      Mc.Distrib.Binary
+  in
+  (Result.get_ok (Mc.Distrib.run spec)).Mc.Distrib.result
+
 let () =
   let config = Config.make ~n:3 ~t:1 in
   Format.printf
@@ -16,10 +25,7 @@ let () =
 
   (* Step 1 — the fast algorithm really is fast: every serial synchronous
      run of FloodSetWS reaches a global decision at t+1 = 2. *)
-  let sweep =
-    Mc.Exhaustive.sweep_binary ~policy:Mc.Serial.All_subsets ~algo:fast
-      ~config ()
-  in
+  let sweep = sweep_all fast config in
   Format.printf
     "1. FloodSetWS over ALL %d serial synchronous runs: decisions in rounds \
      [%d, %d], %d violations.@.   It meets the SCS optimum t+1 = 2.@.@."
@@ -89,10 +95,7 @@ let () =
      falls@.   back to the underlying consensus — safety is preserved.@.@.";
 
   (* Step 6 — and in synchronous runs A_{t+2} pays exactly one round. *)
-  let sweep2 =
-    Mc.Exhaustive.sweep_binary ~policy:Mc.Serial.All_subsets ~algo:indulgent
-      ~config ()
-  in
+  let sweep2 = sweep_all indulgent config in
   Format.printf
     "6. A(t+2) over ALL %d serial synchronous runs: decisions in rounds \
      [%d, %d].@.   t+2 = %d: the inherent price of indulgence is one round.@."

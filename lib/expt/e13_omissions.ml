@@ -17,9 +17,11 @@ type row = {
 
 let sweep_row entry config ~faults ~expected_safe =
   let r =
-    Mc.Exhaustive.sweep_incremental ~faults ~algo:entry.Registry.algo ~config
-      ~proposals:(Sim.Runner.distinct_proposals config)
-      ()
+    (Result.get_ok
+       (Mc.Distrib.run
+          (Mc.Distrib.make ~faults ~algo:entry.Registry.algo config
+             (Mc.Distrib.Fixed (Sim.Runner.distinct_proposals config)))))
+      .Mc.Distrib.result
   in
   {
     algorithm = entry.Registry.label;

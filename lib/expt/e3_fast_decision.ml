@@ -25,7 +25,11 @@ let measure ?(seed = 23) configs =
           let algo = entry.Registry.algo in
           let proposals = Sim.Runner.distinct_proposals config in
           if n <= 4 then begin
-            let sweep = Mc.Exhaustive.sweep_binary ~algo ~config () in
+            let sweep =
+              (Result.get_ok
+                 (Mc.Distrib.run (Mc.Distrib.make ~algo config Mc.Distrib.Binary)))
+                .Mc.Distrib.result
+            in
             {
               variant = entry.Registry.label;
               n;

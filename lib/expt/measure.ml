@@ -61,7 +61,12 @@ let sync_worst_case ?(samples = 200) ?(exhaustive_up_to_n = 4) ~seed ~entry
   in
   (* Exhaustive serial sweep for small systems. *)
   if Config.n config <= exhaustive_up_to_n then begin
-    let sweep = Mc.Exhaustive.sweep ~algo ~config ~proposals () in
+    let sweep =
+      (Result.get_ok
+         (Mc.Distrib.run
+            (Mc.Distrib.make ~algo config (Mc.Distrib.Fixed proposals))))
+        .Mc.Distrib.result
+    in
     (match sweep.Mc.Exhaustive.violations with
     | [] -> ()
     | (choices, vs) :: _ ->

@@ -1,34 +1,37 @@
-(** Crash-safe, resumable, multi-process sweep drivers.
+(** The sweep driver: the one way to run an exhaustive sweep.
 
-    This is where the crash-safety layer meets the determinism contract.
-    A sweep is cut into {e tasks} at exactly the granularity the serial
-    and domain-parallel drivers already shard at — one first-round choice
-    subtree for a fixed-proposal sweep, one proposal assignment for a
-    binary sweep ({!Parallel}'s shards, {!Dedup}'s fresh-table units) —
-    and every driver here is a fold over task results {e in task order}:
+    A sweep is a {!spec}. The driver cuts it into numbered {e tasks} —
+    one first-round choice subtree for a fixed-proposal sweep, one
+    proposal assignment (or one symmetry orbit) for a binary sweep — runs
+    each task as one depth-first search over {!Menu} and the engine arena,
+    and folds the task results back {e in task order}:
 
-    - {!run_serial} runs tasks in-process, snapshotting completed tasks
-      to a {!Checkpoint} file periodically and on interruption;
-    - {!run_supervised} farms tasks to [ipi sweep-worker] processes via
-      {!Supervise}, merging frames back by task index;
-    - a crashed, chaos-ridden, or budget-expired run resumes from its
-      checkpoint and completes the pending tasks.
+    - the search's transposition table is the reduction: none, or the
+      {!Dedup} table with one fresh table per first-round subtree;
+      [dedup+sym] additionally makes the binary tasks the [n + 1]
+      {!Symmetry} orbits when the algorithm is symmetric;
+    - an {!executor} runs the pending tasks: in this process on [jobs]
+      domains, or on supervised [ipi sweep-worker] processes;
+    - every executor shares {!run_task}, the checkpoint bookkeeping, the
+      progress meter, spans, metrics and shard-failure containment, and
+      {!merge_entries}.
 
-    Because the merge is a deterministic fold in task order over
-    per-task results that are themselves bit-identical however computed
-    (the PR 2/PR 4 contracts), {e any} interleaving of workers, deaths,
-    retries, interruptions and resumes yields the same final aggregates
-    as one undisturbed serial sweep. Tasks interrupted mid-subtree are
-    never persisted — they rerun from scratch on resume — so there is no
-    sub-task state to get wrong.
-
-    Symmetry-reduced sweeps are not distributed here: their n+1 orbits
-    are too few to shard across processes and finish in milliseconds —
-    checkpointing them would be pure overhead. *)
+    Because the merge is a deterministic fold in task order over per-task
+    results that do not depend on who computed them, {e any} executor,
+    job count, worker count, chaos, interruption and resume yields the
+    same aggregates as one undisturbed serial sweep, and the same as the
+    from-scratch oracle {!Exhaustive.sweep}. Tasks interrupted mid-subtree
+    are never persisted — they rerun whole on resume. *)
 
 open Kernel
 
-type reduce = Rnone | Rdedup
+type reduce =
+  | Rnone
+  | Rdedup  (** the {!Dedup} transposition table *)
+  | Rsym
+      (** [Rdedup], plus orbit tasks for a [Binary] sweep of a symmetric
+          algorithm (exact aggregates, one witness per orbit); a [Fixed]
+          sweep or an asymmetric algorithm keeps the [Rdedup] tasks *)
 
 type scope =
   | Fixed of Value.t Pid.Map.t  (** one proposal assignment *)
@@ -43,66 +46,122 @@ type spec = {
   config : Config.t;
   reduce : reduce;
   scope : scope;
-  table_cap : int option;  (** {!Dedup} in-memory entry cap, [Rdedup] only *)
+  table_cap : int option;  (** {!Dedup} in-memory entry cap *)
   spill_dir : string option;  (** disk overflow directory for the cap *)
 }
 
+val make :
+  ?faults:Sim.Model.faults ->
+  ?omit_budget:int ->
+  ?policy:Serial.policy ->
+  ?horizon:int ->
+  ?reduce:reduce ->
+  ?table_cap:int ->
+  ?spill_dir:string ->
+  algo:Sim.Algorithm.packed ->
+  Config.t ->
+  scope ->
+  spec
+(** A spec with the usual defaults: [Crash_only], [Prefixes], horizon
+    [t + 2], [Rnone], no cap. *)
+
 val total_tasks : spec -> int
 (** Tasks are indexed [0 .. total_tasks - 1] in enumeration order:
-    first-round choices for [Fixed], assignments for [Binary]. *)
+    first-round choices for [Fixed], assignments for [Binary] ([n + 1]
+    orbits under {!Rsym} when the algorithm is symmetric). *)
 
-val task_context : spec -> int -> string
-(** Human description of task [i] (for shard-failure reports), matching
-    {!Parallel}'s contexts. *)
-
-val run_task : ?deadline:float -> spec -> int -> Checkpoint.entry
-(** Execute one task to completion. The entry's [result] is bit-identical
-    to what the serial or domain-parallel driver computes for the same
-    shard. If [deadline] passes mid-task the entry's result has
-    [expired = true] — such an entry must not be persisted or merged as
-    completed (the drivers here treat it as display-only). *)
+val run_task :
+  ?deadline:float ->
+  ?prof:Obs.Prof.acc ->
+  ?spans:Obs.Span.t ->
+  spec ->
+  int ->
+  Checkpoint.entry
+(** Execute one task to completion: its result, its {!Dedup.stats}
+    ([None] when unreduced) and the engine rounds it stepped. If
+    [deadline] passes mid-task the result has [expired = true] — such an
+    entry must not be persisted or merged as completed. [prof] records one
+    interval per engine round over the distinct work; [spans] one ["run"]
+    span per simulated leaf. Both are single-domain. *)
 
 val merge_entries :
   spec -> Checkpoint.entry list -> Exhaustive.result * Dedup.stats option * int
-(** Fold entries (ascending task order, no gaps required) back into an
-    aggregate with each mode's serial merge: {!Parallel.merge_in_order}
-    for [Fixed]+[Rnone], {!Dedup.combine} for [Fixed]+[Rdedup], plain
-    {!Exhaustive.merge} for [Binary] — plus merged stats ([Rdedup]) and
-    summed engine edges. Over the full task range this reproduces the
-    undisturbed serial sweep bit-identically. *)
+(** Fold entries (ascending task order, no gaps required) into the
+    aggregate — {!Exhaustive.combine} for [Fixed] (the one-pass search's
+    list order), {!Exhaustive.merge} for [Binary] — plus summed stats
+    ([None] when unreduced) and engine edges. Over the full task range
+    this is the undisturbed serial sweep, bit-identically. *)
+
+type executor =
+  | Domains of int
+      (** this process, on up to [n] domains; [1] runs every task on the
+          calling domain and spawns nothing *)
+  | Workers of {
+      workers : int;
+      worker_argv : string list;
+          (** an [ipi sweep-worker] invocation carrying the same sweep
+              flags *)
+      chaos : Supervise.chaos option;
+      chunk_timeout : float option;
+      max_retries : int option;
+    }  (** supervised worker processes ({!Supervise}) *)
 
 type run = {
   result : Exhaustive.result;
       (** merged aggregates; on a partial run this covers completed tasks
-          plus (serial driver only) the expired task's explored fragment,
+          plus the explored fragments of tasks a deadline cut short,
           faithfully flagged [expired] *)
-  stats : Dedup.stats option;  (** [Rdedup] only *)
+  stats : Dedup.stats option;  (** reduced sweeps only *)
   edges : int;
   completed : Checkpoint.entry list;  (** what a checkpoint would hold *)
   total_tasks : int;
   partial : bool;
       (** stopped, expired or interrupted before all tasks finished *)
-  sup_metrics : Supervise.metrics option;  (** {!run_supervised} only *)
+  sup_metrics : Supervise.metrics option;  (** [Workers] only *)
 }
 
-val run_serial :
+val run :
+  ?executor:executor ->
   ?resume:Checkpoint.t ->
   ?checkpoint:string * int ->
   ?should_stop:(unit -> bool) ->
   ?deadline:float ->
+  ?metrics:Obs.Metrics.t ->
+  ?prof:Obs.Prof.acc ->
+  ?spans:Obs.Span.t ->
   ?progress:Obs.Progress.t ->
-  params:Obs.Json.t ->
+  ?params:Obs.Json.t ->
   spec ->
   (run, string) result
-(** In-process checkpointed driver. [checkpoint = (path, every)] snapshots
-    after every [every] completed tasks and always once more on exit —
-    normal, stopped, or expired — so the file on disk is never staler
-    than [every] tasks. [resume] seeds completed tasks from a loaded
-    snapshot ({!Checkpoint.compatible} is checked against [params]; a
-    mismatch is the [Error]). [should_stop] is polled between tasks
-    (SIGINT/SIGTERM flag); [deadline] is the [--budget] hook, enforced
-    between tasks and inside each task's sweep. [progress] steps once per
-    task with the total set up front. *)
+(** Run every pending task on [executor] (default [Domains 1]) and merge.
+
+    - [resume] seeds completed tasks from a loaded snapshot; it must be
+      {!Checkpoint.compatible} with [params] (default [Null]) and have
+      this sweep's task count, otherwise the [Error].
+    - [checkpoint = (path, every)] snapshots after every [every]
+      completed tasks and once more on exit — normal, stopped, or expired.
+    - [should_stop] is polled before each task (the SIGINT/SIGTERM hook);
+      [deadline] (absolute [Unix.gettimeofday] time) is checked before
+      each task and, in process, inside each task's search. Either makes
+      the run [partial].
+    - A task that raises something the engine does not contain (e.g. an
+      exception escaping [Algorithm.init]) becomes an
+      {!Exhaustive.shard_failure} with its task index and context, under
+      every executor.
+    - [progress] steps once per completed task, with the total set up
+      front. [spans] gets a ["sweep"] span; in process, each task adds a
+      ["shard <i>: <context>"] span nesting its ["run"] spans, on track
+      [1 + i]. [prof] accumulates the tasks' per-round intervals (in
+      process only). [metrics] receives [mc.runs], [mc.distinct_runs],
+      [mc.violations], [mc.undecided_runs], [mc.crashed_runs],
+      [mc.shard_failures], [mc.prefix_hits] (engine rounds saved by
+      prefix sharing), the [mc.max_decision_round] and
+      [mc.domains]/[mc.workers] gauges, the [mc.sweep_cpu_seconds],
+      [mc.sweep_wall_seconds] and [mc.schedules_per_second] histograms,
+      and, when reduced, [mc.dedup_hits], [mc.dedup_entries],
+      [mc.arena_snapshots], [mc.arena_restores] and [mc.orbits]; in
+      process also the {!Kernel.Par} utilization as [par.*]. None of
+      these instruments changes the result. *)
 
 val run_supervised :
   ?resume:Checkpoint.t ->
@@ -117,21 +176,15 @@ val run_supervised :
   params:Obs.Json.t ->
   spec ->
   (run, string) result
-(** Multi-process driver: {!Supervise.run} over the pending tasks with
-    workers spawned as [worker_argv] (an [ipi sweep-worker] invocation
-    carrying the same sweep flags). Task failures (retries exhausted)
-    become {!Exhaustive.shard_failure}s in the merged result, matching
-    the domain-parallel driver's containment. Checkpoints are written in
-    completion order (entries stay sorted by task); a final snapshot is
-    written on stop as with {!run_serial}. *)
+(** {!run} with the [Workers] executor. *)
 
 val worker_loop : spec -> in_channel -> out_channel -> unit
 (** The [ipi sweep-worker] body: read [{"task": i}] frames off stdin, run
     each task, write back the entry as a frame
-    [{"task", "result", "stats", "edges"}], loop until [{"shutdown"}] or
-    EOF. Exits the loop (returning) on shutdown; raises on a malformed
-    stream so the supervisor sees a death, not silence. *)
+    [{"task", "result", "stats", "edges"}] — or [{"task", "failure"}] when
+    the task raised — and loop until [{"shutdown"}] or EOF. Raises on a
+    malformed stream so the supervisor sees a death, not silence. *)
 
 val entry_to_frame : Checkpoint.entry -> Obs.Json.t
-val entry_of_frame : Obs.Json.t -> (Checkpoint.entry, string) result
-(** The worker protocol's result frame — shared with the tests. *)
+(** The worker protocol's result frame: {!Checkpoint.entry_to_json}, so
+    the snapshot and wire formats cannot drift apart. *)

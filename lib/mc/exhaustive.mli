@@ -1,12 +1,15 @@
-(** Exhaustive sweeps over serial synchronous runs: the mechanised side of
-    the paper's complexity claims for small systems.
+(** Sweep results over serial synchronous runs, and the reference oracle.
 
     For a deterministic algorithm and fixed proposals, the serial adversary's
     choices determine the run completely, so enumerating all choice
     sequences up to a horizon visits {e every} serial run prefix. A sweep
     reports the worst (and best) global decision round and every consensus
     violation found — e.g. [A_{t+2}] sweeps must show max = min = [t + 2]
-    with zero violations, while FloodSet shows [t + 1]. *)
+    with zero violations, while FloodSet shows [t + 1].
+
+    Sweeps run through {!Distrib}; this module holds the result algebra
+    they fold with and the from-scratch {!sweep} the tests check them
+    against. *)
 
 open Kernel
 
@@ -19,11 +22,11 @@ type crashed_run = {
     round, reason). *)
 
 type shard_failure = { shard : int; context : string; message : string }
-(** A {!Parallel} shard whose worker raised something the engine did not
-    contain (e.g. an exception escaping [Algorithm.init]). [shard] is the
-    shard's index in enumeration order and [context] describes the
-    subproblem (first-round choice or proposal assignment) so the failure
-    is reproducible. Serial sweeps never produce these. *)
+(** A {!Distrib} task that raised something the engine did not contain
+    (e.g. an exception escaping [Algorithm.init]). [shard] is the task's
+    index in enumeration order and [context] describes the subproblem
+    (first-round choice, proposal assignment or orbit) so the failure is
+    reproducible. *)
 
 type result = {
   runs : int;
@@ -31,10 +34,10 @@ type result = {
           enumeration count, whatever reduction computed it *)
   distinct_runs : int;
       (** leaves actually enumerated or simulated. Unreduced sweeps have
-          [distinct_runs = runs]; {!Mc.Dedup} counts a subtree answered
-          from its transposition table into [runs] but not here, and
-          {!Mc.Symmetry} counts only the orbit representative here while
-          scaling [runs] by the orbit size. The split keeps the reduction
+          [distinct_runs = runs]; a subtree answered from the {!Dedup}
+          table counts into [runs] but not here, and a {!Symmetry} orbit
+          counts only its representative here while scaling [runs] by the
+          orbit size. The split keeps the reduction
           honest: aggregates speak for all [runs], work done is
           [distinct_runs]. *)
   max_decision : int;  (** worst global decision round over all runs *)
@@ -47,11 +50,11 @@ type result = {
   crashed : crashed_run list;
       (** runs contained after a {!Sim.Engine.Step_error}; counted in
           [runs] but in no other aggregate. Like [violations], the list is
-          the reverse of enumeration order, and serial, incremental and
-          parallel sweeps produce it bit-identically. *)
+          the reverse of enumeration order, and every executor produces it
+          bit-identically. *)
   shard_failures : shard_failure list;
-      (** failed {!Parallel} shards, in shard order; their subtrees'
-          runs are not counted anywhere else. *)
+      (** failed tasks, in task order; their subtrees' runs are not
+          counted anywhere else. *)
   expired : bool;
       (** a wall-clock [deadline] passed mid-sweep: every count above is a
           faithful account of the {e explored} part of the space only.
@@ -65,25 +68,31 @@ val empty : result
 exception Expired
 (** Raised by a sweep's per-leaf deadline check once the wall clock passes
     the [deadline] argument. Drivers catch it, keep what they accounted so
-    far and set [expired]; it only escapes a sweep entry point if a custom
-    caller of {!deadline_check} lets it. *)
+    far and set [expired]. *)
 
 val deadline_check : float option -> unit -> unit
 (** [deadline_check deadline ()] raises {!Expired} when [deadline] is
-    [Some d] and [Unix.gettimeofday () > d]; a no-op otherwise. Exposed
-    for the reduction/parallel drivers so every sweep flavour shares one
-    notion of expiry. *)
+    [Some d] and [Unix.gettimeofday () > d]; a no-op otherwise. *)
 
 val merge : result -> result -> result
 (** Aggregate two sweep results. Associative with unit {!empty}; keeps the
     {e first} (left-most) maximal-round witness, so folding shard results in
     enumeration order reproduces exactly the single-sweep result. *)
 
+val combine : result -> result -> result
+(** [combine acc later] — {!merge} with the depth-first search's list
+    order: the search conses violations and crashed runs as it meets
+    them, so its lists are the reverse of enumeration order and a {e later}
+    sibling subtree's lists land in front of [acc]'s. Folding subtree
+    fragments with [combine] in enumeration order reproduces the one-pass
+    search exactly. *)
+
 val add_run :
-  result -> choices:Serial.choice list -> trace:Sim.Trace.t -> result
+  result -> choices:(unit -> Serial.choice list) -> trace:Sim.Trace.t -> result
 (** Fold one finished run into a result: checks {!Sim.Props}, updates the
-    decision-round extremes and counts. The per-leaf step of every sweep
-    driver, exposed for the reduction layer ({!Dedup}). *)
+    decision-round extremes and counts. [choices] is forced only when the
+    run becomes a violation or the new maximal witness, so a clean leaf
+    builds no choice list. *)
 
 val add_crashed :
   result ->
@@ -99,160 +108,39 @@ val binary_assignments : Config.t -> Value.t Pid.Map.t list
 val sweep :
   ?faults:Sim.Model.faults ->
   ?omit_budget:int ->
-  ?deadline:float ->
   ?policy:Serial.policy ->
-  ?metrics:Obs.Metrics.t ->
   ?horizon:int ->
   algo:Sim.Algorithm.packed ->
   config:Config.t ->
   proposals:Value.t Pid.Map.t ->
   unit ->
   result
-(** Enumerate every serial run whose crashes happen within [horizon] rounds
-    (default [t + 2]; crashes later than that cannot affect the decision
-    rounds of any algorithm here) under [policy] (default [Prefixes]).
-    Every run is simulated from round 1 — the simple baseline;
-    {!sweep_incremental} computes the identical result faster.
+(** The reference oracle: enumerate every serial run whose crashes happen
+    within [horizon] rounds (default [t + 2]; crashes later than that
+    cannot affect the decision rounds of any algorithm here) under
+    [policy] (default [Prefixes]), simulating each from round 1. It shares
+    no search code with {!Distrib}, whose every scope, reduction and
+    executor must reproduce it; only the tests and the bench's oracle rows
+    call it.
 
     [faults] (default [Crash_only]) selects the adversary's fault menu and
     [omit_budget] (default 1, clamped per {!Serial.split_budget}) the
     omission side of its budget; omission runs are judged with agreement
-    and termination restricted to fault-free processes. [deadline] (an
-    absolute [Unix.gettimeofday] time) is the graceful-degradation hook:
-    once it passes, the sweep stops at the next leaf and returns what it
-    accounted with [expired = true].
-
-    A schedule whose run raises {!Sim.Engine.Step_error} is recorded as a
-    {!crashed_run} and the sweep continues — one poisoned schedule never
-    aborts an enumeration.
-
-    When [metrics] is given the sweep reports into it: the [mc.runs]
-    (states explored), [mc.violations], [mc.undecided_runs],
-    [mc.crashed_runs], [mc.shard_failures] and
-    [mc.prefix_hits] (engine rounds saved by prefix sharing) counters, the
-    [mc.max_decision_round] and [mc.domains] gauges, and the
-    [mc.sweep_cpu_seconds] / [mc.sweep_wall_seconds] /
-    [mc.schedules_per_second] histograms (throughput is measured against
-    the wall clock — CPU time overcounts elapsed time under multiple
-    domains). *)
+    and termination restricted to fault-free processes. A run that raises
+    {!Sim.Engine.Step_error} is recorded as a {!crashed_run} and the sweep
+    continues. *)
 
 val sweep_binary :
   ?faults:Sim.Model.faults ->
   ?omit_budget:int ->
-  ?deadline:float ->
   ?policy:Serial.policy ->
-  ?metrics:Obs.Metrics.t ->
   ?horizon:int ->
   algo:Sim.Algorithm.packed ->
   config:Config.t ->
   unit ->
   result
-(** {!sweep} over {e all} [2^n] binary proposal assignments, aggregated. *)
-
-val sweep_incremental :
-  ?faults:Sim.Model.faults ->
-  ?omit_budget:int ->
-  ?deadline:float ->
-  ?policy:Serial.policy ->
-  ?metrics:Obs.Metrics.t ->
-  ?horizon:int ->
-  ?prof:Obs.Prof.acc ->
-  ?spans:Obs.Span.t ->
-  ?progress:Obs.Progress.t ->
-  algo:Sim.Algorithm.packed ->
-  config:Config.t ->
-  proposals:Value.t Pid.Map.t ->
-  unit ->
-  result
-(** Same result as {!sweep}, bit-identical (same runs, decision rounds,
-    witness and violation list), computed by carrying the resumable engine
-    state ({!Sim.Engine.Make.Incremental}) down the choice-tree DFS: the
-    shared prefix of two schedules is simulated once instead of once per
-    leaf.
-
-    Instrumentation (all default-off, none of it affects the result):
-    [prof] accumulates per-engine-round GC deltas; [spans] records a
-    ["sweep"] span with one ["run"] span per simulated leaf; [progress]
-    is stepped at shard granularity (here: once). The caller owns
-    {!Obs.Progress.finish} and the {!Obs.Prof.flush}. *)
-
-val sweep_binary_incremental :
-  ?faults:Sim.Model.faults ->
-  ?omit_budget:int ->
-  ?deadline:float ->
-  ?policy:Serial.policy ->
-  ?metrics:Obs.Metrics.t ->
-  ?horizon:int ->
-  ?prof:Obs.Prof.acc ->
-  ?spans:Obs.Span.t ->
-  ?progress:Obs.Progress.t ->
-  algo:Sim.Algorithm.packed ->
-  config:Config.t ->
-  unit ->
-  result
-(** {!sweep_incremental} over all [2^n] binary assignments; bit-identical
-    to {!sweep_binary}. [progress] steps once per assignment (with a
-    total), [spans] wraps each assignment in a ["shard <i>"] span. *)
-
-val sweep_prefix :
-  ?faults:Sim.Model.faults ->
-  ?omit_budget:int ->
-  ?deadline:float ->
-  ?policy:Serial.policy ->
-  ?horizon:int ->
-  ?prof:Obs.Prof.acc ->
-  ?spans:Obs.Span.t ->
-  algo:Sim.Algorithm.packed ->
-  config:Config.t ->
-  proposals:Value.t Pid.Map.t ->
-  prefix:Serial.choice list ->
-  unit ->
-  result * int
-(** Incremental sweep of the single subtree whose first rounds are pinned
-    to [prefix] — the unit of work {!Parallel} shards across domains.
-    Returns the subtree's result together with the number of engine rounds
-    stepped during the DFS (for the [mc.prefix_hits] accounting); reports
-    no metrics itself. Folding [sweep_prefix] results with {!merge} over
-    the first-round choices in order yields exactly
-    {!sweep_incremental}'s result except for the [violations] and
-    [crashed] orders (each subtree's lists stay newest-first within the
-    subtree). A {!Sim.Engine.Step_error} on an edge of the choice tree
-    poisons the subtree below it: every leaf under the edge is recorded
-    as a {!crashed_run} with that error, matching what the from-scratch
-    {!sweep} observes run by run.
-
-    [prof] measures every engine round the subtree executes (DFS edges
-    and {!Sim.Engine.Make.Incremental.finish} tails); [spans] wraps each
-    simulated leaf in a ["run"] span. When the caller is a parallel
-    driver, both must be owned by the shard's worker domain — GC deltas
-    and span recorders are single-domain. *)
-
-type stopwatch
-(** Wall + CPU clocks captured together at sweep start. *)
-
-val stopwatch : unit -> stopwatch
-
-val report_sweep :
-  ?domains:int ->
-  ?prefix_hits:int ->
-  ?dedup:int * int ->
-  ?arena:int * int ->
-  ?orbits:int ->
-  Obs.Metrics.t option ->
-  started:stopwatch ->
-  result ->
-  unit
-(** Report a finished sweep into a metrics registry (no-op on [None]):
-    the counters and gauges listed under {!sweep}, with [domains]
-    (default 1) and [prefix_hits] (default 0, omitted when 0) as
-    annotations from the caller's driver. Reduced sweeps also pass
-    [dedup] (transposition-table [(hits, entries)], reported as the
-    [mc.dedup_hits] counter and [mc.dedup_entries] gauge), [arena]
-    (branch-execution [(snapshots, restores)], the [mc.arena_snapshots]
-    and [mc.arena_restores] counters) and [orbits] (assignment classes
-    actually swept, the [mc.orbits] gauge); the [mc.distinct_runs]
-    counter is always reported and equals [mc.runs] for unreduced
-    sweeps. *)
+(** {!sweep} over {e all} [2^n] binary proposal assignments, merged in
+    {!binary_assignments} order. *)
 
 val pp_result : Format.formatter -> result -> unit
 (** Prints [[-, -]] for the decision-round interval when no run decided. *)

@@ -8,13 +8,14 @@ type t = {
   mutable size : int;  (** bytes appended; also the next record's offset *)
 }
 
-let counter = ref 0
+(* Atomic: tasks on several domains may open stores at once. *)
+let counter = Atomic.make 0
 
 let create ~dir =
-  incr counter;
   let path =
     Filename.concat dir
-      (Printf.sprintf "dedup-spill.%d.%d" (Unix.getpid ()) !counter)
+      (Printf.sprintf "dedup-spill.%d.%d" (Unix.getpid ())
+         (1 + Atomic.fetch_and_add counter 1))
   in
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_EXCL ] 0o600 in
   { path; fd = Some fd; index = Hashtbl.create 1024; count = 0; size = 0 }

@@ -8,7 +8,10 @@
     therefore fall into [n + 1] orbits classified by the number of [1]
     proposers, so a binary sweep need only explore one {e representative}
     per orbit ([ones = {p1..pk}]) and weight it by the orbit size
-    [C(n, k)] — [2^n] assignments collapse to [n + 1].
+    [C(n, k)] — [2^n] assignments collapse to [n + 1]. Under
+    [--reduce dedup+sym] {!Distrib} makes each orbit one task; an
+    algorithm not declared symmetric keeps its [2^n] assignment tasks, so
+    asking for symmetry never unsoundly reduces an asymmetric one.
 
     Soundness requires the schedule set to be permutation-closed too. It is
     by construction under {!Serial.All_subsets}; under the default
@@ -47,64 +50,3 @@ val scale : int -> Exhaustive.result -> Exhaustive.result
     [runs] and [undecided_runs], leaves everything else (including
     [distinct_runs] and the violation/crashed lists) as the
     representative's. *)
-
-val sweep_orbit :
-  ?faults:Sim.Model.faults ->
-  ?omit_budget:int ->
-  ?deadline:float ->
-  ?policy:Serial.policy ->
-  ?horizon:int ->
-  ?prof:Obs.Prof.acc ->
-  ?spans:Obs.Span.t ->
-  ?progress:Obs.Progress.t ->
-  algo:Sim.Algorithm.packed ->
-  config:Config.t ->
-  orbit:orbit ->
-  unit ->
-  Exhaustive.result * Dedup.stats
-(** Dedup-sweep one orbit's representative and {!scale} it — the sharding
-    unit of the parallel symmetric sweep. Reports no metrics itself.
-    Instrumentation threads through to {!Dedup.sweep_sharded} (progress
-    steps per first-round shard; [runs] deltas are the representative's,
-    unscaled). *)
-
-val sweep_orbits :
-  ?faults:Sim.Model.faults ->
-  ?omit_budget:int ->
-  ?deadline:float ->
-  ?policy:Serial.policy ->
-  ?horizon:int ->
-  ?prof:Obs.Prof.acc ->
-  ?spans:Obs.Span.t ->
-  ?progress:Obs.Progress.t ->
-  algo:Sim.Algorithm.packed ->
-  config:Config.t ->
-  unit ->
-  (orbit * Exhaustive.result * Dedup.stats) list
-(** {!sweep_orbit} over every orbit, keeping the per-orbit split — what
-    the orbit-equivalence property tests consume. [spans] wraps each
-    orbit in an ["orbit |ones|=k"] span. *)
-
-val sweep_binary :
-  ?faults:Sim.Model.faults ->
-  ?omit_budget:int ->
-  ?deadline:float ->
-  ?policy:Serial.policy ->
-  ?metrics:Obs.Metrics.t ->
-  ?horizon:int ->
-  ?prof:Obs.Prof.acc ->
-  ?spans:Obs.Span.t ->
-  ?progress:Obs.Progress.t ->
-  algo:Sim.Algorithm.packed ->
-  config:Config.t ->
-  unit ->
-  Exhaustive.result * Dedup.stats
-(** The full reduced binary sweep: {!sweep_orbits} merged in orbit order.
-    [runs] equals the unreduced [2^n]-assignment count; the decision-round
-    interval and [undecided_runs] match the unreduced sweep exactly.
-
-    If the algorithm is {e not} declared {!Sim.Algorithm.S.symmetric} this
-    falls back to {!Dedup.sweep_binary} (all [2^n] assignments, dedup
-    only) — asking for symmetry never unsoundly reduces an asymmetric
-    algorithm. Reports the {!Dedup.sweep} metrics plus the [mc.orbits]
-    gauge when the orbit reduction actually applied. *)

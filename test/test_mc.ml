@@ -121,10 +121,10 @@ let test_exhaustive_at2 () =
   check_bool "many runs" true (r.Mc.Exhaustive.runs > 500)
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: incremental and parallel sweeps == the serial sweep     *)
+(* The sweep driver == the oracle                                       *)
 
 (* Field-by-field equality, violation order included — "bit-identical" is
-   the correctness anchor of the prefix-sharing and parallel drivers. *)
+   the correctness anchor of the driver. *)
 let result_equal (a : Mc.Exhaustive.result) (b : Mc.Exhaustive.result) =
   a.Mc.Exhaustive.runs = b.Mc.Exhaustive.runs
   && a.Mc.Exhaustive.max_decision = b.Mc.Exhaustive.max_decision
@@ -136,42 +136,81 @@ let result_equal (a : Mc.Exhaustive.result) (b : Mc.Exhaustive.result) =
   && a.Mc.Exhaustive.shard_failures = b.Mc.Exhaustive.shard_failures
   && a.Mc.Exhaustive.expired = b.Mc.Exhaustive.expired
 
-let test_sweep_determinism () =
-  (* n=4 with t in {1,2} where the algorithm's resilience admits it:
-     A(t+2) needs 2t < n and AF+2 needs 3t < n, so their t=2 rows move to
-     the nearest feasible config (n=5 for A(t+2)); FloodSet covers both
-     n=4 resiliences. *)
-  List.iter
-    (fun (algo, name, n, t) ->
-      let config = config ~n ~t in
-      let proposals = Sim.Runner.distinct_proposals config in
-      let horizon = t + 2 in
-      let s = Mc.Exhaustive.sweep ~algo ~config ~proposals ~horizon () in
-      let i =
-        Mc.Exhaustive.sweep_incremental ~algo ~config ~proposals ~horizon ()
-      in
-      let p =
-        Mc.Parallel.sweep ~jobs:4 ~algo ~config ~proposals ~horizon ()
-      in
-      check_bool (name ^ ": incremental == serial") true (result_equal s i);
-      check_bool (name ^ ": parallel == serial") true (result_equal s p))
-    [
-      (floodset, "floodset n=4 t=1", 4, 1);
-      (floodset, "floodset n=4 t=2", 4, 2);
-      (at2, "at2 n=4 t=1", 4, 1);
-      (at2, "at2 n=5 t=2", 5, 2);
-      (af2, "af2 n=4 t=1", 4, 1);
-    ]
+let run_ok name = function
+  | Ok r -> r
+  | Error msg -> Alcotest.fail (name ^ ": " ^ msg)
 
-let test_sweep_binary_determinism () =
-  let s = Mc.Exhaustive.sweep_binary ~algo:at2 ~config:c41 () in
-  let i = Mc.Exhaustive.sweep_binary_incremental ~algo:at2 ~config:c41 () in
-  let p = Mc.Parallel.sweep_binary ~jobs:4 ~algo:at2 ~config:c41 () in
-  check_bool "binary incremental == serial" true (result_equal s i);
-  check_bool "binary parallel == serial" true (result_equal s p)
+let sweep ?executor ?deadline name spec =
+  run_ok name (Mc.Distrib.run ?executor ?deadline spec)
 
-(* ------------------------------------------------------------------ *)
-(* State-space reduction: transposition table and symmetry              *)
+let executors =
+  [ ("serial", Mc.Distrib.Domains 1); ("jobs=2", Mc.Distrib.Domains 2) ]
+
+let unreduced = [ ("none", Mc.Distrib.Rnone) ]
+let reduced = [ ("dedup", Mc.Distrib.Rdedup); ("dedup+sym", Mc.Distrib.Rsym) ]
+
+let fixed config = Mc.Distrib.Fixed (Sim.Runner.distinct_proposals config)
+
+(* The oracle run over the same scope as [spec]. *)
+let oracle (spec : Mc.Distrib.spec) =
+  let { Mc.Distrib.faults; omit_budget; policy; horizon; algo; config; _ } =
+    spec
+  in
+  match spec.scope with
+  | Mc.Distrib.Fixed proposals ->
+      Mc.Exhaustive.sweep ~faults ?omit_budget ~policy ?horizon ~algo ~config
+        ~proposals ()
+  | Mc.Distrib.Binary ->
+      Mc.Exhaustive.sweep_binary ~faults ?omit_budget ~policy ?horizon ~algo
+        ~config ()
+
+(* A driver run against the oracle: bit-identical, except that orbit tasks
+   keep one witness list per orbit, so there the aggregates must match
+   and the orbit-weighted list lengths must add up to the oracle's. *)
+let check_against_oracle tag (spec : Mc.Distrib.spec) ~oracle
+    (r : Mc.Distrib.run) =
+  let res = r.Mc.Distrib.result in
+  let orbits =
+    spec.reduce = Mc.Distrib.Rsym
+    && spec.scope = Mc.Distrib.Binary
+    && Sim.Algorithm.symmetric spec.algo
+  in
+  if not orbits then
+    check_bool (tag ^ ": == oracle") true (result_equal oracle res)
+  else begin
+    check_int (tag ^ ": runs") oracle.Mc.Exhaustive.runs res.Mc.Exhaustive.runs;
+    check_int (tag ^ ": max") oracle.Mc.Exhaustive.max_decision
+      res.Mc.Exhaustive.max_decision;
+    check_int (tag ^ ": min") oracle.Mc.Exhaustive.min_decision
+      res.Mc.Exhaustive.min_decision;
+    check_int (tag ^ ": undecided") oracle.Mc.Exhaustive.undecided_runs
+      res.Mc.Exhaustive.undecided_runs;
+    let weighted f =
+      List.fold_left
+        (fun acc (e : Mc.Checkpoint.entry) ->
+          acc
+          + Mc.Symmetry.choose
+              (Config.n spec.config)
+              e.Mc.Checkpoint.task
+            * List.length (f e.Mc.Checkpoint.result))
+        0 r.Mc.Distrib.completed
+    in
+    check_int
+      (tag ^ ": orbit-weighted violations")
+      (List.length oracle.Mc.Exhaustive.violations)
+      (weighted (fun r -> r.Mc.Exhaustive.violations));
+    check_int
+      (tag ^ ": orbit-weighted crashed")
+      (List.length oracle.Mc.Exhaustive.crashed)
+      (weighted (fun r -> r.Mc.Exhaustive.crashed))
+  end;
+  check_bool (tag ^ ": explored <= runs") true
+    (res.Mc.Exhaustive.distinct_runs <= res.Mc.Exhaustive.runs);
+  if spec.reduce = Mc.Distrib.Rnone then begin
+    check_bool (tag ^ ": unreduced explores every run") true
+      (res.Mc.Exhaustive.distinct_runs = res.Mc.Exhaustive.runs);
+    check_bool (tag ^ ": unreduced has no stats") true (r.Mc.Distrib.stats = None)
+  end
 
 (* Healthy algorithms plus the violating and the crashing fixture: the
    reductions must reproduce violations and contained errors too, not just
@@ -189,30 +228,152 @@ let reduction_fixtures =
 
 let both_policies = [ (Mc.Serial.Prefixes, "pfx"); (Mc.Serial.All_subsets, "all") ]
 
-(* Dedup is bit-identical to the unreduced incremental sweep on every
-   observable field (result_equal covers them all); only [distinct_runs]
-   may shrink, and a reduction that explores nothing it didn't have to
-   never explores more than the enumeration. *)
-let test_dedup_equivalence () =
-  List.iter
+(* One row per sweep shape, with the aggregates pinned where a number is
+   known from the paper's experiments: (runs, violations, min, max). *)
+let fixture_rows =
+  List.concat_map
     (fun (policy, ptag) ->
-      List.iter
+      List.map
         (fun (algo, name, n, t) ->
-          let tag = Printf.sprintf "%s n=%d t=%d %s" name n t ptag in
-          let config = config ~n ~t in
-          let proposals = Sim.Runner.distinct_proposals config in
-          let u =
-            Mc.Exhaustive.sweep_incremental ~policy ~algo ~config ~proposals ()
-          in
-          let r, _ = Mc.Dedup.sweep ~policy ~algo ~config ~proposals () in
-          check_bool (tag ^ ": dedup == unreduced") true (result_equal u r);
-          check_bool (tag ^ ": explored <= runs") true
-            (r.Mc.Exhaustive.distinct_runs <= r.Mc.Exhaustive.runs))
+          ( Printf.sprintf "%s n=%d t=%d %s" name n t ptag,
+            Mc.Distrib.make ~policy ~algo (config ~n ~t) (fixed (config ~n ~t)),
+            None ))
         reduction_fixtures)
     both_policies
 
-(* The same equivalence as a property over random binary proposal
-   assignments (the deterministic test above pins distinct proposals). *)
+let fixed_rows =
+  let send_omit = Sim.Model.Send_omit_only in
+  [
+    ("at2 n=5 t=2", Mc.Distrib.make ~horizon:4 ~algo:at2 c52 (fixed c52), None);
+    ( "raising@2 n=3 t=1 horizon 2",
+      Mc.Distrib.make ~horizon:2 ~algo:(Fuzz.Faulty.raising ~at:2) c31
+        (fixed c31),
+      None );
+    (* the e13 anchors: FloodSet breaks under send-omissions (its
+       crash-free-round argument fails without a crash being spent),
+       A(t+2) stays safe with its decision interval stretched past t+2 *)
+    ( "floodset send-omit",
+      Mc.Distrib.make ~faults:send_omit ~algo:floodset c41 (fixed c41),
+      Some (253, 8, 2, 2) );
+    ( "at2 send-omit",
+      Mc.Distrib.make ~faults:send_omit ~algo:at2 c41 (fixed c41),
+      Some (253, 0, 3, 7) );
+    (* no round left to choose: one subtree, the whole tree *)
+    ( "floodset horizon 0",
+      Mc.Distrib.make ~horizon:0 ~algo:floodset c41 (fixed c41),
+      Some (1, 0, 2, 2) );
+  ]
+
+let binary_rows =
+  [
+    ( "floodset mixed binary",
+      Mc.Distrib.make ~faults:Sim.Model.Mixed ~algo:floodset c31
+        Mc.Distrib.Binary,
+      None );
+    ("floodset binary", Mc.Distrib.make ~algo:floodset c41 Mc.Distrib.Binary, None);
+    (* no round left to choose: one subtree per assignment *)
+    ( "floodset binary horizon 0",
+      Mc.Distrib.make ~horizon:0 ~algo:floodset c41 Mc.Distrib.Binary,
+      Some (16, 0, 2, 2) );
+    ("at2 binary", Mc.Distrib.make ~algo:at2 c41 Mc.Distrib.Binary, None);
+    ( "eager binary",
+      Mc.Distrib.make ~algo:Fuzz.Faulty.eager_floodset c41 Mc.Distrib.Binary,
+      None );
+    ( "raising@2 binary",
+      Mc.Distrib.make ~algo:(Fuzz.Faulty.raising ~at:2) c41 Mc.Distrib.Binary,
+      None );
+  ]
+
+(* Every row x reduction against the oracle on the serial executor, and
+   every other executor against the serial one on every field, stats
+   included. *)
+let check_driver ?(executors = executors) ~reduces rows =
+  List.iter
+    (fun (row, (base : Mc.Distrib.spec), pin) ->
+      let oracle = oracle base in
+      (match pin with
+      | None -> ()
+      | Some (runs, violations, min, max) ->
+          check_int (row ^ ": runs") runs oracle.Mc.Exhaustive.runs;
+          check_int (row ^ ": violations") violations
+            (List.length oracle.Mc.Exhaustive.violations);
+          check_int (row ^ ": min decision") min oracle.Mc.Exhaustive.min_decision;
+          check_int (row ^ ": max decision") max oracle.Mc.Exhaustive.max_decision);
+      List.iter
+        (fun (rtag, reduce) ->
+          let spec = { base with Mc.Distrib.reduce } in
+          let serial = sweep (row ^ " " ^ rtag) spec in
+          check_against_oracle (row ^ " " ^ rtag ^ " serial") spec ~oracle
+            serial;
+          List.iter
+            (fun (etag, executor) ->
+              let tag = Printf.sprintf "%s %s %s" row rtag etag in
+              let r = sweep ~executor tag spec in
+              check_bool (tag ^ ": == serial") true
+                (result_equal serial.Mc.Distrib.result r.Mc.Distrib.result
+                && serial.Mc.Distrib.result.Mc.Exhaustive.distinct_runs
+                   = r.Mc.Distrib.result.Mc.Exhaustive.distinct_runs);
+              check_bool (tag ^ ": stats == serial") true
+                (serial.Mc.Distrib.stats = r.Mc.Distrib.stats);
+              check_int (tag ^ ": edges") serial.Mc.Distrib.edges r.Mc.Distrib.edges)
+            (List.tl executors))
+        reduces)
+    rows
+
+(* Unreduced fixed-proposal sweeps: the driver == the oracle under every
+   executor, and an exception outside the engine's containment fails every
+   task the same way under every executor. *)
+let test_sweep_determinism () =
+  check_driver ~reduces:unreduced (fixture_rows @ fixed_rows);
+  let failures executor =
+    (sweep ~executor "raising init"
+       (Mc.Distrib.make ~horizon:2 ~algo:Fuzz.Faulty.raising_init c31 (fixed c31)))
+      .Mc.Distrib.result
+      .Mc.Exhaustive.shard_failures
+  in
+  let serial = failures (Mc.Distrib.Domains 1) in
+  check_int "raising init fails all 10 tasks" 10 (List.length serial);
+  check_bool "same shard failures under jobs=2" true
+    (serial = failures (Mc.Distrib.Domains 2))
+
+let test_sweep_binary_determinism () =
+  check_driver ~reduces:unreduced binary_rows
+
+(* The transposition table, with and without orbits, reproduces the
+   unreduced oracle on every observable field for the healthy, the
+   violating and the crashing fixtures under both policies; only
+   [distinct_runs] may shrink. *)
+let test_dedup_equivalence () = check_driver ~reduces:reduced fixture_rows
+
+(* Reduced sweeps are deterministic across --jobs: every job count equals
+   the serial reduced sweep on every field, stats included, and the
+   reduced binary sweep the ROADMAP pins holds under each of them. *)
+let test_reduced_jobs_determinism () =
+  let executors = executors @ [ ("jobs=4", Mc.Distrib.Domains 4) ] in
+  check_driver ~executors ~reduces:reduced (fixed_rows @ binary_rows);
+  List.iter
+    (fun (etag, executor) ->
+      let r =
+        sweep ~executor ("pinned " ^ etag)
+          (Mc.Distrib.make ~reduce:Mc.Distrib.Rdedup ~algo:floodset c52
+             Mc.Distrib.Binary)
+      in
+      let pin what = Printf.sprintf "pinned %s %s" etag what in
+      let res = r.Mc.Distrib.result in
+      check_int (pin "runs") 80_032 res.Mc.Exhaustive.runs;
+      check_int (pin "explored") 8_517 res.Mc.Exhaustive.distinct_runs;
+      match r.Mc.Distrib.stats with
+      | Some s ->
+          check_int (pin "hits") 38_235 s.Mc.Dedup.hits;
+          check_int (pin "lookups") 56_328 (s.Mc.Dedup.hits + s.Mc.Dedup.misses);
+          check_int (pin "entries") 18_093 s.Mc.Dedup.entries;
+          check_int (pin "snapshots") 9_576 s.Mc.Dedup.snapshots;
+          check_int (pin "restores") 45_920 s.Mc.Dedup.restores
+      | None -> Alcotest.fail (pin "stats: a dedup sweep reports them"))
+    executors
+
+(* The table's equivalence as a property over random binary proposal
+   assignments (the rows above pin distinct proposals). *)
 let prop_dedup_equivalent_on_random_proposals =
   qtest ~count:40 "dedup == unreduced on random binary assignments"
     QCheck.(triple (int_range 0 15) (int_range 0 6) bool)
@@ -229,49 +390,25 @@ let prop_dedup_equivalent_on_random_proposals =
              (List.init n (fun i -> i + 1)))
       in
       let proposals = Sim.Runner.binary_proposals config ~ones in
-      let u =
-        Mc.Exhaustive.sweep_incremental ~policy ~algo ~config ~proposals ()
+      let spec =
+        Mc.Distrib.make ~policy ~reduce:Mc.Distrib.Rdedup ~algo config
+          (Mc.Distrib.Fixed proposals)
       in
-      let r, _ = Mc.Dedup.sweep ~policy ~algo ~config ~proposals () in
-      result_equal u r)
+      result_equal (oracle spec) (sweep "random" spec).Mc.Distrib.result)
 
 (* Symmetry: exact aggregates, and the orbit weighting accounts for every
-   unreduced violation and contained crash — sum over orbits of
-   multiplicity x (representative's list length) equals the unreduced list
-   length. *)
+   unreduced violation and contained crash. *)
 let test_symmetry_equivalence () =
   List.iter
     (fun (policy, ptag) ->
       List.iter
         (fun (algo, name, n, t) ->
           let tag = Printf.sprintf "%s n=%d t=%d %s" name n t ptag in
-          let config = config ~n ~t in
-          let u =
-            Mc.Exhaustive.sweep_binary_incremental ~policy ~algo ~config ()
+          let spec =
+            Mc.Distrib.make ~policy ~reduce:Mc.Distrib.Rsym ~algo
+              (config ~n ~t) Mc.Distrib.Binary
           in
-          let r, _ = Mc.Symmetry.sweep_binary ~policy ~algo ~config () in
-          check_int (tag ^ ": runs") u.Mc.Exhaustive.runs r.Mc.Exhaustive.runs;
-          check_int (tag ^ ": max") u.Mc.Exhaustive.max_decision
-            r.Mc.Exhaustive.max_decision;
-          check_int (tag ^ ": min") u.Mc.Exhaustive.min_decision
-            r.Mc.Exhaustive.min_decision;
-          check_int (tag ^ ": undecided") u.Mc.Exhaustive.undecided_runs
-            r.Mc.Exhaustive.undecided_runs;
-          let per = Mc.Symmetry.sweep_orbits ~policy ~algo ~config () in
-          let weighted f =
-            List.fold_left
-              (fun acc (o, r, _) ->
-                acc + (o.Mc.Symmetry.multiplicity * List.length (f r)))
-              0 per
-          in
-          check_int
-            (tag ^ ": orbit-weighted violations")
-            (List.length u.Mc.Exhaustive.violations)
-            (weighted (fun r -> r.Mc.Exhaustive.violations));
-          check_int
-            (tag ^ ": orbit-weighted crashed")
-            (List.length u.Mc.Exhaustive.crashed)
-            (weighted (fun r -> r.Mc.Exhaustive.crashed)))
+          check_against_oracle tag spec ~oracle:(oracle spec) (sweep tag spec))
         [
           (floodset, "floodset", 4, 2);
           (floodmin, "floodmin", 4, 2);
@@ -294,45 +431,31 @@ let test_symmetry_orbits () =
    dedup — bit-identically. *)
 let test_symmetry_asymmetric_fallback () =
   check_bool "at2 not symmetric" false (Sim.Algorithm.symmetric at2);
-  let d, ds = Mc.Dedup.sweep_binary ~algo:at2 ~config:c41 () in
-  let s, ss = Mc.Symmetry.sweep_binary ~algo:at2 ~config:c41 () in
-  check_bool "falls back to dedup" true (d = s && ds = ss);
-  let u = Mc.Exhaustive.sweep_binary_incremental ~algo:at2 ~config:c41 () in
-  check_bool "still == unreduced" true (result_equal u s)
-
-(* Reduced sweeps are deterministic across --jobs: the parallel reduced
-   drivers equal the serial reduced ones on every field, stats included. *)
-let test_reduced_jobs_determinism () =
-  let config = c41 in
-  let proposals = Sim.Runner.distinct_proposals config in
-  let sd = Mc.Dedup.sweep ~algo:floodset ~config ~proposals () in
-  let sbd = Mc.Dedup.sweep_binary ~algo:floodset ~config () in
-  let sbs = Mc.Symmetry.sweep_binary ~algo:floodset ~config () in
-  List.iter
-    (fun jobs ->
-      let tag = Printf.sprintf "jobs=%d" jobs in
-      check_bool (tag ^ ": dedup") true
-        (Mc.Parallel.sweep_dedup ~jobs ~algo:floodset ~config ~proposals ()
-        = sd);
-      check_bool (tag ^ ": binary dedup") true
-        (Mc.Parallel.sweep_binary_dedup ~jobs ~algo:floodset ~config () = sbd);
-      check_bool (tag ^ ": binary dedup+sym") true
-        (Mc.Parallel.sweep_binary_sym ~jobs ~algo:floodset ~config () = sbs))
-    [ 1; 2; 4 ]
+  let spec reduce = Mc.Distrib.make ~reduce ~algo:at2 c41 Mc.Distrib.Binary in
+  let d = sweep "dedup" (spec Mc.Distrib.Rdedup) in
+  let s = sweep "dedup+sym" (spec Mc.Distrib.Rsym) in
+  check_int "all 2^n assignment tasks" 16 s.Mc.Distrib.total_tasks;
+  check_bool "falls back to dedup" true
+    (d.Mc.Distrib.result = s.Mc.Distrib.result
+    && d.Mc.Distrib.stats = s.Mc.Distrib.stats);
+  check_bool "still == oracle" true
+    (result_equal (oracle (spec Mc.Distrib.Rnone)) s.Mc.Distrib.result)
 
 (* The paper's headline sweep, with every reduction on: A(t+2) still
    decides at exactly t+2 with no violation in any of the runs the
    reduced sweeps account for. *)
 let test_at2_reduced_t_plus_2 () =
-  let r, _ = Mc.Dedup.sweep_binary ~algo:at2 ~config:c41 () in
-  check_int "dedup min = t+2" 3 r.Mc.Exhaustive.min_decision;
-  check_int "dedup max = t+2" 3 r.Mc.Exhaustive.max_decision;
-  check_bool "dedup no violations" true (r.Mc.Exhaustive.violations = []);
-  check_bool "dedup many runs" true (r.Mc.Exhaustive.runs > 500);
-  let s, _ = Mc.Symmetry.sweep_binary ~algo:at2 ~config:c41 () in
-  check_int "sym min = t+2" 3 s.Mc.Exhaustive.min_decision;
-  check_int "sym max = t+2" 3 s.Mc.Exhaustive.max_decision;
-  check_bool "sym no violations" true (s.Mc.Exhaustive.violations = [])
+  List.iter
+    (fun (tag, reduce) ->
+      let r =
+        (sweep tag (Mc.Distrib.make ~reduce ~algo:at2 c41 Mc.Distrib.Binary))
+          .Mc.Distrib.result
+      in
+      check_int (tag ^ " min = t+2") 3 r.Mc.Exhaustive.min_decision;
+      check_int (tag ^ " max = t+2") 3 r.Mc.Exhaustive.max_decision;
+      check_bool (tag ^ " no violations") true (r.Mc.Exhaustive.violations = []);
+      check_bool (tag ^ " many runs") true (r.Mc.Exhaustive.runs > 500))
+    [ ("dedup", Mc.Distrib.Rdedup); ("sym", Mc.Distrib.Rsym) ]
 
 (* ------------------------------------------------------------------ *)
 (* Omission-fault adversary (DESIGN §13)                               *)
@@ -366,31 +489,14 @@ let test_serial_omission_choices () =
   check_int "crash-only unchanged" 13
     (count ~faults:Sim.Model.Crash_only ~omit_left:1 ~crashes_left:1 ())
 
-(* The e13 anchor numbers: FloodSet n=4 t=1 breaks under send-omissions
-   (its crash-free-round argument fails without a crash being spent)
-   while A(t+2) stays safe with its decision interval stretched past t+2
-   — and every driver reports the same result bit-identically. *)
+(* The e13 anchor numbers on the oracle (the driver reproduces them in
+   [test_sweep_determinism]). *)
 let test_omission_sweep_determinism () =
   List.iter
     (fun (algo, name, expect_viol, expect_min, expect_max) ->
-      let config = c41 in
-      let proposals = Sim.Runner.distinct_proposals config in
+      let proposals = Sim.Runner.distinct_proposals c41 in
       let faults = Sim.Model.Send_omit_only in
-      let s = Mc.Exhaustive.sweep ~faults ~algo ~config ~proposals () in
-      let i =
-        Mc.Exhaustive.sweep_incremental ~faults ~algo ~config ~proposals ()
-      in
-      let p1 =
-        Mc.Parallel.sweep ~jobs:1 ~faults ~algo ~config ~proposals ()
-      in
-      let p4 =
-        Mc.Parallel.sweep ~jobs:4 ~faults ~algo ~config ~proposals ()
-      in
-      let d, _ = Mc.Dedup.sweep ~faults ~algo ~config ~proposals () in
-      check_bool (name ^ ": incremental == serial") true (result_equal s i);
-      check_bool (name ^ ": jobs=1 == serial") true (result_equal s p1);
-      check_bool (name ^ ": jobs=4 == serial") true (result_equal s p4);
-      check_bool (name ^ ": dedup == unreduced") true (result_equal i d);
+      let s = Mc.Exhaustive.sweep ~faults ~algo ~config:c41 ~proposals () in
       check_int (name ^ ": runs") 253 s.Mc.Exhaustive.runs;
       check_int (name ^ ": violations") expect_viol
         (List.length s.Mc.Exhaustive.violations);
@@ -410,8 +516,8 @@ let test_omission_sweep_witnesses_replay () =
   let faults = Sim.Model.Mixed in
   let proposals = Sim.Runner.distinct_proposals c41 in
   let r =
-    Mc.Exhaustive.sweep_incremental ~faults ~algo:floodset ~config:c41
-      ~proposals ()
+    (sweep "mixed" (Mc.Distrib.make ~faults ~algo:floodset c41 (fixed c41)))
+      .Mc.Distrib.result
   in
   check_bool "mixed menu finds violations" true
     (r.Mc.Exhaustive.violations <> []);
@@ -432,61 +538,58 @@ let test_omission_sweep_witnesses_replay () =
    passing the menu explicitly changes nothing, and no budget is attached
    to the schedules. *)
 let test_crash_only_bit_compat () =
-  let proposals = Sim.Runner.distinct_proposals c41 in
   let default_ =
-    Mc.Exhaustive.sweep_incremental ~algo:floodset ~config:c41 ~proposals ()
+    (sweep "default" (Mc.Distrib.make ~algo:floodset c41 (fixed c41)))
+      .Mc.Distrib.result
   in
   let explicit =
-    Mc.Exhaustive.sweep_incremental ~faults:Sim.Model.Crash_only ~omit_budget:3
-      ~algo:floodset ~config:c41 ~proposals ()
+    (sweep "explicit"
+       (Mc.Distrib.make ~faults:Sim.Model.Crash_only ~omit_budget:3
+          ~algo:floodset c41 (fixed c41)))
+      .Mc.Distrib.result
   in
   check_bool "explicit Crash_only == default" true
     (result_equal default_ explicit);
   check_bool "crash-only carries no budget" true
     (Mc.Serial.budget_of ~faults:Sim.Model.Crash_only c41 = None)
 
-(* Wall-clock deadlines: a deadline already in the past yields a partial
-   result flagged [expired]; a generous one changes nothing. *)
+(* Wall-clock deadlines: a deadline already in the past expires a task
+   mid-search and stops a sweep before its first task, under every
+   executor and reduction; a generous one changes nothing. *)
 let test_sweep_deadline_expiry () =
-  let proposals = Sim.Runner.distinct_proposals c41 in
-  let past =
-    Mc.Exhaustive.sweep_incremental
-      ~deadline:(Unix.gettimeofday () -. 1.0)
-      ~algo:floodset ~config:c41 ~proposals ()
-  in
-  check_bool "past deadline expires" true past.Mc.Exhaustive.expired;
-  check_bool "partial accounting only" true
-    (past.Mc.Exhaustive.runs < 253);
-  let plain =
-    Mc.Exhaustive.sweep_incremental ~algo:floodset ~config:c41 ~proposals ()
-  in
-  let future =
-    Mc.Exhaustive.sweep_incremental
-      ~deadline:(Unix.gettimeofday () +. 3600.0)
-      ~algo:floodset ~config:c41 ~proposals ()
-  in
-  check_bool "future deadline does not expire" false
-    future.Mc.Exhaustive.expired;
-  check_bool "future deadline == no deadline" true (result_equal plain future);
-  (* the reduced and parallel drivers share the expiry flag *)
-  let d, _ =
-    Mc.Dedup.sweep
-      ~deadline:(Unix.gettimeofday () -. 1.0)
-      ~algo:floodset ~config:c41 ~proposals ()
-  in
-  check_bool "dedup expires too" true d.Mc.Exhaustive.expired;
-  let p =
-    Mc.Parallel.sweep ~jobs:2
-      ~deadline:(Unix.gettimeofday () -. 1.0)
-      ~algo:floodset ~config:c41 ~proposals ()
-  in
-  check_bool "parallel expires too" true p.Mc.Exhaustive.expired
+  let now = Unix.gettimeofday () in
+  List.iter
+    (fun (rtag, reduce) ->
+      let spec = Mc.Distrib.make ~reduce ~algo:floodset c41 (fixed c41) in
+      let e = Mc.Distrib.run_task ~deadline:(now -. 1.) spec 0 in
+      check_bool (rtag ^ ": task expires") true
+        e.Mc.Checkpoint.result.Mc.Exhaustive.expired;
+      let plain = sweep rtag spec in
+      List.iter
+        (fun (etag, executor) ->
+          let tag = rtag ^ " " ^ etag in
+          let past = sweep ~executor ~deadline:(now -. 1.) tag spec in
+          check_bool (tag ^ ": past deadline is partial") true
+            past.Mc.Distrib.partial;
+          check_bool (tag ^ ": partial accounting only") true
+            (past.Mc.Distrib.result.Mc.Exhaustive.runs < 253);
+          let future = sweep ~executor ~deadline:(now +. 3600.) tag spec in
+          check_bool (tag ^ ": future deadline does not expire") false
+            (future.Mc.Distrib.partial
+            || future.Mc.Distrib.result.Mc.Exhaustive.expired);
+          check_bool
+            (tag ^ ": future deadline == no deadline")
+            true
+            (result_equal plain.Mc.Distrib.result future.Mc.Distrib.result))
+        executors)
+    [ ("none", Mc.Distrib.Rnone); ("dedup", Mc.Distrib.Rdedup) ]
 
 (* ------------------------------------------------------------------ *)
 (* Fault containment                                                   *)
 
-(* A raising on_receive is contained as a per-run crashed record — in all
-   three sweep drivers, bit-identically, with full pid/round context. *)
+(* A raising on_receive is contained as a per-run crashed record, with
+   full pid/round context (every executor reproduces this record in
+   [test_sweep_determinism]). *)
 let test_sweep_contains_step_errors () =
   let algo = Fuzz.Faulty.raising ~at:2 in
   let proposals = Sim.Runner.distinct_proposals c31 in
@@ -494,29 +597,24 @@ let test_sweep_contains_step_errors () =
   check_bool "every run crashed" true
     (List.length s.Mc.Exhaustive.crashed = s.Mc.Exhaustive.runs);
   check_bool "some runs" true (s.Mc.Exhaustive.runs > 0);
-  (match s.Mc.Exhaustive.crashed with
+  match s.Mc.Exhaustive.crashed with
   | { Mc.Exhaustive.error; _ } :: _ ->
       check_int "faulting round" 2 (Round.to_int error.Sim.Engine.round);
       check_bool "algorithm name" true (error.Sim.Engine.algorithm = "Raising@2");
       check_bool "reason mentions the fault" true
         (contains error.Sim.Engine.reason "injected fault")
-  | [] -> Alcotest.fail "expected crashed runs");
-  let i =
-    Mc.Exhaustive.sweep_incremental ~algo ~config:c31 ~proposals ~horizon:2 ()
-  in
-  let p =
-    Mc.Parallel.sweep ~jobs:4 ~algo ~config:c31 ~proposals ~horizon:2 ()
-  in
-  check_bool "incremental == serial (crashed included)" true (result_equal s i);
-  check_bool "parallel == serial (crashed included)" true (result_equal s p)
+  | [] -> Alcotest.fail "expected crashed runs"
 
 (* An exception outside the engine's containment (raising init) must
-   surface as per-shard failures with shard context — the Par pool joins
+   surface as per-task failures with task context — the Par pool joins
    and the merged result still arrives. *)
 let test_parallel_shard_failures () =
-  let algo = Fuzz.Faulty.raising_init in
-  let proposals = Sim.Runner.distinct_proposals c31 in
-  let r = Mc.Parallel.sweep ~jobs:4 ~algo ~config:c31 ~proposals ~horizon:2 () in
+  let executor = Mc.Distrib.Domains 4 in
+  let r =
+    (sweep ~executor "raising init"
+       (Mc.Distrib.make ~horizon:2 ~algo:Fuzz.Faulty.raising_init c31 (fixed c31)))
+      .Mc.Distrib.result
+  in
   check_int "no run completed" 0 r.Mc.Exhaustive.runs;
   check_bool "every shard failed" true
     (List.length r.Mc.Exhaustive.shard_failures > 0);
@@ -529,7 +627,10 @@ let test_parallel_shard_failures () =
         (contains f.Mc.Exhaustive.message "injected init fault"))
     r.Mc.Exhaustive.shard_failures;
   (* A healthy sweep reports no shard failures. *)
-  let ok = Mc.Parallel.sweep ~jobs:4 ~algo:floodset ~config:c31 ~proposals () in
+  let ok =
+    (sweep ~executor "healthy" (Mc.Distrib.make ~algo:floodset c31 (fixed c31)))
+      .Mc.Distrib.result
+  in
   check_bool "healthy sweep has none" true
     (ok.Mc.Exhaustive.shard_failures = [])
 
@@ -834,7 +935,7 @@ let test_codec_result_roundtrip () =
     (fun (algo, name, n, t) ->
       let config = config ~n ~t in
       let proposals = Sim.Runner.distinct_proposals config in
-      let r = Mc.Exhaustive.sweep_incremental ~algo ~config ~proposals () in
+      let r = Mc.Exhaustive.sweep ~algo ~config ~proposals () in
       match Mc.Codec.result_of_json (Mc.Codec.result_to_json r) with
       | Error msg -> Alcotest.fail (name ^ ": " ^ msg)
       | Ok r' ->
@@ -866,27 +967,11 @@ let with_temp_dir f =
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> f dir)
 
-let mk_spec ?(faults = Sim.Model.Crash_only) ?omit_budget
-    ?(reduce = Mc.Distrib.Rdedup) ?(binary = false) ?table_cap ?spill_dir
-    ~algo config =
-  {
-    Mc.Distrib.faults;
-    omit_budget;
-    policy = Mc.Serial.Prefixes;
-    horizon = None;
-    algo;
-    config;
-    reduce;
-    scope =
-      (if binary then Mc.Distrib.Binary
-       else Mc.Distrib.Fixed (Sim.Runner.distinct_proposals config));
-    table_cap;
-    spill_dir;
-  }
-
-let run_ok name = function
-  | Ok r -> r
-  | Error msg -> Alcotest.fail (name ^ ": " ^ msg)
+let mk_spec ?faults ?omit_budget ?(reduce = Mc.Distrib.Rdedup) ?(binary = false)
+    ?table_cap ?spill_dir ~algo config =
+  Mc.Distrib.make ?faults ?omit_budget ~reduce ?table_cap ?spill_dir ~algo
+    config
+    (if binary then Mc.Distrib.Binary else fixed config)
 
 let entry_equal (a : Mc.Checkpoint.entry) (b : Mc.Checkpoint.entry) =
   a.task = b.task && a.edges = b.edges && a.stats = b.stats
@@ -896,7 +981,7 @@ let test_checkpoint_roundtrip () =
   with_temp_file @@ fun path ->
   let params = Obs.Json.Obj [ ("test", Obs.Json.String "ckpt-roundtrip") ] in
   let full =
-    run_ok "serial" (Mc.Distrib.run_serial ~params (mk_spec ~algo:floodset c41))
+    run_ok "serial" (Mc.Distrib.run ~params (mk_spec ~algo:floodset c41))
   in
   check_bool "fixture produced entries" true (full.Mc.Distrib.completed <> []);
   let t =
@@ -950,7 +1035,7 @@ let test_checkpoint_load_errors () =
   (* a half-written file: valid snapshot cut mid-byte *)
   let params = Obs.Json.Obj [ ("test", Obs.Json.String "ckpt-errors") ] in
   let full =
-    run_ok "serial" (Mc.Distrib.run_serial ~params (mk_spec ~algo:floodset c31))
+    run_ok "serial" (Mc.Distrib.run ~params (mk_spec ~algo:floodset c31))
   in
   let snapshot =
     {
@@ -1020,7 +1105,7 @@ let test_checkpoint_load_errors () =
 let serial_resume_cycle name spec =
   with_temp_file @@ fun path ->
   let params = Obs.Json.Obj [ ("test", Obs.Json.String name) ] in
-  let full = run_ok name (Mc.Distrib.run_serial ~params spec) in
+  let full = run_ok name (Mc.Distrib.run ~params spec) in
   check_bool (name ^ ": undisturbed run completes") false full.Mc.Distrib.partial;
   check_bool
     (name ^ ": fixture has enough tasks to interrupt")
@@ -1033,7 +1118,7 @@ let serial_resume_cycle name spec =
   in
   let part =
     run_ok name
-      (Mc.Distrib.run_serial ~checkpoint:(path, 1) ~should_stop ~params spec)
+      (Mc.Distrib.run ~checkpoint:(path, 1) ~should_stop ~params spec)
   in
   check_bool (name ^ ": interrupted run reports PARTIAL") true
     part.Mc.Distrib.partial;
@@ -1048,7 +1133,7 @@ let serial_resume_cycle name spec =
   in
   check_int (name ^ ": checkpoint holds the persisted tasks") 4
     (List.length ck.Mc.Checkpoint.completed);
-  let resumed = run_ok name (Mc.Distrib.run_serial ~resume:ck ~params spec) in
+  let resumed = run_ok name (Mc.Distrib.run ~resume:ck ~params spec) in
   check_bool (name ^ ": resumed run completes") false resumed.Mc.Distrib.partial;
   check_bool
     (name ^ ": aggregates bit-identical after resume")
@@ -1079,10 +1164,10 @@ let test_serial_deadline_checkpoint_resume () =
   with_temp_file @@ fun path ->
   let params = Obs.Json.Obj [ ("test", Obs.Json.String "deadline") ] in
   let spec = mk_spec ~algo:floodset c41 in
-  let full = run_ok "deadline" (Mc.Distrib.run_serial ~params spec) in
+  let full = run_ok "deadline" (Mc.Distrib.run ~params spec) in
   let part =
     run_ok "deadline"
-      (Mc.Distrib.run_serial ~checkpoint:(path, 1)
+      (Mc.Distrib.run ~checkpoint:(path, 1)
          ~deadline:(Unix.gettimeofday () -. 1.)
          ~params spec)
   in
@@ -1095,7 +1180,7 @@ let test_serial_deadline_checkpoint_resume () =
     | Error e ->
         Alcotest.fail (Format.asprintf "%a" Mc.Checkpoint.pp_load_error e)
   in
-  let resumed = run_ok "deadline" (Mc.Distrib.run_serial ~resume:ck ~params spec) in
+  let resumed = run_ok "deadline" (Mc.Distrib.run ~resume:ck ~params spec) in
   check_bool "resume from an empty checkpoint is the full sweep" true
     (result_equal full.Mc.Distrib.result resumed.Mc.Distrib.result)
 
@@ -1103,12 +1188,12 @@ let test_serial_deadline_checkpoint_resume () =
 let test_resume_validation_errors () =
   let params = Obs.Json.Obj [ ("test", Obs.Json.String "resume-validate") ] in
   let spec = mk_spec ~algo:floodset c31 in
-  let full = run_ok "validate" (Mc.Distrib.run_serial ~params spec) in
+  let full = run_ok "validate" (Mc.Distrib.run ~params spec) in
   let ck params total_tasks =
     { Mc.Checkpoint.commit = "c"; params; total_tasks; completed = [] }
   in
   (match
-     Mc.Distrib.run_serial
+     Mc.Distrib.run
        ~resume:
          (ck
             (Obs.Json.Obj [ ("test", Obs.Json.String "another sweep") ])
@@ -1119,7 +1204,7 @@ let test_resume_validation_errors () =
   | Error msg ->
       check_bool "params mismatch is named" true (contains msg "parameter mismatch"));
   match
-    Mc.Distrib.run_serial
+    Mc.Distrib.run
       ~resume:(ck params (full.Mc.Distrib.total_tasks + 1))
       ~params spec
   with
@@ -1128,45 +1213,37 @@ let test_resume_validation_errors () =
       check_bool "task count mismatch is named" true
         (contains msg "task count mismatch")
 
-(* The checkpointed serial driver is the classic incremental sweeps in a
-   new harness: with no interruption it must be bit-identical to them. *)
+(* The checkpointing serial executor is the classic from-scratch sweeps in
+   a new harness: snapshotting after every task must leave it
+   bit-identical to them, with the stats of a run that snapshots nothing,
+   and the last snapshot must hold every task. *)
 let test_distrib_serial_matches_classic_drivers () =
+  with_temp_file @@ fun path ->
   let params = Obs.Json.Obj [ ("test", Obs.Json.String "distrib-eq") ] in
-  let config = c41 in
-  let proposals = Sim.Runner.distinct_proposals config in
-  let horizon = Config.t config + 2 in
-  let classic =
-    Mc.Exhaustive.sweep_incremental ~horizon ~algo:floodset ~config ~proposals
-      ()
-  in
-  let d =
-    run_ok "fixed/unreduced"
-      (Mc.Distrib.run_serial ~params
-         (mk_spec ~reduce:Mc.Distrib.Rnone ~algo:floodset config))
-  in
-  check_bool "fixed/unreduced == incremental sweep" true
-    (result_equal classic d.Mc.Distrib.result);
-  let dedup_classic, dedup_stats =
-    Mc.Dedup.sweep ~horizon ~algo:floodset ~config ~proposals ()
-  in
-  let dd =
-    run_ok "fixed/dedup"
-      (Mc.Distrib.run_serial ~params (mk_spec ~algo:floodset config))
-  in
-  check_bool "fixed/dedup == dedup sweep" true
-    (result_equal dedup_classic dd.Mc.Distrib.result);
-  check_bool "fixed/dedup stats match" true
-    (dd.Mc.Distrib.stats = Some dedup_stats);
-  let classic_bin =
-    Mc.Exhaustive.sweep_binary_incremental ~horizon ~algo:floodset ~config ()
-  in
-  let db =
-    run_ok "binary/unreduced"
-      (Mc.Distrib.run_serial ~params
-         (mk_spec ~reduce:Mc.Distrib.Rnone ~binary:true ~algo:floodset config))
-  in
-  check_bool "binary/unreduced == binary incremental sweep" true
-    (result_equal classic_bin db.Mc.Distrib.result)
+  List.iter
+    (fun (tag, spec) ->
+      let d =
+        run_ok tag (Mc.Distrib.run ~checkpoint:(path, 1) ~params spec)
+      in
+      check_bool (tag ^ " == classic sweep") true
+        (result_equal (oracle spec) d.Mc.Distrib.result);
+      check_bool (tag ^ " stats match") true
+        (d.Mc.Distrib.stats = (sweep tag spec).Mc.Distrib.stats);
+      match Mc.Checkpoint.load ~path with
+      | Ok ck ->
+          check_int (tag ^ " snapshot holds every task")
+            d.Mc.Distrib.total_tasks
+            (List.length ck.Mc.Checkpoint.completed)
+      | Error e ->
+          Alcotest.fail
+            (Format.asprintf "%s: %a" tag Mc.Checkpoint.pp_load_error e))
+    [
+      ("fixed/unreduced", mk_spec ~reduce:Mc.Distrib.Rnone ~algo:floodset c41);
+      ("fixed/dedup", mk_spec ~algo:floodset c41);
+      ( "binary/unreduced",
+        mk_spec ~reduce:Mc.Distrib.Rnone ~binary:true ~algo:floodset c41 );
+      ("binary/dedup", mk_spec ~binary:true ~algo:floodset c41);
+    ]
 
 (* Out-of-core dedup: capping the table and spilling to disk must change
    memory behaviour only — same aggregates, same lookup profile, and
@@ -1175,11 +1252,11 @@ let test_spill_equivalence () =
   with_temp_dir @@ fun dir ->
   let params = Obs.Json.Obj [ ("test", Obs.Json.String "spill") ] in
   let full =
-    run_ok "uncapped" (Mc.Distrib.run_serial ~params (mk_spec ~algo:floodset c52))
+    run_ok "uncapped" (Mc.Distrib.run ~params (mk_spec ~algo:floodset c52))
   in
   let spilled =
     run_ok "spilling"
-      (Mc.Distrib.run_serial ~params
+      (Mc.Distrib.run ~params
          (mk_spec ~table_cap:16 ~spill_dir:dir ~algo:floodset c52))
   in
   check_bool "spilling sweep is bit-identical" true
@@ -1197,10 +1274,19 @@ let test_spill_equivalence () =
      work but never changes the answer *)
   let dropped =
     run_ok "dropping"
-      (Mc.Distrib.run_serial ~params (mk_spec ~table_cap:16 ~algo:floodset c52))
+      (Mc.Distrib.run ~params (mk_spec ~table_cap:16 ~algo:floodset c52))
   in
   check_bool "dropping sweep is bit-identical" true
-    (result_equal full.Mc.Distrib.result dropped.Mc.Distrib.result)
+    (result_equal full.Mc.Distrib.result dropped.Mc.Distrib.result);
+  (* tasks on two domains open their spill stores side by side *)
+  let spilled2 =
+    run_ok "spilling, jobs=2"
+      (Mc.Distrib.run ~executor:(Mc.Distrib.Domains 2) ~params
+         (mk_spec ~table_cap:16 ~spill_dir:dir ~algo:floodset c52))
+  in
+  check_bool "spilling on two domains is bit-identical" true
+    (result_equal full.Mc.Distrib.result spilled2.Mc.Distrib.result
+    && spilled.Mc.Distrib.stats = spilled2.Mc.Distrib.stats)
 
 let () =
   Alcotest.run "mc"

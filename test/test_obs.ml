@@ -351,10 +351,12 @@ let test_search_reports_metrics () =
 let test_exhaustive_reports_metrics () =
   let cfg = config ~n:3 ~t:1 in
   let registry = Obs.Metrics.create () in
+  let spec =
+    Mc.Distrib.make ~algo:at2 cfg
+      (Mc.Distrib.Fixed (Sim.Runner.distinct_proposals cfg))
+  in
   let result =
-    Mc.Exhaustive.sweep ~metrics:registry ~algo:at2 ~config:cfg
-      ~proposals:(Sim.Runner.distinct_proposals cfg)
-      ()
+    (Result.get_ok (Mc.Distrib.run ~metrics:registry spec)).Mc.Distrib.result
   in
   check_int "mc.runs" result.Mc.Exhaustive.runs
     (Option.get (Obs.Metrics.find_counter registry "mc.runs"));
@@ -584,25 +586,28 @@ let test_chrome_of_spans_shape () =
 
 let test_instrumented_sweep_results_unchanged () =
   let cfg = config ~n:3 ~t:1 in
-  let plain = Mc.Dedup.sweep_binary ~algo:at2 ~config:cfg () in
+  let spec =
+    Mc.Distrib.make ~reduce:Mc.Distrib.Rdedup ~algo:at2 cfg Mc.Distrib.Binary
+  in
+  let sweep ?prof ?spans ?progress executor =
+    match Mc.Distrib.run ~executor ?prof ?spans ?progress spec with
+    | Ok r -> (r.Mc.Distrib.result, r.Mc.Distrib.stats)
+    | Error msg -> Alcotest.fail msg
+  in
+  let plain = sweep (Mc.Distrib.Domains 1) in
   let instruments () =
     ( Obs.Prof.acc (),
       Obs.Span.recorder (),
       Obs.Progress.create ~label:"t" ~emit:ignore () )
   in
   let prof, spans, progress = instruments () in
-  let serial =
-    Mc.Dedup.sweep_binary ~prof ~spans ~progress ~algo:at2 ~config:cfg ()
-  in
+  let serial = sweep ~prof ~spans ~progress (Mc.Distrib.Domains 1) in
   check_bool "serial dedup: instruments leave result and stats alone" true
     (plain = serial);
   check_bool "prof saw the distinct work" true (Obs.Prof.intervals prof > 0);
   check_bool "spans recorded" true (Obs.Span.records spans <> []);
   let prof, spans, progress = instruments () in
-  let par =
-    Mc.Parallel.sweep_binary_dedup ~prof ~spans ~progress ~jobs:2 ~algo:at2
-      ~config:cfg ()
-  in
+  let par = sweep ~prof ~spans ~progress (Mc.Distrib.Domains 2) in
   check_bool "parallel dedup agrees with serial on every field" true
     (plain = par)
 

@@ -180,21 +180,13 @@ let ipi_exe =
 
 let result_equal = Mc.Codec.result_equal
 
-let e2e_spec config =
-  {
-    Mc.Distrib.faults = Sim.Model.Crash_only;
-    omit_budget = None;
-    policy = Mc.Serial.Prefixes;
-    horizon = None;
-    algo = Expt.Registry.floodset.Expt.Registry.algo;
-    config;
-    reduce = Mc.Distrib.Rdedup;
-    scope = Mc.Distrib.Fixed (Sim.Runner.distinct_proposals config);
-    table_cap = None;
-    spill_dir = None;
-  }
+let e2e_spec ?(reduce = Mc.Distrib.Rdedup) ?scope config =
+  Mc.Distrib.make ~reduce ~algo:Expt.Registry.floodset.Expt.Registry.algo
+    config
+    (Option.value scope
+       ~default:(Mc.Distrib.Fixed (Sim.Runner.distinct_proposals config)))
 
-let e2e_worker_argv config =
+let e2e_worker_argv ?(reduce = "dedup") ?(binary = false) config =
   [
     ipi_exe;
     "sweep-worker";
@@ -209,8 +201,9 @@ let e2e_worker_argv config =
     "--policy";
     "prefixes";
     "--reduce";
-    "dedup";
+    reduce;
   ]
+  @ if binary then [ "--binary" ] else []
 
 let run_ok name = function
   | Ok r -> r
@@ -221,7 +214,7 @@ let test_sweep_worker_end_to_end () =
   let spec = e2e_spec cfg in
   let worker_argv = e2e_worker_argv cfg in
   let params = J.Obj [ ("test", J.String "supervise-e2e") ] in
-  let serial = run_ok "serial" (Mc.Distrib.run_serial ~params spec) in
+  let serial = run_ok "serial" (Mc.Distrib.run ~params spec) in
   (* 1. chaos-ridden supervised sweep, straight through *)
   let sup =
     run_ok "supervised"
@@ -247,7 +240,7 @@ let test_sweep_worker_end_to_end () =
   let polls = ref 0 in
   let part =
     run_ok "interrupted"
-      (Mc.Distrib.run_serial ~checkpoint:(path, 1)
+      (Mc.Distrib.run ~checkpoint:(path, 1)
          ~should_stop:(fun () ->
            incr polls;
            !polls > 6)
@@ -287,6 +280,213 @@ let test_supervised_immediate_stop () =
   check_bool "immediate stop reports PARTIAL" true stopped.Mc.Distrib.partial;
   check_int "nothing completed" 0 (List.length stopped.Mc.Distrib.completed)
 
+(* The symmetric binary sweep under every executor: orbit tasks run in
+   process, on two domains, on two real worker processes, and through an
+   interrupted, checkpointed run finished by a resume — each reproducing
+   the same pinned result. *)
+let test_sym_sweep_every_executor () =
+  let cfg = config ~n:5 ~t:2 in
+  let spec =
+    e2e_spec ~reduce:Mc.Distrib.Rsym ~scope:Mc.Distrib.Binary cfg
+  in
+  let params = J.Obj [ ("test", J.String "sym-executors") ] in
+  let check_pinned name (r : Mc.Distrib.run) =
+    let res = r.Mc.Distrib.result in
+    check_bool (name ^ ": complete") false r.Mc.Distrib.partial;
+    check_int (name ^ ": orbit tasks") 6 r.Mc.Distrib.total_tasks;
+    check_int (name ^ ": runs") 80_032 res.Mc.Exhaustive.runs;
+    check_int (name ^ ": explored") 1_597 res.Mc.Exhaustive.distinct_runs;
+    match r.Mc.Distrib.stats with
+    | Some s ->
+        check_int (name ^ ": hits") 7_169 s.Mc.Dedup.hits;
+        check_int (name ^ ": lookups") 10_562 (s.Mc.Dedup.hits + s.Mc.Dedup.misses);
+        check_int (name ^ ": entries") 3_393 s.Mc.Dedup.entries;
+        check_int (name ^ ": snapshots") 1_796 s.Mc.Dedup.snapshots;
+        check_int (name ^ ": restores") 8_610 s.Mc.Dedup.restores
+    | None -> Alcotest.fail (name ^ ": no stats")
+  in
+  check_pinned "serial" (run_ok "serial" (Mc.Distrib.run ~params spec));
+  check_pinned "jobs=2"
+    (run_ok "jobs=2"
+       (Mc.Distrib.run ~executor:(Mc.Distrib.Domains 2) ~params spec));
+  check_pinned "workers=2"
+    (run_ok "workers=2"
+       (Mc.Distrib.run_supervised ~workers:2
+          ~worker_argv:(e2e_worker_argv ~reduce:"dedup+sym" ~binary:true cfg)
+          ~params spec));
+  let path = Filename.temp_file "ipi-test-sym" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let polls = ref 0 in
+  let part =
+    run_ok "interrupted"
+      (Mc.Distrib.run ~checkpoint:(path, 1)
+         ~should_stop:(fun () ->
+           incr polls;
+           !polls > 2)
+         ~params spec)
+  in
+  check_bool "interrupted run reports PARTIAL" true part.Mc.Distrib.partial;
+  match Mc.Checkpoint.load ~path with
+  | Error e -> Alcotest.fail (Format.asprintf "%a" Mc.Checkpoint.pp_load_error e)
+  | Ok ck ->
+      check_int "two orbits persisted" 2 (List.length ck.Mc.Checkpoint.completed);
+      check_pinned "resumed"
+        (run_ok "resumed" (Mc.Distrib.run ~resume:ck ~params spec))
+
+(* A task that raises outside the engine's containment comes back from a
+   worker as a failure frame carrying the same message the in-process
+   executor reports, so every executor lists the same shard failure. *)
+let test_worker_failure_frame () =
+  let cfg = config ~n:3 ~t:1 in
+  let spec =
+    Mc.Distrib.make ~horizon:2 ~algo:Fuzz.Faulty.raising_init cfg
+      (Mc.Distrib.Fixed (Sim.Runner.distinct_proposals cfg))
+  in
+  let task_in, task_out = Unix.pipe () and reply_in, reply_out = Unix.pipe () in
+  let oc = Unix.out_channel_of_descr task_out in
+  Obs.Wire.write oc (J.Obj [ ("task", J.Int 0) ]);
+  close_out oc;
+  let reply_oc = Unix.out_channel_of_descr reply_out in
+  Mc.Distrib.worker_loop spec (Unix.in_channel_of_descr task_in) reply_oc;
+  close_out reply_oc;
+  let frame = Obs.Wire.read (Unix.in_channel_of_descr reply_in) in
+  let in_process =
+    (run_ok "in process" (Mc.Distrib.run spec)).Mc.Distrib.result
+      .Mc.Exhaustive.shard_failures
+  in
+  match (frame, in_process) with
+  | Ok json, f :: _ ->
+      check_bool "frame names the task" true
+        (Option.bind (J.member "task" json) J.to_int_opt = Some 0);
+      check_bool "frame carries the in-process message" true
+        (Option.bind (J.member "failure" json) J.to_string_opt
+        = Some f.Mc.Exhaustive.message)
+  | Error _, _ -> Alcotest.fail "no reply frame"
+  | Ok _, [] -> Alcotest.fail "in-process run reported no failure"
+
+(* ------------------------------------------------------------------ *)
+(* `ipi sweep` honours or refuses every flag combination               *)
+
+(* Run [ipi sweep ARGS] in a fresh temporary directory, an argument
+   ["@name"] naming a file there. Returns stdout, stderr, the exit code and
+   every file the run left behind, with its contents. *)
+let ipi_sweep args =
+  let dir = Filename.temp_file "ipi-test-cli" ".dir" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let arg a =
+    if String.starts_with ~prefix:"@" a then
+      Filename.concat dir (String.sub a 1 (String.length a - 1))
+    else a
+  in
+  let argv = Array.of_list (ipi_exe :: "sweep" :: List.map arg args) in
+  let ((out, inp, err) as chans) =
+    Unix.open_process_args_full ipi_exe argv (Unix.environment ())
+  in
+  close_out inp;
+  let stdout = In_channel.input_all out in
+  let stderr = In_channel.input_all err in
+  let code =
+    match Unix.close_process_full chans with Unix.WEXITED c -> c | _ -> -1
+  in
+  let files =
+    List.map
+      (fun f ->
+        let path = Filename.concat dir f in
+        let contents = In_channel.with_open_bin path In_channel.input_all in
+        Sys.remove path;
+        (f, contents))
+      (List.sort compare (Array.to_list (Sys.readdir dir)))
+  in
+  Unix.rmdir dir;
+  (stdout, stderr, code, files)
+
+let small = [ "-a"; "FloodSet"; "-n"; "4"; "-t"; "1"; "--binary"; "--reduce"; "dedup" ]
+
+(* The result block alone: what stays the same across executors. *)
+let result_block stdout =
+  let rec upto_metrics = function
+    | [] | "metrics:" :: _ -> []
+    | l :: ls -> l :: upto_metrics ls
+  in
+  upto_metrics (String.split_on_char '\n' stdout)
+  |> List.filter (fun l ->
+         l <> ""
+         && not
+              (List.exists
+                 (fun prefix -> String.starts_with ~prefix l)
+                 [ "supervisor:"; "checkpoint"; "trace (" ]))
+
+let metric stdout name =
+  List.find_map
+    (fun l ->
+      match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+      | [ k; v ] when k = name -> Some v
+      | _ -> None)
+    (String.split_on_char '\n' stdout)
+
+let test_metrics_under_every_executor () =
+  let plain, _, _, _ = ipi_sweep small in
+  List.iter
+    (fun (name, extra, gauge) ->
+      let out, _, code, _ = ipi_sweep (small @ extra @ [ "--metrics" ]) in
+      check_int (name ^ ": exit 0") 0 code;
+      check_bool (name ^ ": metrics block printed") true (contains out "\nmetrics:\n");
+      check_bool (name ^ ": mc.runs counted") true
+        (metric out "mc.runs" <> None);
+      check_bool (name ^ ": executor gauge") true (metric out (fst gauge) = Some (snd gauge));
+      check_bool (name ^ ": same result block") true
+        (result_block out = result_block plain))
+    [
+      ("checkpoint", [ "--checkpoint"; "@x.ckpt" ], ("mc.domains", "1"));
+      ("jobs 2 + checkpoint", [ "--jobs"; "2"; "--checkpoint"; "@x.ckpt" ], ("mc.domains", "2"));
+      ("jobs 2 + table cap", [ "--jobs"; "2"; "--table-cap"; "50" ], ("mc.domains", "2"));
+      ("workers", [ "--workers"; "2" ], ("mc.workers", "2"));
+    ]
+
+let test_trace_under_every_executor () =
+  List.iter
+    (fun (name, extra) ->
+      let out, _, code, files =
+        ipi_sweep (small @ extra @ [ "--trace"; "@t.json" ])
+      in
+      check_int (name ^ ": exit 0") 0 code;
+      check_bool (name ^ ": trace line printed") true (contains out "trace (");
+      match List.assoc_opt "t.json" files with
+      | None -> Alcotest.fail (name ^ ": no trace file written")
+      | Some body -> (
+          match Obs.Json.of_string body with
+          | Error msg -> Alcotest.fail (name ^ ": " ^ msg)
+          | Ok json ->
+              check_bool (name ^ ": trace events present") true
+                (match
+                   Option.bind (J.member "traceEvents" json) J.to_list_opt
+                 with
+                | Some (_ :: _) -> true
+                | _ -> false)))
+    [
+      ("in process", []);
+      ("checkpoint", [ "--checkpoint"; "@y.ckpt" ]);
+      ("jobs 2", [ "--jobs"; "2" ]);
+      ("workers", [ "--workers"; "2" ]);
+    ]
+
+let test_conflicting_flags_refused () =
+  List.iter
+    (fun (name, extra) ->
+      let out, err, code, _ = ipi_sweep (small @ extra) in
+      check_int (name ^ ": exit 2") 2 code;
+      check_string (name ^ ": no result") "" out;
+      check_int (name ^ ": one-line message") 1
+        (List.length (List.filter (( <> ) "") (String.split_on_char '\n' err))))
+    [
+      ("jobs + workers", [ "--jobs"; "2"; "--workers"; "2" ]);
+      ("jobs 0 + workers", [ "--jobs"; "0"; "--workers"; "2" ]);
+      ("chaos without workers", [ "--chaos"; "kill" ]);
+    ]
+
 let () =
   Alcotest.run "supervise"
     [
@@ -311,5 +511,18 @@ let () =
             test_sweep_worker_end_to_end;
           Alcotest.test_case "immediate stop" `Quick
             test_supervised_immediate_stop;
+          Alcotest.test_case "dedup+sym under every executor" `Quick
+            test_sym_sweep_every_executor;
+          Alcotest.test_case "raising task answers a failure frame" `Quick
+            test_worker_failure_frame;
+        ] );
+      ( "sweep flags",
+        [
+          Alcotest.test_case "metrics under every executor" `Quick
+            test_metrics_under_every_executor;
+          Alcotest.test_case "trace under every executor" `Quick
+            test_trace_under_every_executor;
+          Alcotest.test_case "conflicting flags refused" `Quick
+            test_conflicting_flags_refused;
         ] );
     ]

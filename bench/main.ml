@@ -964,9 +964,10 @@ let floodmin_workload ~prefix ~n ~t ~rounds =
           (Sim.Runner.run ~max_rounds algo config
              ~proposals:(Sim.Runner.distinct_proposals config)
              quiet_scs));
-    (* No counted pass: a counting sink forces the recording engine, which
-       at n = 10,000 costs minutes per run, and message counts on a quiet
-       FloodMin run are just n^2 * rounds anyway. *)
+    (* No counted pass: a counting sink attaches the engine's observer,
+       which routes all n^2 copies every round and costs minutes per run at
+       n = 10,000, and message counts on a quiet FloodMin run are just
+       n^2 * rounds anyway. *)
     counted = None;
   }
 

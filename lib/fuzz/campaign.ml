@@ -65,11 +65,9 @@ let run ?metrics ?(jobs = 1) ?fuel ?budget_s ?(shrink = false)
     | Some _ -> Array.init jobs (fun _ -> Obs.Prof.acc ())
     | None -> [||]
   in
-  let one ?acc index =
+  let one ?acc run index =
     let schedule = schedules.(index) in
-    let contained () =
-      Harness.run_contained ?fuel ~monitor ~algo ~config ~proposals schedule
-    in
+    let contained () = run schedule in
     let outcome =
       match acc with
       | None -> contained ()
@@ -87,6 +85,7 @@ let run ?metrics ?(jobs = 1) ?fuel ?budget_s ?(shrink = false)
   in
   let shard k () =
     let acc = if shard_accs = [||] then None else Some shard_accs.(k) in
+    let run = Harness.runner ~algo ~config ?fuel ~monitor ~proposals in
     let lo, hi = slice ~jobs ~total:runs k in
     let rec go i (processed, skipped, findings) =
       if i >= hi then (processed, skipped, List.rev findings)
@@ -97,7 +96,7 @@ let run ?metrics ?(jobs = 1) ?fuel ?budget_s ?(shrink = false)
       then go (i + 1) (processed, skipped + 1, findings)
       else begin
         let findings =
-          match one ?acc i with None -> findings | Some f -> f :: findings
+          match one ?acc run i with None -> findings | Some f -> f :: findings
         in
         if Obs.Progress.enabled progress then
           Obs.Progress.step progress ~items:1 ~runs:1 ~hits:0 ~lookups:0;

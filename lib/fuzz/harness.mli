@@ -1,6 +1,6 @@
-(** The single-run executor of a fuzz campaign: one schedule simulated on
-    the incremental engine core with an online {!Monitor}, a round budget,
-    and {!Sim.Engine.Step_error} containment.
+(** The single-run executor of a fuzz campaign: one schedule stepped round
+    by round on an engine arena ({!Sim.Engine.Make.Arena}) with an online
+    {!Monitor}, a round budget, and {!Sim.Engine.Step_error} containment.
 
     Monitoring changes {e when} a violation is detected, never {e whether}:
     with [monitor] on the run aborts at the violating round; with it off
@@ -45,3 +45,15 @@ val run_contained :
 (** {!run} with a last-resort backstop: any other exception (e.g. raised
     from [Algorithm.init]) becomes [Raised] instead of killing the
     campaign. [Stack_overflow] and [Out_of_memory] still propagate. *)
+
+val runner :
+  algo:Sim.Algorithm.packed ->
+  config:Config.t ->
+  ?fuel:int ->
+  ?monitor:bool ->
+  proposals:Value.t Pid.Map.t ->
+  Sim.Schedule.t ->
+  Outcome.t
+(** [runner ~algo ~config] is {!run_contained} for a stream of runs: it
+    keeps one arena and rewinds it for each run instead of building a
+    fresh one, with the same outcomes. One runner per domain. *)

@@ -135,18 +135,18 @@ let schedules config ~k' =
 module Make (A : Sim.Algorithm.S) = struct
   module E = Sim.Engine.Make (A)
 
-  (* System snapshots after each round 1..rounds. *)
+  (* Every process's state after each round 1..rounds ([None] once
+     crashed); states are immutable, so capturing them is enough. *)
   let snapshots config proposals schedule ~rounds =
-    let rec go sys k acc =
-      if k > rounds then List.rev acc
-      else
-        let sys = E.step sys (Sim.Schedule.plan_at schedule (Round.of_int k)) in
-        go sys (k + 1) (sys :: acc)
-    in
-    go (E.start config ~proposals) 1 []
+    let n = Config.n config in
+    let arena = E.Arena.create config ~proposals in
+    Array.init rounds (fun k ->
+        E.Arena.step arena
+          (Sim.Schedule.compile_plan ~n
+             (Sim.Schedule.plan_at schedule (Round.of_int (k + 1))));
+        Array.init n (fun i -> E.Arena.state_of arena (Pid.of_int (i + 1))))
 
-  let state_at snaps round pid =
-    E.state_of (List.nth snaps (round - 1)) pid
+  let state_at snaps round pid = snaps.(round - 1).(Pid.to_int pid - 1)
 
   let decision_of_trace (trace : Sim.Trace.t) pid =
     Option.map
@@ -157,11 +157,7 @@ module Make (A : Sim.Algorithm.S) = struct
     Config.validate_indulgent config;
     let t = Config.t config in
     let proposals = Attack.witness_proposals config in
-    let packed = (module A : Sim.Algorithm.S with type state = A.state and type msg = A.msg) in
-    let trace_of schedule =
-      let module _ = (val packed) in
-      E.run config ~proposals schedule
-    in
+    let trace_of schedule = E.run config ~proposals schedule in
     (* First pass: build a2 with a provisional k' to learn the real k'. *)
     let _, _, _, _, a2_prov, _, _ = schedules config ~k':(t + 1) in
     let k' =

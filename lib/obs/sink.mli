@@ -11,8 +11,8 @@
 
     so that with tracing off the hot path performs one immediate boolean
     test and allocates nothing — the event constructor is never evaluated.
-    The pure-functional engine and the model checker's exhaustive search
-    therefore pay no observable cost when untraced. *)
+    The engine and the model checker's exhaustive search therefore pay no
+    observable cost when untraced. *)
 
 type t
 

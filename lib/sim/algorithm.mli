@@ -24,7 +24,7 @@
       abstract values with non-structural identity (no closures, refs,
       arrays that are later mutated, hash tables, ...). The model checker's
       transposition table ({!Mc.Dedup}) keys on
-      {!Engine.Make.Incremental.fingerprint}, which embeds algorithm states
+      {!Engine.Make.Arena.fingerprint}, which embeds algorithm states
       and message payloads and compares them with polymorphic [(=)] /
       [Hashtbl.hash]; a state violating this is not {e unsound} (a missed
       structural equality only loses cache hits) but a state whose

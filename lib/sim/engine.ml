@@ -47,725 +47,45 @@ module Make (A : Algorithm.S) = struct
     | (Step_error _ | Stack_overflow | Out_of_memory) as e -> raise e
     | exn -> fail ~pid ~round ("on_receive raised " ^ Printexc.to_string exn)
 
-  type proc =
-    | Running of A.state
-    | Done of Round.t * A.state  (* halted (returned) in the given round *)
-    | Crashed of Round.t
-
-  type sys = {
-    config : Config.t;
-    next_round : Round.t;
-    procs : proc Pid.Map.t;
-    pending : A.msg Envelope.t list Pid.Map.t Int_map.t;
-        (* delivery round -> receiver -> envelopes *)
-    rev_decisions : Trace.decision list;
-    rev_records : Trace.round_record list;
-    recording : bool;
-    sink : Obs.Sink.t;
-  }
-
-  let start ?(sink = Obs.Sink.noop) config ~proposals =
-    let n = Config.n config in
-    let procs =
-      List.fold_left
-        (fun acc p ->
-          match Pid.Map.find_opt p proposals with
-          | Some v -> Pid.Map.add p (Running (A.init config p v)) acc
-          | None ->
-              invalid_arg
-                (Format.asprintf "Engine.start: no proposal for %a" Pid.pp p))
-        Pid.Map.empty (Pid.all ~n)
-    in
-    {
-      config;
-      next_round = Round.first;
-      procs;
-      pending = Int_map.empty;
-      rev_decisions = [];
-      rev_records = [];
-      recording = false;
-      sink;
-    }
-
-  let next_round sys = sys.next_round
-  let decisions sys = List.rev sys.rev_decisions
-
-  let state_of sys p =
-    match Pid.Map.find_opt p sys.procs with
-    | Some (Running st) | Some (Done (_, st)) -> Some st
-    | Some (Crashed _) | None -> None
-
-  let alive sys =
-    Pid.Map.fold
-      (fun p proc acc -> match proc with Running _ -> p :: acc | _ -> acc)
-      sys.procs []
-    |> List.rev
-
-  let crashed sys =
-    Pid.Map.fold
-      (fun p proc acc ->
-        match proc with Crashed r -> (p, r) :: acc | _ -> acc)
-      sys.procs []
-    |> List.rev
-
-  let all_halted sys =
-    Pid.Map.for_all
-      (fun _ proc -> match proc with Running _ -> false | _ -> true)
-      sys.procs
-
-  let enqueue pending ~deliver_round ~dst env =
-    let k = Round.to_int deliver_round in
-    let per_dst =
-      Option.value (Int_map.find_opt k pending) ~default:Pid.Map.empty
-    in
-    let queue = Option.value (Pid.Map.find_opt dst per_dst) ~default:[] in
-    Int_map.add k (Pid.Map.add dst (env :: queue) per_dst) pending
-
-  let step sys (plan : Schedule.plan) =
-    let config = sys.config in
-    let n = Config.n config in
-    (* One O(n^2) compile replaces the per-copy [List.exists]/[find_opt]
-       scans over [plan.lost]/[plan.delayed]; quiet plans compile for
-       free. *)
-    let cplan = Schedule.compile_plan ~n plan in
-    let round = sys.next_round in
-    let sink = sys.sink in
-    (* [observing] guards every event construction: with the no-op sink the
-       hot path performs one boolean test per site and allocates nothing. *)
-    let observing = Obs.Sink.enabled sink in
-    if observing then Obs.Sink.emit sink (Obs.Event.Round_start { round });
-    (* Send phase: every running process broadcasts. *)
-    let senders =
-      Pid.Map.fold
-        (fun p proc acc ->
-          match proc with Running st -> (p, st) :: acc | _ -> acc)
-        sys.procs []
-      |> List.rev
-    in
-    let bytes_sent = ref 0 in
-    let pending =
-      List.fold_left
-        (fun pending (src, st) ->
-          let payload = send_guarded st ~pid:src round in
-          if sys.recording || observing then begin
-            let bytes = n * (Algorithm.header_bytes + A.wire_size payload) in
-            bytes_sent := !bytes_sent + bytes;
-            if observing then
-              Obs.Sink.emit sink
-                (Obs.Event.Send { src; round; copies = n; bytes })
-          end;
-          let env = Envelope.make ~src ~sent:round payload in
-          List.fold_left
-            (fun pending dst ->
-              if Pid.equal src dst then
-                enqueue pending ~deliver_round:round ~dst env
-              else
-                match Schedule.compiled_fate cplan ~src ~dst with
-                | Schedule.Same_round ->
-                    enqueue pending ~deliver_round:round ~dst env
-                | Schedule.Delayed_until until ->
-                    if observing then
-                      Obs.Sink.emit sink
-                        (Obs.Event.Delay { src; dst; round; until });
-                    enqueue pending ~deliver_round:until ~dst env
-                | Schedule.Lost ->
-                    if observing then
-                      Obs.Sink.emit sink (Obs.Event.Drop { src; dst; round });
-                    pending)
-            pending (Pid.all ~n))
-        sys.pending senders
-    in
-    (* Crashes take effect before the receive phase: a process crashing in
-       round k does not complete round k. *)
-    let procs =
-      List.fold_left
-        (fun procs victim ->
-          match Pid.Map.find_opt victim procs with
-          | Some (Running _) ->
-              if observing then
-                Obs.Sink.emit sink (Obs.Event.Crash { pid = victim; round });
-              Pid.Map.add victim (Crashed round) procs
-          | Some (Done _) | Some (Crashed _) | None -> procs)
-        sys.procs plan.Schedule.crashes
-    in
-    (* Receive phase. *)
-    let due =
-      Option.value
-        (Int_map.find_opt (Round.to_int round) pending)
-        ~default:Pid.Map.empty
-    in
-    let pending = Int_map.remove (Round.to_int round) pending in
-    let deliveries = ref [] in
-    let new_decisions = ref [] in
-    let procs =
-      Pid.Map.mapi
-        (fun p proc ->
-          match proc with
-          | Crashed _ | Done _ -> proc
-          | Running st ->
-              let inbox =
-                Option.value (Pid.Map.find_opt p due) ~default:[]
-                |> List.sort Envelope.compare_src
-              in
-              if sys.recording then
-                List.iter
-                  (fun (e : _ Envelope.t) ->
-                    deliveries := (e.src, p, e.sent) :: !deliveries)
-                  inbox;
-              if observing then
-                List.iter
-                  (fun (e : _ Envelope.t) ->
-                    Obs.Sink.emit sink
-                      (Obs.Event.Deliver
-                         { src = e.src; dst = p; sent = e.sent; round }))
-                  inbox;
-              let before = A.decision st in
-              let st' = receive_guarded st ~pid:p round inbox in
-              let after = A.decision st' in
-              (match (before, after) with
-              | Some v, Some w when not (Value.equal v w) ->
-                  fail ~pid:p ~round
-                    (Format.asprintf "changed its decision from %a to %a"
-                       Value.pp v Value.pp w)
-              | Some _, None -> fail ~pid:p ~round "retracted its decision"
-              | None, Some v ->
-                  if observing then
-                    Obs.Sink.emit sink
-                      (Obs.Event.Decide { pid = p; round; value = v });
-                  new_decisions :=
-                    { Trace.pid = p; round; value = v } :: !new_decisions
-              | None, None | Some _, Some _ -> ());
-              if A.halted st' then begin
-                if observing then
-                  Obs.Sink.emit sink (Obs.Event.Halt { pid = p; round });
-                Done (round, st')
-              end
-              else Running st')
-        procs
-    in
-    let new_decisions =
-      List.sort
-        (fun (a : Trace.decision) b -> Pid.compare a.pid b.pid)
-        !new_decisions
-    in
-    let record =
-      if sys.recording then
-        [
-          {
-            Trace.round;
-            senders = List.map fst senders;
-            crashed_now = plan.Schedule.crashes;
-            delivered = List.rev !deliveries;
-            bytes_sent = !bytes_sent;
-            new_decisions;
-          };
-        ]
-      else []
-    in
-    {
-      sys with
-      next_round = Round.succ round;
-      procs;
-      pending;
-      rev_decisions = List.rev_append new_decisions sys.rev_decisions;
-      rev_records = record @ sys.rev_records;
-    }
-
   (* ---------------------------------------------------------------- *)
-  (* The resumable checker core.
+  (* The arena.
 
-     Same round semantics as [step]/[run] above, on a representation tuned
-     for the model checker's DFS: processes live in a flat array (copied
-     per step — n words — instead of rebalancing [Pid.Map]s), current-round
-     inboxes are built directly in sender order (no [Int_map] enqueue per
-     copy, no per-inbox sort), and a quiet round with no pending delayed
-     messages shares one physically-identical envelope list between all n
-     receivers. Each [step] returns a fresh immutable value, so a DFS forks
-     the state at every choice point and re-simulates nothing: the shared
-     prefix of two schedules is executed once.
-
-     This core does not record round records and does not emit events —
-     observability belongs to [run]. *)
-
-  module Incremental = struct
-    type t = {
-      i_config : Config.t;
-      i_proposals : Value.t Pid.Map.t;
-      i_next : int;  (* next round to execute *)
-      i_procs : proc array;  (* process [p] at index [p - 1] *)
-      i_live : int;  (* number of [Running] entries *)
-      i_late : A.msg Envelope.t list Pid.Map.t Int_map.t;
-          (* delayed deliveries: round -> receiver -> envelopes *)
-      i_rev_decisions : Trace.decision list;
-    }
-
-    let start config ~proposals =
-      let n = Config.n config in
-      let procs =
-        Array.init n (fun i ->
-            let p = Pid.of_int (i + 1) in
-            match Pid.Map.find_opt p proposals with
-            | Some v -> Running (A.init config p v)
-            | None ->
-                invalid_arg
-                  (Format.asprintf "Engine.Incremental.start: no proposal \
-                                    for %a"
-                     Pid.pp p))
-      in
-      {
-        i_config = config;
-        i_proposals = proposals;
-        i_next = 1;
-        i_procs = procs;
-        i_live = n;
-        i_late = Int_map.empty;
-        i_rev_decisions = [];
-      }
-
-    let next_round t = Round.of_int t.i_next
-    let all_halted t = t.i_live = 0
-    let decisions t = List.rev t.i_rev_decisions
-
-    let crashed t =
-      let acc = ref [] in
-      for i = Array.length t.i_procs - 1 downto 0 do
-        match t.i_procs.(i) with
-        | Crashed r -> acc := (Pid.of_int (i + 1), r) :: !acc
-        | Running _ | Done _ -> ()
-      done;
-      !acc
-
-    (* ---------------------------------------------------------------- *)
-    (* Canonical snapshots.
-
-       Two states with equal fingerprints produce identical sweep verdicts
-       for every suffix of adversary choices: the aggregates a sweep
-       extracts from a finished trace ([Props.check] and
-       [Trace.global_decision_round]) read only the decisions list (values,
-       pids and rounds), the crashed pid set, the proposals (fixed per
-       sweep) and the all-halted flag, while the {e future} evolution is a
-       deterministic function of the running states, the in-flight delayed
-       messages and the round number (part of the caller's key). So the
-       fingerprint keeps [Running] states structurally but collapses [Done]
-       and [Crashed] to bare tags: a halted process has no future behaviour
-       and its halting round is not observable in any verdict, and a
-       crashed process contributes only its pid (via its slot) — crash
-       rounds are dropped by [Trace.correct] and [Props].
-
-       Everything inside is plain immutable data (see {!Algorithm.S} on
-       purity), so polymorphic structural equality and [Hashtbl.hash] are
-       meaningful on it — that is the contract {!Mc.Dedup} relies on.
-       [i_late] is re-keyed to canonical int/bindings form; queue order
-       inside a delivery slot is preserved (it affects inbox order, hence
-       the future), so two states differing only there conservatively miss
-       rather than alias. *)
-
-    type proc_fp = Fp_running of A.state | Fp_done | Fp_crashed
-
-    type fingerprint = {
-      fp_procs : proc_fp array;
-      fp_late : (int * (int * A.msg Envelope.t list) list) list;
-      fp_decisions : Trace.decision list;
-    }
-
-    let fingerprint t =
-      {
-        fp_procs =
-          Array.map
-            (function
-              | Running st -> Fp_running st
-              | Done _ -> Fp_done
-              | Crashed _ -> Fp_crashed)
-            t.i_procs;
-        fp_late =
-          Int_map.fold
-            (fun k per acc ->
-              ( k,
-                List.map
-                  (fun (p, q) -> (Pid.to_int p, q))
-                  (Pid.Map.bindings per) )
-              :: acc)
-            t.i_late [];
-        fp_decisions = t.i_rev_decisions;
-      }
-
-    let step t cplan =
-      let n = Config.n t.i_config in
-      let round = Round.of_int t.i_next in
-      let plan = Schedule.compiled_source cplan in
-      let late_due = Int_map.find_opt t.i_next t.i_late in
-      let late =
-        if late_due = None then ref t.i_late
-        else ref (Int_map.remove t.i_next t.i_late)
-      in
-      (* Send phase, from the pre-crash process states. Iterating senders
-         from [n] down to 1 and consing builds every inbox already sorted
-         by sender id, which is the order [run] delivers in. *)
-      let inboxes =
-        if Schedule.compiled_quiet cplan && late_due = None then begin
-          let all = ref [] in
-          for src = n downto 1 do
-            match t.i_procs.(src - 1) with
-            | Running st ->
-                let srcp = Pid.of_int src in
-                all :=
-                  Envelope.make ~src:srcp ~sent:round
-                    (send_guarded st ~pid:srcp round)
-                  :: !all
-            | Done _ | Crashed _ -> ()
-          done;
-          Array.make n !all
-        end
-        else begin
-          match
-            if late_due = None then Schedule.compiled_single_lost cplan
-            else None
-          with
-          | Some (victim, lost_dsts) ->
-              (* The serial-adversary shape: only [victim]'s messages are
-                 lost, to exactly [lost_dsts]. Build two shared inboxes —
-                 everyone's envelopes, and everyone's except the victim's —
-                 and point each receiver at one of them: ~2n conses per
-                 round instead of n^2, and no per-copy fate query. *)
-              let all = ref [] and reduced = ref [] in
-              for src = n downto 1 do
-                match t.i_procs.(src - 1) with
-                | Running st ->
-                    let srcp = Pid.of_int src in
-                    let env =
-                      Envelope.make ~src:srcp ~sent:round
-                        (send_guarded st ~pid:srcp round)
-                    in
-                    all := env :: !all;
-                    if not (Pid.equal srcp victim) then
-                      reduced := env :: !reduced
-                | Done _ | Crashed _ -> ()
-              done;
-              let all = !all and reduced = !reduced in
-              Array.init n (fun i ->
-                  if Bitset.Big.mem (i + 1) lost_dsts then reduced else all)
-          | None ->
-          let ib = Array.make n [] in
-          for src = n downto 1 do
-            match t.i_procs.(src - 1) with
-            | Done _ | Crashed _ -> ()
-            | Running st ->
-                let srcp = Pid.of_int src in
-                let env =
-                  Envelope.make ~src:srcp ~sent:round
-                    (send_guarded st ~pid:srcp round)
-                in
-                for dst = 1 to n do
-                  if dst = src then ib.(dst - 1) <- env :: ib.(dst - 1)
-                  else
-                    match
-                      Schedule.compiled_fate cplan ~src:srcp
-                        ~dst:(Pid.of_int dst)
-                    with
-                    | Schedule.Same_round ->
-                        ib.(dst - 1) <- env :: ib.(dst - 1)
-                    | Schedule.Lost -> ()
-                    | Schedule.Delayed_until until ->
-                        let k = Round.to_int until in
-                        let dstp = Pid.of_int dst in
-                        let per =
-                          Option.value
-                            (Int_map.find_opt k !late)
-                            ~default:Pid.Map.empty
-                        in
-                        let q =
-                          Option.value
-                            (Pid.Map.find_opt dstp per)
-                            ~default:[]
-                        in
-                        late :=
-                          Int_map.add k
-                            (Pid.Map.add dstp (env :: q) per)
-                            !late
-                done
-          done;
-          (match late_due with
-          | None -> ()
-          | Some per ->
-              (* Late arrivals break the by-construction sender order:
-                 merge and re-sort exactly like the batch engine. *)
-              Pid.Map.iter
-                (fun dst q ->
-                  let i = Pid.to_int dst - 1 in
-                  ib.(i) <-
-                    List.sort Envelope.compare_src (List.rev_append q ib.(i)))
-                per);
-          ib
-        end
-      in
-      (* Crashes take effect before the receive phase. *)
-      let procs = Array.copy t.i_procs in
-      let live = ref t.i_live in
-      List.iter
-        (fun victim ->
-          let i = Pid.to_int victim - 1 in
-          match procs.(i) with
-          | Running _ ->
-              procs.(i) <- Crashed round;
-              decr live
-          | Done _ | Crashed _ -> ())
-        plan.Schedule.crashes;
-      (* Receive phase. *)
-      let rev_new = ref [] in
-      for i = 0 to n - 1 do
-        match procs.(i) with
-        | Done _ | Crashed _ -> ()
-        | Running st ->
-            let p = Pid.of_int (i + 1) in
-            let before = A.decision st in
-            let st' = receive_guarded st ~pid:p round inboxes.(i) in
-            let after = A.decision st' in
-            (match (before, after) with
-            | Some v, Some w when not (Value.equal v w) ->
-                fail ~pid:p ~round
-                  (Format.asprintf "changed its decision from %a to %a"
-                     Value.pp v Value.pp w)
-            | Some _, None -> fail ~pid:p ~round "retracted its decision"
-            | None, Some v ->
-                rev_new := { Trace.pid = p; round; value = v } :: !rev_new
-            | None, None | Some _, Some _ -> ());
-            if A.halted st' then begin
-              procs.(i) <- Done (round, st');
-              decr live
-            end
-            else procs.(i) <- Running st'
-      done;
-      {
-        t with
-        i_next = t.i_next + 1;
-        i_procs = procs;
-        i_live = !live;
-        i_late = !late;
-        (* [rev_new] is descending by pid, so prepending keeps the same
-           shape [step] produces: per-round decisions sorted by pid once
-           the whole list is reversed. *)
-        i_rev_decisions = !rev_new @ t.i_rev_decisions;
-      }
-
-    (* ---------------------------------------------------------------- *)
-    (* The flat tail.
-
-       Past the schedule horizon every plan is empty: no crashes, no
-       losses, no new delays — only quiet rounds plus whatever delayed
-       deliveries are already queued in [i_late]. Nothing forks there (the
-       DFS branches only on in-horizon choices), so immutability buys
-       nothing and [finish] switches to struct-of-arrays state mutated in
-       place: a status byte and an [A.state] slot per process, and one
-       shared inbox "spine" — a single envelope per running sender, whose
-       mutable [sent]/[payload] cells are refreshed each round instead of
-       reallocated (see the loan contract in {!Envelope}). With an
-       algorithm whose steady state is allocation-free, a steady quiet
-       round allocates nothing at all; the spine is rebuilt (the only
-       allocating event) exactly when the running set changes. *)
-
-    let flat_tail ?prof ~max_rounds ~schedule t =
-      let n = Config.n t.i_config in
-      let status = Bytes.make n '\001' (* '\000' running, '\001' stopped *) in
-      let filler =
-        let rec first i =
-          match t.i_procs.(i) with
-          | Running st -> st
-          | Done _ | Crashed _ -> first (i + 1)
-        in
-        first 0 (* flat_tail is only entered with [i_live > 0] *)
-      in
-      let states = Array.make n filler in
-      for i = 0 to n - 1 do
-        match t.i_procs.(i) with
-        | Running st ->
-            Bytes.set status i '\000';
-            states.(i) <- st
-        | Done _ | Crashed _ -> ()
-      done;
-      let live = ref t.i_live in
-      let late = ref t.i_late in
-      let next = ref t.i_next in
-      let rev_decisions = ref t.i_rev_decisions in
-      let spine = ref [] in
-      let spine_valid = ref false in
-      (* Same [n] downto 1 iteration as the immutable quiet path, so the
-         spine is ascending by sender and [on_send] call order matches. *)
-      let rebuild round =
-        let all = ref [] in
-        for src = n downto 1 do
-          if Bytes.get status (src - 1) = '\000' then begin
-            let srcp = Pid.of_int src in
-            all :=
-              Envelope.make ~src:srcp ~sent:round
-                (send_guarded states.(src - 1) ~pid:srcp round)
-              :: !all
-          end
-        done;
-        spine := !all;
-        spine_valid := true
-      in
-      (* Recursive loop, not [List.iter f]: an inner closure over [round]
-         would cost an allocation per round. *)
-      let rec refresh round = function
-        | [] -> ()
-        | (e : A.msg Envelope.t) :: rest ->
-            e.Envelope.sent <- round;
-            e.Envelope.payload <-
-              send_guarded
-                states.(Pid.to_int e.Envelope.src - 1)
-                ~pid:e.Envelope.src round;
-            refresh round rest
-      in
-      let step_flat () =
-        let round = Round.of_int !next in
-        (* Send phase: refresh the spine cells in place, or rebuild the
-           list if the sender set changed since last round. *)
-        if !spine_valid then refresh round !spine else rebuild round;
-        let due =
-          if Int_map.is_empty !late then None
-          else
-            match Int_map.find_opt !next !late with
-            | None -> None
-            | Some per ->
-                late := Int_map.remove !next !late;
-                Some per
-        in
-        (* Receive phase, ascending pid. Merged inboxes for late-delivery
-           rounds contain the loaned spine cells — they are read within
-           this round only, before the next refresh, so sharing is safe.
-           The late envelopes themselves are never mutated: fingerprints
-           taken before the tail may still reference them. *)
-        let any_stopped = ref false in
-        for i = 0 to n - 1 do
-          if Bytes.get status i = '\000' then begin
-            let p = Pid.of_int (i + 1) in
-            let inbox =
-              match due with
-              | None -> !spine
-              | Some per -> (
-                  match Pid.Map.find_opt p per with
-                  | None -> !spine
-                  | Some q ->
-                      List.sort Envelope.compare_src
-                        (List.rev_append q !spine))
-            in
-            let st = states.(i) in
-            let before = A.decision st in
-            let st' = receive_guarded st ~pid:p round inbox in
-            let after = A.decision st' in
-            (match (before, after) with
-            | Some v, Some w when not (Value.equal v w) ->
-                fail ~pid:p ~round
-                  (Format.asprintf "changed its decision from %a to %a"
-                     Value.pp v Value.pp w)
-            | Some _, None -> fail ~pid:p ~round "retracted its decision"
-            | None, Some v ->
-                (* Consing in ascending-pid order leaves this round's
-                   decisions descending by pid at the front — the same
-                   shape [step]'s [!rev_new @ _] prepend produces. *)
-                rev_decisions :=
-                  { Trace.pid = p; round; value = v } :: !rev_decisions
-            | None, None | Some _, Some _ -> ());
-            if A.halted st' then begin
-              Bytes.set status i '\001';
-              decr live;
-              any_stopped := true
-            end
-            else states.(i) <- st'
-          end
-        done;
-        if !any_stopped then spine_valid := false;
-        incr next
-      in
-      (match prof with
-      | None ->
-          while !live > 0 && !next <= max_rounds do
-            step_flat ()
-          done
-      | Some a ->
-          (* One preallocated thunk: [measure] per round must not cost a
-             closure per round. *)
-          while !live > 0 && !next <= max_rounds do
-            Obs.Prof.measure a step_flat
-          done);
-      {
-        Trace.algorithm = A.name;
-        config = t.i_config;
-        proposals = t.i_proposals;
-        schedule;
-        decisions = List.rev !rev_decisions;
-        crashes = crashed t (* no crashes occur past the horizon *);
-        rounds_executed = !next - 1;
-        all_halted = !live = 0;
-        records = [];
-      }
-
-    let finish ?max_rounds ?prof ~schedule t =
-      let max_rounds =
-        Option.value max_rounds
-          ~default:(default_max_rounds t.i_config schedule)
-      in
-      let n = Config.n t.i_config in
-      let horizon = Schedule.horizon schedule in
-      let rec loop t =
-        if t.i_live = 0 || t.i_next > max_rounds then
-          {
-            Trace.algorithm = A.name;
-            config = t.i_config;
-            proposals = t.i_proposals;
-            schedule;
-            decisions = decisions t;
-            crashes = crashed t;
-            rounds_executed = t.i_next - 1;
-            all_halted = t.i_live = 0;
-            records = [];
-          }
-        else if t.i_next > horizon then flat_tail ?prof ~max_rounds ~schedule t
-        else
-          let cplan =
-            Schedule.compile_plan ~n
-              (Schedule.plan_at schedule (Round.of_int t.i_next))
-          in
-          let t' =
-            match prof with
-            | None -> step t cplan
-            | Some a -> Obs.Prof.measure a (fun () -> step t cplan)
-          in
-          loop t'
-      in
-      loop t
-  end
-
-  (* ---------------------------------------------------------------- *)
-  (* The mutable arena.
-
-     [Incremental.step] is immutable so the DFS can fork — at the cost of
-     a fresh system value (procs array, decision list node, envelopes) per
-     round, ≈140 minor words. The arena takes the opposite trade: it is
-     the flat-tail representation (status slab, state array, reusable
-     envelope spine, see [Incremental.flat_tail]) promoted to a first-class
-     value with explicit branch-point snapshots, so the DFS mutates one
-     arena in place and rewinds it on backtrack instead of forking.
+     Struct-of-arrays round state mutated in place: a status byte and an
+     [A.state] slot per process, and one reusable envelope cell per
+     sender whose mutable [sent]/[payload] fields are refreshed each round
+     instead of reallocated (the {!Envelope} loan contract). With an
+     algorithm whose steady state is allocation-free, a steady quiet round
+     allocates nothing at all.
 
      Snapshots are copy-on-branch, not an undo log: a snapshot is two
      blits (n status bytes, n state words) plus four scalar stores into a
      preallocated slot, independent of how much the subtree below mutates,
-     while an undo log costs a heap cell per mutation on the hot path —
-     exactly the allocation this module exists to remove (measurements in
-     DESIGN §16). Slots live in a stack grown once to the DFS depth and
-     reused for the rest of the sweep.
+     while an undo log costs a heap cell per mutation on the hot path
+     (measurements in DESIGN §16). Slots live in a stack grown once to the
+     DFS depth and reused for the rest of the sweep.
 
-     Round semantics are bit-identical to [Incremental.step]: same
-     [on_send] call order (n downto 1), same ascending-pid receive phase,
-     same decision-stability errors, same decision-list shape. The spine
-     cells are loaned to receivers within a round only (the {!Envelope}
-     loan contract); delayed envelopes are always fresh and never mutated,
-     so fingerprints may reference them across rounds. *)
+     Round semantics: [on_send] is called from [n] down to 1, every inbox
+     is in {!Envelope.compare_src} order (by sender, then by send round),
+     and the receive phase runs in ascending pid order. The spine cells are loaned to receivers within a round only;
+     delayed envelopes are always fresh and never mutated, so fingerprints
+     may reference them across rounds. *)
 
   module Arena = struct
     let st_running = '\000'
     let st_done = '\001'
     let st_crashed = '\002'
+
+    (* What [run] attaches to watch a run: the round records it builds and
+       the sink it emits to. An observed arena takes the general path every
+       round, so the fast path pays one branch for it. *)
+    type observer = {
+      sink : Obs.Sink.t;
+      emitting : bool;  (* [Obs.Sink.enabled sink] *)
+      recording : bool;
+      mutable bytes : int;  (* this round's *)
+      mutable delivered : (Pid.t * Pid.t * Round.t) list;  (* newest first *)
+      mutable rev_records : Trace.round_record list;
+    }
 
     (* A reusable branch-point slot. [sn_status]/[sn_states] are owned
        buffers (blitted both ways); the decision list and late map are
@@ -791,7 +111,7 @@ module Make (A : Algorithm.S) = struct
 
     type t = {
       a_config : Config.t;
-      a_proposals : Value.t Pid.Map.t;
+      mutable a_proposals : Value.t Pid.Map.t;
       a_n : int;
       a_status : Bytes.t;  (* process [p] at byte [p - 1] *)
       a_states : A.state array;
@@ -800,6 +120,8 @@ module Make (A : Algorithm.S) = struct
       mutable a_next : int;  (* next round to execute *)
       mutable a_decisions : Trace.decision list;  (* newest first *)
       mutable a_late : A.msg Envelope.t list Pid.Map.t Int_map.t;
+          (* delayed deliveries: round -> receiver -> envelopes, newest
+             first *)
       (* Spine: one reusable envelope cell per process, created at first
          use and refreshed in place each fast round; [a_spine] is the
          ascending list of the running cells, relinked only when the
@@ -807,37 +129,36 @@ module Make (A : Algorithm.S) = struct
       a_cells : A.msg Envelope.t option array;
       mutable a_spine : A.msg Envelope.t list;
       a_spine_status : Bytes.t;
-      (* DFS branches revisit the same (status, fault) pairs constantly, so
-         spines and reduced inboxes are interned by status byte-string:
-         after the first visit a faulty round performs two hash lookups
-         ([Hashtbl.find] with a constant-constructor [Not_found] on miss —
-         no [option] box) and allocates nothing. Sound because the cached
-         lists are alternative cons-chains over the {e same} reusable
-         cells, which are only ever refreshed in place, never replaced. *)
-      a_spines : (Bytes.t, A.msg Envelope.t list) Hashtbl.t;
-      a_lost : (Bytes.t, A.msg Envelope.t list) Hashtbl.t array;
-          (* indexed by [sl_src - 1] *)
-      a_dst_srcs : (Bitset.Big.t, (Bytes.t, A.msg Envelope.t list) Hashtbl.t) Hashtbl.t;
+      (* DFS branches revisit the same running sets and fault shapes
+         constantly, so fast-round inboxes are interned by which senders
+         they hold: [a_key] is a reusable n-byte inclusion mask, and after
+         the first visit a round performs one hash lookup ([Hashtbl.find]
+         with a constant-constructor [Not_found] on miss — no [option]
+         box) and allocates nothing. Sound because the cached lists are
+         alternative cons-chains over the {e same} reusable cells, which
+         are only ever refreshed in place, never replaced. *)
+      a_inboxes : (Bytes.t, A.msg Envelope.t list) Hashtbl.t;
+      a_key : Bytes.t;
       mutable a_stack : snap array;
       mutable a_depth : int;
       mutable a_snapshots : int;
       mutable a_restores : int;
       a_filler : A.state;
       a_fp : fingerprint;  (* reusable probe buffers *)
+      mutable a_obs : observer option;
     }
+
+    let init_state config proposals i =
+      let p = Pid.of_int (i + 1) in
+      match Pid.Map.find_opt p proposals with
+      | Some v -> A.init config p v
+      | None ->
+          invalid_arg
+            (Format.asprintf "Engine.Arena: no proposal for %a" Pid.pp p)
 
     let create config ~proposals =
       let n = Config.n config in
-      let states =
-        Array.init n (fun i ->
-            let p = Pid.of_int (i + 1) in
-            match Pid.Map.find_opt p proposals with
-            | Some v -> A.init config p v
-            | None ->
-                invalid_arg
-                  (Format.asprintf "Engine.Arena.create: no proposal for %a"
-                     Pid.pp p))
-      in
+      let states = Array.init n (init_state config proposals) in
       let filler = states.(0) in
       {
         a_config = config;
@@ -853,9 +174,8 @@ module Make (A : Algorithm.S) = struct
         a_cells = Array.make n None;
         a_spine = [];
         a_spine_status = Bytes.make n '\255' (* never a valid status *);
-        a_spines = Hashtbl.create 64;
-        a_lost = Array.init n (fun _ -> Hashtbl.create 16);
-        a_dst_srcs = Hashtbl.create 8;
+        a_inboxes = Hashtbl.create 16;
+        a_key = Bytes.create n;
         a_stack = [||];
         a_depth = 0;
         a_snapshots = 0;
@@ -868,13 +188,34 @@ module Make (A : Algorithm.S) = struct
             fp_late = [];
             fp_decisions = [];
           };
+        a_obs = None;
       }
+
+    (* The cells, the spine over them and the snapshot slots survive; the
+       interned inboxes do not, or a long campaign would keep one per
+       running set it ever met. *)
+    let reset t ~proposals =
+      for i = 0 to t.a_n - 1 do
+        t.a_states.(i) <- init_state t.a_config proposals i
+      done;
+      t.a_proposals <- proposals;
+      Bytes.fill t.a_status 0 t.a_n st_running;
+      t.a_live <- t.a_n;
+      t.a_next <- 1;
+      t.a_decisions <- [];
+      t.a_late <- Int_map.empty;
+      Hashtbl.clear t.a_inboxes;
+      t.a_depth <- 0
 
     let next_round t = Round.of_int t.a_next
     let all_halted t = t.a_live = 0
     let decisions t = List.rev t.a_decisions
     let snapshots t = t.a_snapshots
     let restores t = t.a_restores
+
+    let state_of t p =
+      let i = Pid.to_int p - 1 in
+      if Bytes.get t.a_status i = st_crashed then None else Some t.a_states.(i)
 
     let crashed t =
       let acc = ref [] in
@@ -936,7 +277,24 @@ module Make (A : Algorithm.S) = struct
       t.a_depth <- t.a_depth - 1
 
     (* ---------------------------------------------------------------- *)
-    (* Fingerprints *)
+    (* Fingerprints.
+
+       Two states with equal fingerprints produce identical sweep verdicts
+       for every suffix of adversary choices: the aggregates a sweep
+       extracts from a finished trace ([Props.check] and
+       [Trace.global_decision_round]) read only the decisions list, the
+       crashed pid set, the proposals (fixed per sweep) and the all-halted
+       flag, while the {e future} is a deterministic function of the
+       running states, the in-flight delayed messages and the round number
+       (part of the caller's key). So running states are kept structurally
+       and halted and crashed slots collapse to their status byte over one
+       filler state: a halted process has no future behaviour and crash
+       rounds are dropped by [Trace.correct] and [Props]. Everything inside
+       is plain immutable data (see {!Algorithm.S} on purity), so
+       polymorphic equality and [Hashtbl.hash] are meaningful on it — the
+       contract {!Mc.Dedup} relies on. Queue order inside a delivery slot
+       is kept (it affects inbox order, hence the future), so two states
+       differing only there conservatively miss rather than alias. *)
 
     let canon_late late =
       Int_map.fold
@@ -947,12 +305,6 @@ module Make (A : Algorithm.S) = struct
           :: acc)
         late []
 
-    (* Same equivalence classes as [Incremental.fingerprint]: the status
-       byte plays the [Fp_running]/[Fp_done]/[Fp_crashed] tag and
-       non-running state slots are pinned to one filler, so two arena
-       fingerprints are structurally equal exactly when the corresponding
-       incremental fingerprints are — Dedup's hit/miss sequence is
-       unchanged. *)
     let probe_fingerprint t =
       let fp = t.a_fp in
       Bytes.blit t.a_status 0 fp.fp_status 0 t.a_n;
@@ -979,20 +331,22 @@ module Make (A : Algorithm.S) = struct
     (* ---------------------------------------------------------------- *)
     (* Round execution *)
 
-    let rec apply_crashes t round = function
+    let rec apply_crashes t round obs = function
       | [] -> ()
       | victim :: rest ->
           let i = Pid.to_int victim - 1 in
           if Bytes.get t.a_status i = st_running then begin
             Bytes.set t.a_status i st_crashed;
             t.a_crash_round.(i) <- Round.to_int round;
-            t.a_live <- t.a_live - 1
+            t.a_live <- t.a_live - 1;
+            match obs with
+            | Some o when o.emitting ->
+                Obs.Sink.emit o.sink (Obs.Event.Crash { pid = victim; round })
+            | _ -> ()
           end;
-          apply_crashes t round rest
+          apply_crashes t round obs rest
 
-    (* Refresh every running sender's cell in place — [n] downto 1, the
-       same [on_send] call order as [Incremental.step], so a raising
-       callback is attributed to the same process. Cells are created at
+    (* Refresh every running sender's cell in place. Cells are created at
        first use (a process not running at one branch's first fast round
        may be running after a restore in another). *)
     let refresh_cells t round =
@@ -1015,61 +369,44 @@ module Make (A : Algorithm.S) = struct
     let cell t src =
       match t.a_cells.(src - 1) with Some e -> e | None -> assert false
 
-    let spine_for t =
-      match Hashtbl.find t.a_spines t.a_status with
-      | spine -> spine
+    (* [a_key] := the running senders; callers then clear the senders a
+       fault removes and look the inbox up. *)
+    let key_running t =
+      for i = 0 to t.a_n - 1 do
+        Bytes.set t.a_key i
+          (if Bytes.get t.a_status i = st_running then '\001' else '\000')
+      done
+
+    let interned t =
+      match Hashtbl.find t.a_inboxes t.a_key with
+      | inbox -> inbox
       | exception Not_found ->
-          let all = ref [] in
+          let acc = ref [] in
           for src = t.a_n downto 1 do
-            if Bytes.get t.a_status (src - 1) = st_running then
-              all := cell t src :: !all
+            if Bytes.get t.a_key (src - 1) = '\001' then
+              acc := cell t src :: !acc
           done;
-          Hashtbl.add t.a_spines (Bytes.copy t.a_status) !all;
-          !all
+          Hashtbl.add t.a_inboxes (Bytes.copy t.a_key) !acc;
+          !acc
 
     let relink_spine t =
       if not (Bytes.equal t.a_status t.a_spine_status) then begin
-        t.a_spine <- spine_for t;
+        key_running t;
+        t.a_spine <- interned t;
         Bytes.blit t.a_status 0 t.a_spine_status 0 t.a_n
       end
 
-    (* Reduced inboxes ([sl_src]'s or [sd_srcs]'s messages removed) keyed
-       the same way; [Single_lost] nests by source in an array,
-       [Single_dst] by the canonical omitter bitset. *)
     let reduced_lost t sl_src =
-      let tbl = t.a_lost.(sl_src - 1) in
-      match Hashtbl.find tbl t.a_status with
-      | l -> l
-      | exception Not_found ->
-          let acc = ref [] in
-          for src = t.a_n downto 1 do
-            if src <> sl_src && Bytes.get t.a_status (src - 1) = st_running
-            then acc := cell t src :: !acc
-          done;
-          Hashtbl.add tbl (Bytes.copy t.a_status) !acc;
-          !acc
+      key_running t;
+      Bytes.set t.a_key (sl_src - 1) '\000';
+      interned t
 
     let reduced_dst t sd_srcs =
-      let tbl =
-        match Hashtbl.find t.a_dst_srcs sd_srcs with
-        | tbl -> tbl
-        | exception Not_found ->
-            let tbl = Hashtbl.create 16 in
-            Hashtbl.add t.a_dst_srcs sd_srcs tbl;
-            tbl
-      in
-      match Hashtbl.find tbl t.a_status with
-      | l -> l
-      | exception Not_found ->
-          let acc = ref [] in
-          for src = t.a_n downto 1 do
-            if
-              Bytes.get t.a_status (src - 1) = st_running
-              && not (Bitset.Big.mem src sd_srcs)
-            then acc := cell t src :: !acc
-          done;
-          Hashtbl.add tbl (Bytes.copy t.a_status) !acc;
-          !acc
+      key_running t;
+      for src = 1 to t.a_n do
+        if Bitset.Big.mem src sd_srcs then Bytes.set t.a_key (src - 1) '\000'
+      done;
+      interned t
 
     let receive_one t p round inbox =
       let i = Pid.to_int p - 1 in
@@ -1085,23 +422,153 @@ module Make (A : Algorithm.S) = struct
       | Some _, None -> fail ~pid:p ~round "retracted its decision"
       | None, Some v ->
           (* Consing in ascending-pid order leaves this round's decisions
-             descending by pid at the front — the same shape
-             [Incremental.step] produces. *)
+             descending by pid at the front. *)
           t.a_decisions <-
             { Trace.pid = p; round; value = v } :: t.a_decisions
       | None, None | Some _, Some _ -> ());
+      t.a_states.(i) <- st';
       if A.halted st' then begin
         Bytes.set t.a_status i st_done;
         t.a_live <- t.a_live - 1
       end
-      else t.a_states.(i) <- st'
+
+    (* The observed sends, ascending by sender: [Send] and the per-copy
+       [Delay]/[Drop] fates. *)
+    let observe_sends o ~n cplan round sent =
+      List.iter
+        (fun (e : A.msg Envelope.t) ->
+          let bytes = n * (Algorithm.header_bytes + A.wire_size e.payload) in
+          o.bytes <- o.bytes + bytes;
+          if o.emitting then begin
+            let src = e.src in
+            Obs.Sink.emit o.sink (Obs.Event.Send { src; round; copies = n; bytes });
+            for d = 1 to n do
+              let dst = Pid.of_int d in
+              if not (Pid.equal dst src) then
+                match Schedule.compiled_fate cplan ~src ~dst with
+                | Schedule.Same_round -> ()
+                | Schedule.Delayed_until until ->
+                    Obs.Sink.emit o.sink
+                      (Obs.Event.Delay { src; dst; round; until })
+                | Schedule.Lost ->
+                    Obs.Sink.emit o.sink (Obs.Event.Drop { src; dst; round })
+            done
+          end)
+        sent
+
+    let observe_receive o t p round inbox =
+      List.iter
+        (fun (e : A.msg Envelope.t) ->
+          if o.recording then o.delivered <- (e.src, p, e.sent) :: o.delivered;
+          if o.emitting then
+            Obs.Sink.emit o.sink
+              (Obs.Event.Deliver { src = e.src; dst = p; sent = e.sent; round }))
+        inbox;
+      let before = t.a_decisions in
+      receive_one t p round inbox;
+      if o.emitting then begin
+        (match t.a_decisions with
+        | d :: _ when t.a_decisions != before ->
+            Obs.Sink.emit o.sink
+              (Obs.Event.Decide { pid = p; round; value = d.Trace.value })
+        | _ -> ());
+        if Bytes.get t.a_status (Pid.to_int p - 1) = st_done then
+          Obs.Sink.emit o.sink (Obs.Event.Halt { pid = p; round })
+      end
+
+    let record_round o t (plan : Schedule.plan) round sent =
+      let rec this_round acc = function
+        | (d : Trace.decision) :: rest when Round.equal d.round round ->
+            this_round (d :: acc) rest
+        | _ -> acc
+      in
+      o.rev_records <-
+        {
+          Trace.round;
+          senders = List.map (fun (e : A.msg Envelope.t) -> e.src) sent;
+          crashed_now = plan.crashes;
+          delivered = List.rev o.delivered;
+          bytes_sent = o.bytes;
+          new_decisions = this_round [] t.a_decisions;
+        }
+        :: o.rev_records
+
+    (* The general path: fate tables, delayed messages, late deliveries due
+       this round, and every observed round. Fresh envelopes per sender —
+       late envelopes outlive the round and must never alias the mutable
+       spine cells. *)
+    let step_general t cplan round late_due =
+      let n = t.a_n in
+      let plan = Schedule.compiled_source cplan in
+      let obs = t.a_obs in
+      (match obs with
+      | Some o ->
+          o.bytes <- 0;
+          o.delivered <- [];
+          if o.emitting then Obs.Sink.emit o.sink (Obs.Event.Round_start { round })
+      | None -> ());
+      if late_due <> None then t.a_late <- Int_map.remove t.a_next t.a_late;
+      let ib = Array.make n [] in
+      let sent = ref [] in
+      for src = n downto 1 do
+        if Bytes.get t.a_status (src - 1) = st_running then begin
+          let srcp = Pid.of_int src in
+          let env =
+            Envelope.make ~src:srcp ~sent:round
+              (send_guarded t.a_states.(src - 1) ~pid:srcp round)
+          in
+          (match obs with Some _ -> sent := env :: !sent | None -> ());
+          for dst = 1 to n do
+            if dst = src then ib.(dst - 1) <- env :: ib.(dst - 1)
+            else
+              match
+                Schedule.compiled_fate cplan ~src:srcp ~dst:(Pid.of_int dst)
+              with
+              | Schedule.Same_round -> ib.(dst - 1) <- env :: ib.(dst - 1)
+              | Schedule.Lost -> ()
+              | Schedule.Delayed_until until ->
+                  let k = Round.to_int until in
+                  let dstp = Pid.of_int dst in
+                  let per =
+                    Option.value
+                      (Int_map.find_opt k t.a_late)
+                      ~default:Pid.Map.empty
+                  in
+                  let q = Option.value (Pid.Map.find_opt dstp per) ~default:[] in
+                  t.a_late <-
+                    Int_map.add k (Pid.Map.add dstp (env :: q) per) t.a_late
+          done
+        end
+      done;
+      (match obs with Some o -> observe_sends o ~n cplan round !sent | None -> ());
+      (match late_due with
+      | None -> ()
+      | Some per ->
+          (* Late arrivals break the by-construction sender order. *)
+          Pid.Map.iter
+            (fun dst q ->
+              let i = Pid.to_int dst - 1 in
+              ib.(i) <-
+                List.sort Envelope.compare_src (List.rev_append q ib.(i)))
+            per);
+      apply_crashes t round obs plan.Schedule.crashes;
+      for i = 0 to n - 1 do
+        if Bytes.get t.a_status i = st_running then
+          let p = Pid.of_int (i + 1) in
+          match obs with
+          | None -> receive_one t p round ib.(i)
+          | Some o -> observe_receive o t p round ib.(i)
+      done;
+      (match obs with
+      | Some o when o.recording -> record_round o t plan round !sent
+      | _ -> ());
+      t.a_next <- t.a_next + 1
 
     (* A raising step leaves the arena mid-round (dirty); the DFS contract
        is that the caller rewinds to a snapshot before touching it again. *)
     let step t cplan =
       let n = t.a_n in
       let round = Round.of_int t.a_next in
-      let plan = Schedule.compiled_source cplan in
       let fates = Schedule.compiled_fates cplan in
       let late_due =
         if Int_map.is_empty t.a_late then None
@@ -1109,106 +576,33 @@ module Make (A : Algorithm.S) = struct
       in
       match fates with
       | (Schedule.Quiet | Schedule.Single_lost _ | Schedule.Single_dst _)
-        when late_due = None ->
+        when late_due = None && t.a_obs == None ->
           (* Fast path: refresh the spine in place; at most one reduced
              inbox (the victim's messages removed, or the starved
-             receiver's view) is built per round — ~n conses on faulty
-             rounds, nothing at all on steady quiet rounds. *)
+             receiver's view) is looked up per round — nothing allocated
+             once every running set has been met. *)
           refresh_cells t round;
           relink_spine t;
-          let m_dsts =
-            match fates with
-            | Schedule.Single_lost { sl_dsts; _ } -> sl_dsts
-            | _ -> Bitset.Big.empty
-          in
-          let m_dst =
-            match fates with
-            | Schedule.Single_dst { sd_dst; _ } -> sd_dst
-            | _ -> 0
-          in
           let reduced =
             match fates with
             | Schedule.Quiet | Schedule.Table _ -> []
             | Schedule.Single_lost { sl_src; _ } -> reduced_lost t sl_src
             | Schedule.Single_dst { sd_srcs; _ } -> reduced_dst t sd_srcs
           in
-          let quiet =
-            match fates with Schedule.Quiet -> true | _ -> false
-          in
-          apply_crashes t round plan.Schedule.crashes;
-          for i = 0 to n - 1 do
-            if Bytes.get t.a_status i = st_running then begin
-              let inbox =
-                if quiet then t.a_spine
-                else if m_dst > 0 then
-                  if i + 1 = m_dst then reduced else t.a_spine
-                else if Bitset.Big.mem (i + 1) m_dsts then reduced
-                else t.a_spine
-              in
-              receive_one t (Pid.of_int (i + 1)) round inbox
-            end
-          done;
-          t.a_next <- t.a_next + 1
-      | _ ->
-          (* General path (fate tables, delayed messages, late deliveries
-             due this round): fresh envelopes per sender — late envelopes
-             outlive the round and must never alias the mutable spine
-             cells. Mirrors [Incremental.step]'s general branch. *)
-          if late_due <> None then
-            t.a_late <- Int_map.remove t.a_next t.a_late;
-          let ib = Array.make n [] in
-          for src = n downto 1 do
-            if Bytes.get t.a_status (src - 1) = st_running then begin
-              let srcp = Pid.of_int src in
-              let env =
-                Envelope.make ~src:srcp ~sent:round
-                  (send_guarded t.a_states.(src - 1) ~pid:srcp round)
-              in
-              for dst = 1 to n do
-                if dst = src then ib.(dst - 1) <- env :: ib.(dst - 1)
-                else
-                  match
-                    Schedule.compiled_fate cplan ~src:srcp
-                      ~dst:(Pid.of_int dst)
-                  with
-                  | Schedule.Same_round ->
-                      ib.(dst - 1) <- env :: ib.(dst - 1)
-                  | Schedule.Lost -> ()
-                  | Schedule.Delayed_until until ->
-                      let k = Round.to_int until in
-                      let dstp = Pid.of_int dst in
-                      let per =
-                        Option.value
-                          (Int_map.find_opt k t.a_late)
-                          ~default:Pid.Map.empty
-                      in
-                      let q =
-                        Option.value (Pid.Map.find_opt dstp per) ~default:[]
-                      in
-                      t.a_late <-
-                        Int_map.add k (Pid.Map.add dstp (env :: q) per)
-                          t.a_late
-              done
-            end
-          done;
-          (match late_due with
-          | None -> ()
-          | Some per ->
-              (* Late arrivals break the by-construction sender order:
-                 merge and re-sort exactly like the batch engine. *)
-              Pid.Map.iter
-                (fun dst q ->
-                  let i = Pid.to_int dst - 1 in
-                  ib.(i) <-
-                    List.sort Envelope.compare_src
-                      (List.rev_append q ib.(i)))
-                per);
-          apply_crashes t round plan.Schedule.crashes;
+          apply_crashes t round None
+            (Schedule.compiled_source cplan).Schedule.crashes;
           for i = 0 to n - 1 do
             if Bytes.get t.a_status i = st_running then
-              receive_one t (Pid.of_int (i + 1)) round ib.(i)
+              receive_one t (Pid.of_int (i + 1)) round
+                (match fates with
+                | Schedule.Single_lost { sl_dsts; _ }
+                  when Bitset.Big.mem (i + 1) sl_dsts ->
+                    reduced
+                | Schedule.Single_dst { sd_dst; _ } when sd_dst = i + 1 -> reduced
+                | _ -> t.a_spine)
           done;
           t.a_next <- t.a_next + 1
+      | _ -> step_general t cplan round late_due
 
     let trace ~schedule t =
       {
@@ -1220,7 +614,10 @@ module Make (A : Algorithm.S) = struct
         crashes = crashed t;
         rounds_executed = t.a_next - 1;
         all_halted = t.a_live = 0;
-        records = [];
+        records =
+          (match t.a_obs with
+          | Some o when o.recording -> List.rev o.rev_records
+          | _ -> []);
       }
 
     let finish ?max_rounds ?prof ~schedule t =
@@ -1253,19 +650,8 @@ module Make (A : Algorithm.S) = struct
 
   let run ?(record = false) ?(sink = Obs.Sink.noop) ?max_rounds ?prof config
       ~proposals schedule =
-    if (not record) && not (Obs.Sink.enabled sink) then
-      (* Nobody is watching: take the incremental core end to end — flat
-         array state, shared inboxes, and the in-place zero-allocation
-         tail past the horizon — instead of the map-based recording
-         engine. Produces the same trace (same decisions, crashes, round
-         count and halt flag; both paths build [records = []]). *)
-      Incremental.finish ?max_rounds ?prof ~schedule
-        (Incremental.start config ~proposals)
-    else begin
-    let max_rounds =
-      Option.value max_rounds ~default:(default_max_rounds config schedule)
-    in
-    if Obs.Sink.enabled sink then
+    let emitting = Obs.Sink.enabled sink in
+    if emitting then
       Obs.Sink.emit sink
         (Obs.Event.Run_start
            {
@@ -1274,34 +660,20 @@ module Make (A : Algorithm.S) = struct
              t = Config.t config;
              proposals = Pid.Map.bindings proposals;
            });
-    let rec loop sys =
-      if all_halted sys || Round.to_int sys.next_round > max_rounds then sys
-      else
-        let plan = Schedule.plan_at schedule sys.next_round in
-        let sys' =
-          match prof with
-          | None -> step sys plan
-          | Some a -> Obs.Prof.measure a (fun () -> step sys plan)
-        in
-        loop sys'
-    in
-    let sys =
-      loop { (start ~sink config ~proposals) with recording = record }
-    in
-    let trace =
-      {
-        Trace.algorithm = A.name;
-        config;
-        proposals;
-        schedule;
-        decisions = decisions sys;
-        crashes = crashed sys;
-        rounds_executed = Round.to_int sys.next_round - 1;
-        all_halted = all_halted sys;
-        records = List.rev sys.rev_records;
-      }
-    in
-    if Obs.Sink.enabled sink then
+    let arena = Arena.create config ~proposals in
+    if record || emitting then
+      arena.Arena.a_obs <-
+        Some
+          {
+            Arena.sink;
+            emitting;
+            recording = record;
+            bytes = 0;
+            delivered = [];
+            rev_records = [];
+          };
+    let trace = Arena.finish ?max_rounds ?prof ~schedule arena in
+    if emitting then
       Obs.Sink.emit sink
         (Obs.Event.Run_end
            {
@@ -1310,5 +682,4 @@ module Make (A : Algorithm.S) = struct
              all_halted = trace.Trace.all_halted;
            });
     trace
-    end
 end

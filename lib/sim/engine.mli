@@ -8,9 +8,11 @@
     [k] and disappears afterwards); then surviving processes consume the
     envelopes arriving this round ({!S.on_receive}).
 
-    The engine is purely functional: {!Make.step} returns a new system state,
-    so the model checker can branch over adversary choices while sharing the
-    common prefix. *)
+    One executor runs every simulation: the mutable {!Make.Arena}. The
+    model checker steps it branch by branch and rewinds it with snapshots,
+    fuzz campaigns step it round by round under a monitor, and {!Make.run}
+    runs it to completion, attaching an observer that builds round records
+    and emits events only when asked to. *)
 
 open Kernel
 
@@ -33,123 +35,31 @@ exception Step_error of step_error
       rewrapped with the faulting process and round ([Stack_overflow] and
       [Out_of_memory] pass through untouched).
 
+    Each round calls [on_send] from [p_n] down to [p_1], then [on_receive]
+    from [p_1] up to [p_n], so when several callbacks would raise in one
+    round the error names the first in that order: the highest-numbered
+    raising sender, else the lowest-numbered raising receiver.
+
     Callers that run many schedules ({!Mc.Exhaustive}, fuzz campaigns)
     catch it and record a structured per-run outcome instead of letting one
     poisoned schedule kill the whole sweep. [Invalid_argument] remains
-    reserved for caller misuse at API entry ({!Make.start} with missing
-    proposals). *)
+    reserved for caller misuse at API entry ({!Make.Arena.create} with
+    missing proposals). *)
 
 val pp_step_error : Format.formatter -> step_error -> unit
 
 module Make (A : Algorithm.S) : sig
-  type sys
-  (** Immutable global state between rounds. *)
+  (** The mutable round executor.
 
-  val start :
-    ?sink:Obs.Sink.t -> Config.t -> proposals:Value.t Pid.Map.t -> sys
-  (** Initial state: every process has proposed. [proposals] must bind
-      exactly [p1..pn]. [sink] (default {!Obs.Sink.noop}) receives the
-      structured {!Obs.Event.t}s of every subsequent {!step}; with the
-      no-op sink the engine constructs no events at all. *)
-
-  val next_round : sys -> Round.t
-  (** The round the next {!step} will execute (round 1 initially). *)
-
-  val step : sys -> Schedule.plan -> sys
-  (** Execute one full round under the given per-round plan. Raises
-      {!Step_error} if the algorithm violates decision stability (changes
-      or retracts a decided value) or if one of its step callbacks raises. *)
-
-  val decisions : sys -> Trace.decision list
-  (** Chronological. *)
-
-  val state_of : sys -> Pid.t -> A.state option
-  (** The local state of a process, unless it crashed. *)
-
-  val alive : sys -> Pid.t list
-  (** Processes still running (not crashed, not halted). *)
-
-  val crashed : sys -> (Pid.t * Round.t) list
-  val all_halted : sys -> bool
-
-  (** A resumable execution core for the model checker.
-
-      Semantically identical to stepping [sys] round by round, but on a
-      representation tuned for the checker's DFS over adversary choices:
-      flat process arrays, pre-sorted inboxes, a shared envelope list for
-      quiet rounds and precompiled plans ({!Schedule.compiled_plan}). Each
-      {!Incremental.step} returns a fresh immutable value, so the DFS forks
-      the state at every choice point and the shared prefix of two
-      schedules is executed exactly once.
-
-      Unlike {!run}, the incremental core records no round records and
-      emits no events — it exists to make exhaustive sweeps fast. *)
-  module Incremental : sig
-    type t
-    (** Immutable system state between rounds. *)
-
-    val start : Config.t -> proposals:Value.t Pid.Map.t -> t
-    (** Initial state; [proposals] must bind exactly [p1..pn]. *)
-
-    val step : t -> Schedule.compiled_plan -> t
-    (** Execute one full round. Raises {!Step_error} on a decision-stability
-        violation or a raising callback, with the same error as the batch
-        engine. *)
-
-    val next_round : t -> Round.t
-    val all_halted : t -> bool
-    val decisions : t -> Trace.decision list
-    val crashed : t -> (Pid.t * Round.t) list
-
-    type fingerprint
-    (** A canonical structural snapshot of the global state: per-process
-        algorithm states (halted and crashed processes collapse to bare
-        tags — their rounds are observable in no sweep verdict), the
-        in-flight delayed messages in canonical key order, and the
-        decisions recorded so far. Two states of the same sweep (same
-        config and proposals) with structurally equal fingerprints at the
-        same round are {e verdict-equivalent}: every suffix of adversary
-        choices leads to traces with identical [Props.check] outcomes and
-        identical global decision rounds. The payload is plain immutable
-        data (the {!Algorithm.S} purity contract), so polymorphic [(=)]
-        and [Hashtbl.hash] are the intended equality and hash — this is
-        what [Mc.Dedup] keys its transposition table on. *)
-
-    val fingerprint : t -> fingerprint
-    (** O(state) to build; allocates a small canonical copy, shares the
-        per-process states. *)
-
-    val finish :
-      ?max_rounds:int -> ?prof:Obs.Prof.acc -> schedule:Schedule.t -> t -> Trace.t
-    (** Step with [schedule]'s remaining plans (empty past the horizon)
-        until all processes halt or [max_rounds] rounds have executed
-        (default {!default_max_rounds}), then package the trace. The
-        resulting trace equals what {!run} produces for the same config,
-        proposals and schedule, except [records] is always empty.
-        [prof], when given, records one {!Obs.Prof} interval per executed
-        round (the DFS callers measure the rounds they step themselves).
-
-        When the state was advanced manually via {!step}, pass the
-        schedule those plans came from (or an explicit [max_rounds]
-        consistent with it) so the bound and [Trace.t.schedule] are
-        right. *)
-  end
-
-  (** The mutable checker arena.
-
-      The flat struct-of-arrays round representation (status slab, state
-      array, reusable envelope spine — the same machinery as the
-      record-free run path's post-horizon tail) promoted to a first-class
-      value with explicit branch-point snapshots, so a DFS over adversary
-      choices mutates {e one} arena in place and rewinds it on backtrack
-      instead of forking an immutable value per round. Round semantics are
-      bit-identical to {!Incremental.step}: same [on_send]/[on_receive]
-      call orders, same decision-stability errors, same decision-list and
-      crash-list shapes.
+      Struct-of-arrays round state (status slab, state array, reusable
+      envelope spine) with explicit branch-point snapshots, so a DFS over
+      adversary choices mutates {e one} arena in place and rewinds it on
+      backtrack, and a fuzz campaign rewinds one arena per shard with
+      {!reset}.
 
       Ownership: an arena (and everything loaned out of it — the probe
-      fingerprint, inbox spines) belongs to one DFS on one domain. Sharded
-      sweeps create one arena per shard. *)
+      fingerprint, inbox spines) belongs to one caller on one domain.
+      Sharded sweeps create one arena per shard. *)
   module Arena : sig
     type t
     (** Mutable system state. Steps advance it in place; {!save} /
@@ -158,13 +68,20 @@ module Make (A : Algorithm.S) : sig
     val create : Config.t -> proposals:Value.t Pid.Map.t -> t
     (** Fresh arena at round 1; [proposals] must bind exactly [p1..pn]. *)
 
+    val reset : t -> proposals:Value.t Pid.Map.t -> unit
+    (** Back to round 1 with fresh initial states, as {!create} would
+        build them, keeping the arena's buffers. Drops every snapshot.
+        Valid on an arena left mid-round by a raising {!step}. *)
+
     val step : t -> Schedule.compiled_plan -> unit
-    (** Execute one full round in place. Raises {!Step_error} exactly like
-        {!Incremental.step}; a raising step leaves the arena mid-round, and
-        the caller must {!restore} a snapshot before using it again.
-        Allocation-free on quiet rounds once the spine is built; ~n list
-        cells on single-sender-loss / single-receiver-loss rounds (the
-        serial-adversary fault shapes). *)
+    (** Execute one full round in place. Raises {!Step_error} if the
+        algorithm violates decision stability (changes or retracts a
+        decided value) or if one of its step callbacks raises; a raising
+        step leaves the arena mid-round, and the caller must {!restore} a
+        snapshot (or {!reset}) before using it again. Allocation-free on
+        quiet rounds once the spine is built, and on single-sender-loss /
+        single-receiver-loss rounds (the serial-adversary fault shapes)
+        once their running set has been seen. *)
 
     val save : t -> unit
     (** Push a branch-point snapshot: two blits (status bytes, state
@@ -189,18 +106,30 @@ module Make (A : Algorithm.S) : sig
 
     val next_round : t -> Round.t
     val all_halted : t -> bool
+
     val decisions : t -> Trace.decision list
+    (** Chronological; within a round, ascending by pid. *)
+
     val crashed : t -> (Pid.t * Round.t) list
 
+    val state_of : t -> Pid.t -> A.state option
+    (** The local state of a process (its final one once it halted),
+        unless it crashed. *)
+
     type fingerprint
-    (** Same verdict-equivalence contract and the same equality classes as
-        {!Incremental.fingerprint} — a sweep keyed on arena fingerprints
-        reproduces the incremental engine's dedup hit/miss sequence
-        exactly — built directly from the flat arrays (status slab copy,
-        state array with halted/crashed slots pinned to one filler) with
-        no intermediate maps. Polymorphic [(=)] and [Hashtbl.hash] are the
-        intended equality and hash, and a {!probe_fingerprint} compares
-        equal to the {!fingerprint} copy of the same state. *)
+    (** A canonical structural snapshot of the global state: per-process
+        algorithm states (halted and crashed processes collapse to bare
+        tags — their rounds are observable in no sweep verdict), the
+        in-flight delayed messages in canonical key order, and the
+        decisions recorded so far. Two states of the same sweep (same
+        config and proposals) with structurally equal fingerprints at the
+        same round are {e verdict-equivalent}: every suffix of adversary
+        choices leads to traces with identical [Props.check] outcomes and
+        identical global decision rounds. Polymorphic [(=)] and
+        [Hashtbl.hash] are the intended equality and hash — this is what
+        [Mc.Dedup] keys its transposition table on — and a
+        {!probe_fingerprint} compares equal to the {!fingerprint} copy of
+        the same state. *)
 
     val probe_fingerprint : t -> fingerprint
     (** The arena's reusable probe fingerprint, refreshed in place —
@@ -220,11 +149,15 @@ module Make (A : Algorithm.S) : sig
       ?max_rounds:int -> ?prof:Obs.Prof.acc -> schedule:Schedule.t -> t -> Trace.t
     (** Step with [schedule]'s remaining plans (empty past the horizon)
         until all processes halt or [max_rounds] rounds have executed
-        (default {!default_max_rounds}), then package the trace — the same
-        trace {!Incremental.finish} produces from the same state. Leaves
-        the arena at the end of the run; the caller rewinds via
-        {!restore}. [prof], when given, records one {!Obs.Prof} interval
-        per executed round. *)
+        (default {!default_max_rounds}), then package the trace
+        ([records] is empty). Leaves the arena at the end of the run; the
+        caller rewinds via {!restore}. [prof], when given, records one
+        {!Obs.Prof} interval per executed round.
+
+        When the arena was advanced manually via {!step}, pass the
+        schedule those plans came from (or an explicit [max_rounds]
+        consistent with it) so the bound and [Trace.t.schedule] are
+        right. *)
   end
 
   val run :
@@ -236,18 +169,18 @@ module Make (A : Algorithm.S) : sig
     proposals:Value.t Pid.Map.t ->
     Schedule.t ->
     Trace.t
-  (** Run to completion: steps through the schedule (empty plans past its
-      horizon) until every non-crashed process has halted or [max_rounds]
-      rounds have executed. The default bound is generous enough for every
-      algorithm in this repository to terminate after the schedule's gst.
-      [record] (default [false]) fills {!Trace.t.records} for diagrams.
-      [sink] (default {!Obs.Sink.noop}) receives the run's structured event
-      stream — [Run_start], then per round [Round_start], [Send] (with
-      per-copy [Drop]/[Delay] fates), [Crash], [Deliver], [Decide] and
+  (** Run to completion on a fresh arena: {!Arena.finish} from round 1.
+      The default bound is generous enough for every algorithm in this
+      repository to terminate after the schedule's gst. [record] (default
+      [false]) fills {!Trace.t.records} for diagrams. [sink] (default
+      {!Obs.Sink.noop}) receives the run's structured event stream —
+      [Run_start], then per round [Round_start], [Send] (with per-copy
+      [Drop]/[Delay] fates) for each sender in ascending order, [Crash],
+      and per receiver in ascending order its [Deliver]s, [Decide] and
       [Halt], and finally [Run_end]. Event order is deterministic for a
-      fixed config, proposals and schedule. [prof] records one
-      {!Obs.Prof} interval per executed round; omitted, the loop is
-      untouched. *)
+      fixed config, proposals and schedule. With neither, no observer is
+      attached and the run takes the arena's allocation-free fast path.
+      [prof] records one {!Obs.Prof} interval per executed round. *)
 end
 
 val default_max_rounds : Config.t -> Schedule.t -> int
@@ -255,7 +188,7 @@ val default_max_rounds : Config.t -> Schedule.t -> int
 
 val round_bound : Config.t -> horizon:int -> gst:int -> int
 (** The same bound computed from a horizon and gst directly, for callers
-    (the incremental checker) that build plans round by round and have no
+    (the checker's DFS) that build plans round by round and have no
     {!Schedule.t} in hand: [default_max_rounds config s] equals
     [round_bound config ~horizon:(Schedule.horizon s)
     ~gst:(Round.to_int (Schedule.gst s))]. *)

@@ -24,6 +24,7 @@ val make : src:Pid.t -> sent:Round.t -> 'm -> 'm t
 val is_current : 'm t -> round:Round.t -> bool
 
 val compare_src : 'm t -> 'm t -> int
-(** Order by sender id (inboxes are sorted with this for determinism). *)
+(** Order by sender id, then by send round (inboxes are sorted with this
+    for determinism). *)
 
 val pp : (Format.formatter -> 'm -> unit) -> Format.formatter -> 'm t -> unit

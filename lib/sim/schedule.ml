@@ -184,13 +184,6 @@ let compile_plan ~n plan =
 let compiled_empty_plan = { source = empty_plan; c_n = 0; cfates = Quiet }
 let compiled_source c = c.source
 let compiled_fates c = c.cfates
-let compiled_quiet c = c.cfates = Quiet
-
-let compiled_single_lost c =
-  match c.cfates with
-  | Single_lost { sl_src; sl_dsts } -> Some (Pid.of_int sl_src, sl_dsts)
-  | Quiet | Single_dst _ | Table _ -> None
-
 let compiled_fate c ~src ~dst =
   match c.cfates with
   | Quiet -> Same_round

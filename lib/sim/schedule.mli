@@ -163,20 +163,9 @@ val compiled_fates : compiled_plan -> compiled_fates
     engine's round dispatch matches on this directly so the quiet path
     stays allocation-free. *)
 
-val compiled_quiet : compiled_plan -> bool
-(** No losses and no delays: every fate is [Same_round]. *)
-
 val compiled_fate : compiled_plan -> src:Pid.t -> dst:Pid.t -> fate
 (** O(1). Only meaningful for [src <> dst] with both in [p1..pn] — the
     engine never consults the fate of a self-delivery. *)
-
-val compiled_single_lost : compiled_plan -> (Pid.t * Kernel.Bitset.Big.t) option
-(** [Some (src, dsts)] when the plan's only disruptions are messages from
-    [src] lost to the destinations [dsts] (no delays): the engine's
-    receive-phase fast path then builds two shared inboxes — with and
-    without [src]'s envelope — instead of querying a fate per copy. The
-    destination set is array-backed ({!Kernel.Bitset.Big}), so the fast
-    path applies at any [n]. *)
 
 val failure_free_synchronous : t -> bool
 

@@ -119,14 +119,14 @@ module P1 = Sim.Engine.Make (Phase1_probe)
 (* Run Phase 1 (t+1 rounds) under a schedule and return each survivor's
    (est, |Halt| > t) — the nE each process would send at round t+2. *)
 let phase1_new_estimates cfg schedule =
-  let rec steps sys k =
-    if k > Config.t cfg + 1 then sys
-    else
-      steps (P1.step sys (Sim.Schedule.plan_at schedule (Round.of_int k))) (k + 1)
+  let arena =
+    P1.Arena.create cfg ~proposals:(Sim.Runner.distinct_proposals cfg)
   in
-  let sys =
-    steps (P1.start cfg ~proposals:(Sim.Runner.distinct_proposals cfg)) 1
-  in
+  for k = 1 to Config.t cfg + 1 do
+    P1.Arena.step arena
+      (Sim.Schedule.compile_plan ~n:(Config.n cfg)
+         (Sim.Schedule.plan_at schedule (Round.of_int k)))
+  done;
   List.filter_map
     (fun p ->
       Option.map
@@ -135,7 +135,7 @@ let phase1_new_estimates cfg schedule =
           if Baselines.Ws_flood.detects_false_suspicion flood ~config:cfg then
             `Bot
           else `Est (Value.to_int flood.Baselines.Ws_flood.est))
-        (P1.state_of sys p))
+        (P1.Arena.state_of arena p))
     (Config.processes cfg)
 
 let distinct_estimates n_es =

@@ -64,6 +64,52 @@ let test_harness_raised_contained () =
   | Fuzz.Outcome.Raised msg -> check_bool "message" true (contains msg "init")
   | o -> Alcotest.fail (Format.asprintf "expected Raised: %a" Fuzz.Outcome.pp o)
 
+(* Raises in any round whose inbox is not exactly n envelopes, so random
+   schedules mix runs that die mid-round, delayed messages still in
+   flight, with clean ones. *)
+module Lossy = struct
+  type msg = unit
+  type state = { n : int; v : Value.t; decision : Value.t option }
+
+  let name = "lossy"
+  let model = Sim.Model.Es
+  let symmetric = false
+  let init config _ v = { n = Config.n config; v; decision = None }
+  let on_send _ _ = ()
+
+  let on_receive st round inbox =
+    if List.length inbox <> st.n then failwith "loss"
+    else if Round.to_int round < 4 then st
+    else { st with decision = Some st.v }
+
+  let decision st = st.decision
+  let halted st = st.decision <> None
+  let wire_size () = 0
+  let pp_msg ppf () = Format.fprintf ppf "()"
+  let pp_state ppf st = Value.pp ppf st.v
+end
+
+(* One runner rewinds its arena from run to run, also after a run that
+   died mid-round, and with new proposals each time: every outcome must
+   equal a fresh [run_contained] call's. *)
+let test_runner_reuse () =
+  let algo = Sim.Algorithm.Packed (module Lossy) in
+  let run = Fuzz.Harness.runner ~algo ~config:c52 in
+  let rng = Rng.create ~seed:11 in
+  let classes =
+    List.init 30 (fun i ->
+        let s = if i mod 3 = 2 then quiet_es else Fuzz.Campaign.default_gen c52 rng in
+        let proposals =
+          if i mod 2 = 0 then props c52 else Sim.Runner.uniform_proposals c52 Value.one
+        in
+        let o = run ~proposals s in
+        check_bool (Printf.sprintf "run %d" i) true
+          (o = Fuzz.Harness.run_contained ~algo ~config:c52 ~proposals s);
+        class_of o)
+  in
+  check_bool "crashed and clean runs" true
+    (List.mem (Some Fuzz.Outcome.Crash) classes && List.mem None classes)
+
 (* The monitor aborts the eager FloodSet's split decision at the violating
    round — before the run completes. *)
 let test_monitor_aborts_early () =
@@ -451,6 +497,8 @@ let () =
           Alcotest.test_case "harness: crashed" `Quick test_harness_crashed;
           Alcotest.test_case "harness: raised (init)" `Quick
             test_harness_raised_contained;
+          Alcotest.test_case "runner reuse equals fresh runs" `Quick
+            test_runner_reuse;
           Alcotest.test_case "campaign: crashes contained" `Quick
             test_campaign_contains_crashes;
           Alcotest.test_case "campaign: raised contained" `Quick

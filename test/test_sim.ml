@@ -320,8 +320,8 @@ end
 
 module E = Sim.Engine.Make (Probe)
 
-let received_at sys pid round =
-  match E.state_of sys (Pid.of_int pid) with
+let received_at a pid round =
+  match E.Arena.state_of a (Pid.of_int pid) with
   | None -> []
   | Some st -> (
       match List.assoc_opt round st.Probe.received with
@@ -329,54 +329,59 @@ let received_at sys pid round =
       | None -> [])
 
 let start_probe cfg =
-  E.start cfg ~proposals:(Sim.Runner.distinct_proposals cfg)
+  E.Arena.create cfg ~proposals:(Sim.Runner.distinct_proposals cfg)
+
+let step_plan cfg a p =
+  E.Arena.step a (Sim.Schedule.compile_plan ~n:(Config.n cfg) p)
 
 let test_engine_full_delivery () =
   let cfg = config ~n:4 ~t:1 in
-  let sys = E.step (start_probe cfg) Sim.Schedule.empty_plan in
+  let a = start_probe cfg in
+  step_plan cfg a Sim.Schedule.empty_plan;
   List.iter
     (fun p ->
       check_int
         (Printf.sprintf "p%d receives all in round 1" p)
         4
-        (List.length (received_at sys p 1)))
+        (List.length (received_at a p 1)))
     [ 1; 2; 3; 4 ]
 
 let test_engine_crash_semantics () =
   let cfg = config ~n:4 ~t:1 in
   (* p1 crashes in round 1; only p2 hears it. *)
-  let sys =
-    E.step (start_probe cfg)
-      (plan ~crashes:[ 1 ] ~lost:[ (1, 3); (1, 4) ] ())
-  in
+  let a = start_probe cfg in
+  step_plan cfg a (plan ~crashes:[ 1 ] ~lost:[ (1, 3); (1, 4) ] ());
   check_int "victim does not complete the round" 0
-    (List.length (received_at sys 1 1));
+    (List.length (received_at a 1 1));
   check_bool "victim recorded as crashed" true
-    (E.crashed sys = [ (Pid.of_int 1, Round.first) ]);
-  check_int "p2 hears the victim" 4 (List.length (received_at sys 2 1));
-  check_int "p3 misses the victim" 3 (List.length (received_at sys 3 1));
+    (E.Arena.crashed a = [ (Pid.of_int 1, Round.first) ]);
+  check_int "p2 hears the victim" 4 (List.length (received_at a 2 1));
+  check_int "p3 misses the victim" 3 (List.length (received_at a 3 1));
   (* Next round: the victim is silent. *)
-  let sys = E.step sys Sim.Schedule.empty_plan in
-  check_int "round 2 without victim" 3 (List.length (received_at sys 2 2));
+  step_plan cfg a Sim.Schedule.empty_plan;
+  check_int "round 2 without victim" 3 (List.length (received_at a 2 2));
   check_bool "alive" true
-    (List.map Pid.to_int (E.alive sys) = [ 2; 3; 4 ])
+    (List.filter (fun p -> E.Arena.state_of a (Pid.of_int p) <> None) [ 1; 2; 3; 4 ]
+    = [ 2; 3; 4 ])
 
 let test_engine_delay_semantics () =
   let cfg = config ~n:4 ~t:1 in
-  let sys = E.step (start_probe cfg) (plan ~delayed:[ (1, 3, 3) ] ()) in
+  let a = start_probe cfg in
+  step_plan cfg a (plan ~delayed:[ (1, 3, 3) ] ());
   check_int "p3 misses the delayed message" 3
-    (List.length (received_at sys 3 1));
-  let sys = E.step sys Sim.Schedule.empty_plan in
-  check_int "nothing extra in round 2" 4 (List.length (received_at sys 3 2));
-  let sys = E.step sys Sim.Schedule.empty_plan in
-  let entries = received_at sys 3 3 in
+    (List.length (received_at a 3 1));
+  step_plan cfg a Sim.Schedule.empty_plan;
+  check_int "nothing extra in round 2" 4 (List.length (received_at a 3 2));
+  step_plan cfg a Sim.Schedule.empty_plan;
+  let entries = received_at a 3 3 in
   check_int "delayed message arrives in round 3" 5 (List.length entries);
   check_bool "it is the round-1 message from p1" true
     (List.exists (fun (src, sent) -> Pid.equal src (Pid.of_int 1) && sent = 1) entries)
 
 let test_engine_own_message () =
   let cfg = config ~n:3 ~t:1 in
-  let sys = E.step (start_probe cfg) (plan ~crashes:[ 2 ] ~lost:[ (2, 1); (2, 3) ] ()) in
+  let a = start_probe cfg in
+  step_plan cfg a (plan ~crashes:[ 2 ] ~lost:[ (2, 1); (2, 3) ] ());
   List.iter
     (fun p ->
       check_bool
@@ -384,7 +389,7 @@ let test_engine_own_message () =
         true
         (List.exists
            (fun (src, _) -> Pid.equal src (Pid.of_int p))
-           (received_at sys p 1)))
+           (received_at a p 1)))
     [ 1; 3 ]
 
 let test_engine_halt_stops_sending () =
@@ -450,6 +455,62 @@ let test_engine_decision_stability () =
         (contains
            (Format.asprintf "%a" Sim.Engine.pp_step_error err)
            "flipper: p1 failed in round 2: changed its decision")
+
+(* An [on_send] that raises from round 2 on: every executor must blame
+   the same process, the first sender in the engine's p_n-down-to-p_1
+   [on_send] order. *)
+module Send_raiser = struct
+  type msg = unit
+  type state = unit
+
+  let name = "send-raiser"
+  let model = Sim.Model.Es
+  let symmetric = false
+  let init _ _ _ = ()
+  let on_send () round = if Round.to_int round >= 2 then failwith "boom"
+  let on_receive () _ _ = ()
+  let decision () = None
+  let halted () = false
+  let wire_size () = 0
+
+  let pp_msg ppf () = Format.fprintf ppf "()"
+  let pp_state ppf () = Format.fprintf ppf "send-raiser"
+end
+
+let test_engine_send_attribution () =
+  let cfg = config ~n:4 ~t:1 in
+  let algo = Sim.Algorithm.Packed (module Send_raiser) in
+  let proposals = Sim.Runner.distinct_proposals cfg in
+  let raised run =
+    match run () with
+    | (_ : Sim.Trace.t) -> Alcotest.fail "expected Step_error"
+    | exception Sim.Engine.Step_error e -> e
+  in
+  let sink, _ = Obs.Sink.memory () in
+  let task = Mc.Distrib.make ~algo cfg (Mc.Distrib.Fixed proposals) in
+  let errors =
+    [
+      ("run", raised (fun () -> Sim.Runner.run algo cfg ~proposals quiet_es));
+      ( "recorded run",
+        raised (fun () ->
+            Sim.Runner.run ~record:true ~sink algo cfg ~proposals quiet_es) );
+      ( "fuzz harness",
+        match Fuzz.Harness.run ~algo ~config:cfg ~proposals quiet_es with
+        | Fuzz.Outcome.Crashed e -> e
+        | o -> Alcotest.failf "harness: %a" Fuzz.Outcome.pp o );
+      ( "sweep task",
+        match (Mc.Distrib.run_task task 0).Mc.Checkpoint.result.Mc.Exhaustive.crashed with
+        | r :: _ -> r.Mc.Exhaustive.error
+        | [] -> Alcotest.fail "sweep task: no crashed run" );
+    ]
+  in
+  List.iter
+    (fun (name, (e : Sim.Engine.step_error)) ->
+      check_int (name ^ ": pid") 4 (Pid.to_int e.Sim.Engine.pid);
+      check_int (name ^ ": round") 2 (Round.to_int e.Sim.Engine.round);
+      check_bool (name ^ ": reason") true
+        (e.Sim.Engine.reason = (snd (List.hd errors)).Sim.Engine.reason))
+    errors
 
 (* ------------------------------------------------------------------ *)
 (* Props                                                               *)
@@ -523,14 +584,16 @@ end
 module O = Sim.Engine.Make (Observer)
 
 let observe cfg schedule ~rounds =
-  let rec steps sys k =
-    if k > rounds then sys
-    else steps (O.step sys (Sim.Schedule.plan_at schedule (Round.of_int k))) (k + 1)
-  in
-  steps (O.start cfg ~proposals:(Sim.Runner.distinct_proposals cfg)) 1
+  let a = O.Arena.create cfg ~proposals:(Sim.Runner.distinct_proposals cfg) in
+  for k = 1 to rounds do
+    O.Arena.step a
+      (Sim.Schedule.compile_plan ~n:(Config.n cfg)
+         (Sim.Schedule.plan_at schedule (Round.of_int k)))
+  done;
+  a
 
 let model_invariants cfg schedule ~rounds =
-  let sys = observe cfg schedule ~rounds in
+  let a = observe cfg schedule ~rounds in
   let n = Config.n cfg in
   let quorum = Config.quorum cfg in
   let crashed_by p k =
@@ -540,7 +603,7 @@ let model_invariants cfg schedule ~rounds =
   in
   List.for_all
     (fun p ->
-      match O.state_of sys p with
+      match O.Arena.state_of a p with
       | None -> true (* crashed *)
       | Some st ->
           List.for_all
@@ -596,37 +659,67 @@ let prop_engine_deterministic =
       in
       run_once () = run_once ())
 
-(* The engine now has four execution paths: the recording batch engine
-   ([~record:true]), the allocation-free fast path (default [run], which
-   delegates to the incremental core and its flat tail), the explicit
-   resumable checker ([Incremental.start] / [finish]), and the mutable
-   snapshot/restore arena the model checker's DFS drives. All four must
-   replay the same run exactly — decisions, crash records, round count and
-   halting flag — on arbitrary ES schedules, which exercise crashes,
-   losses and delayed deliveries. *)
-let engines_agree cfg s (Sim.Algorithm.Packed (module A)) =
+(* The reference interpreter ([Oracle]) against every way a run is
+   executed: the observer-free fast path, the recording observer with a
+   sink attached (records equal, and its Deliver/Decide events agree
+   with them), and the fuzz harness with its monitor off. ES schedules
+   exercise crashes, losses and delayed deliveries, and the oracle reads
+   every fate from the schedule itself, so the compiled fast shapes
+   ([Single_lost], [Single_dst]) are checked too. *)
+let agrees_with_oracle cfg s (Sim.Algorithm.Packed (module A) as algo) =
   let proposals = Sim.Runner.distinct_proposals cfg in
   let module F = Sim.Engine.Make (A) in
+  let module R = Oracle.Make (A) in
+  let want = R.run cfg ~proposals s in
   let key (t : Sim.Trace.t) =
     ( t.Sim.Trace.decisions,
       t.Sim.Trace.crashes,
       t.Sim.Trace.rounds_executed,
       t.Sim.Trace.all_halted )
   in
-  let t_rec = F.run ~record:true cfg ~proposals s in
-  let t_fast = F.run cfg ~proposals s in
-  let t_inc =
-    F.Incremental.finish ~schedule:s (F.Incremental.start cfg ~proposals)
+  let sink, drain = Obs.Sink.memory () in
+  let recorded = F.run ~record:true ~sink cfg ~proposals s in
+  let events = drain () in
+  let harness_agrees =
+    match Fuzz.Harness.run ~monitor:false ~algo ~config:cfg ~proposals s with
+    | Fuzz.Outcome.Passed { rounds; decision_round } ->
+        want.Sim.Trace.all_halted
+        && Sim.Props.check want = []
+        && rounds = want.Sim.Trace.rounds_executed
+        && decision_round
+           = Option.map Round.to_int (Sim.Trace.global_decision_round want)
+    | Fuzz.Outcome.Violated { round; violations } ->
+        want.Sim.Trace.all_halted
+        && violations = Sim.Props.check want
+        && round = want.Sim.Trace.rounds_executed
+    | Fuzz.Outcome.Budget_exhausted { fuel; _ } ->
+        (not want.Sim.Trace.all_halted) && fuel = want.Sim.Trace.rounds_executed
+    | Fuzz.Outcome.Crashed _ | Fuzz.Outcome.Raised _ -> false
   in
-  let t_arena = F.Arena.finish ~schedule:s (F.Arena.create cfg ~proposals) in
-  key t_rec = key t_fast && key t_fast = key t_inc && key t_inc = key t_arena
+  key (F.run cfg ~proposals s) = key want
+  && key recorded = key want
+  && recorded.Sim.Trace.records = want.Sim.Trace.records
+  && List.filter_map
+       (function
+         | Obs.Event.Deliver { src; dst; sent; _ } -> Some (src, dst, sent)
+         | _ -> None)
+       events
+     = List.concat_map (fun r -> r.Sim.Trace.delivered) want.Sim.Trace.records
+  && List.filter_map
+       (function
+         | Obs.Event.Decide { pid; round; value } ->
+             Some { Sim.Trace.pid; round; value }
+         | _ -> None)
+       events
+     = want.Sim.Trace.decisions
+  && harness_agrees
 
 let prop_incremental_matches_run =
   qtest ~count:60 "incremental core equals run" QCheck.int (fun seed ->
       let rng = Rng.create ~seed in
       let cfg = config ~n:4 ~t:2 in
       let s = Workload.Random_runs.eventually_synchronous rng cfg ~gst:4 () in
-      engines_agree cfg s floodset && engines_agree cfg s floodset_ws)
+      agrees_with_oracle cfg s floodset && agrees_with_oracle cfg s floodset_ws)
 
 let prop_cross_engine_equivalence =
   qtest ~count:40 "recording, fast and incremental engines agree"
@@ -638,14 +731,14 @@ let prop_cross_engine_equivalence =
         else Workload.Random_runs.eventually_synchronous rng c52 ~gst ()
       in
       List.for_all
-        (engines_agree c52 s)
+        (agrees_with_oracle c52 s)
         [ floodset; floodset_ws; early_fs; at2; floodmin ])
 
 (* Every registered algorithm, every fault menu: random SCS schedules with
    declared crash/send-omission/receive-omission/mixed faults, plus random
-   ES schedules, must replay identically on all four engine paths. This is
-   the contract the arena-backed sweeps lean on — the DFS re-executes
-   exactly these schedule shapes branch by branch. *)
+   ES schedules, must replay as the oracle does. This is the contract the
+   arena-backed sweeps lean on — the DFS re-executes exactly these
+   schedule shapes branch by branch. *)
 let prop_all_algorithms_all_menus =
   qtest ~count:40 "all engines agree for every algorithm and fault menu"
     QCheck.(pair int (int_range 0 4))
@@ -667,7 +760,7 @@ let prop_all_algorithms_all_menus =
         | _ -> Workload.Random_runs.eventually_synchronous rng cfg ~gst:3 ()
       in
       List.for_all
-        (fun (e : Expt.Registry.entry) -> engines_agree cfg s e.algo)
+        (fun (e : Expt.Registry.entry) -> agrees_with_oracle cfg s e.algo)
         Expt.Registry.all)
 
 (* The arena's branch-point contract, the exact discipline the DFS relies
@@ -707,9 +800,10 @@ let prop_arena_snapshot_restore =
           fp_saved = fp_restored)
         [ floodset; floodmin; at2 ])
 
-(* Past the schedule horizon the fast path switches to the flat
-   struct-of-arrays tail; holding FloodMin in its steady state for many
-   rounds pins that tail against the recording engine. *)
+(* Past the schedule horizon the fast path reuses one envelope per sender
+   round after round; holding FloodMin in its steady state for many rounds
+   pins that loop against the oracle, on both sides of the 63-process
+   limit of the int bitsets. *)
 module Floodmin_steady = Baselines.Floodmin.Make (struct
   let extra_rounds = 40
 end)
@@ -722,13 +816,13 @@ let test_flat_tail_equivalence () =
       check_bool
         (Printf.sprintf "flat tail agrees at n=%d" n)
         true
-        (engines_agree cfg quiet_es algo))
+        (agrees_with_oracle cfg quiet_es algo))
     [ (5, 2); (63, 2); (64, 2); (100, 3) ]
 
 (* Crash-round edge cases: a victim crashing in its own decision round
    records no decision (it does not complete the round), and a victim all
    of whose messages are lost crashed "before sending".  Both must replay
-   identically on all three engine paths and stay safety-clean. *)
+   as the oracle does and stay safety-clean. *)
 let test_crash_round_edge_cases () =
   let cfg = config ~n:4 ~t:1 in
   let silent =
@@ -750,9 +844,9 @@ let test_crash_round_edge_cases () =
     (Sim.Trace.decision_of trace2 (Pid.of_int 2) = None);
   check_int "survivors still decide" 3 (List.length trace2.Sim.Trace.decisions);
   check_bool "engines agree on the silent victim" true
-    (engines_agree cfg silent floodset);
+    (agrees_with_oracle cfg silent floodset);
   check_bool "engines agree on the deciding-round crash" true
-    (engines_agree cfg crash_in_decision_round floodset)
+    (agrees_with_oracle cfg crash_in_decision_round floodset)
 
 (* The same two edge schedules through the fuzz harness: its online
    monitor and termination judgment must also treat the victim as faulty,
@@ -1052,6 +1146,8 @@ let () =
           Alcotest.test_case "halting" `Quick test_engine_halt_stops_sending;
           Alcotest.test_case "records" `Quick test_engine_records;
           Alcotest.test_case "decision stability" `Quick test_engine_decision_stability;
+          Alcotest.test_case "on_send attribution" `Quick
+            test_engine_send_attribution;
         ] );
       ( "props",
         [

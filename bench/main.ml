@@ -938,7 +938,7 @@ let crash_safety_rows () =
 (* FloodMin holds the whole system in a converged steady state for as many
    rounds as we ask (its state and messages are physically reused once
    estimates converge), so these rows measure the engine itself: the
-   record-free fast path at n far beyond the int-bitset limit, and the
+   sink-free fast path at n far beyond the int-bitset limit, and the
    per-round allocation floor of the in-place tail. *)
 
 let quiet_scs = Sim.Schedule.make ~model:Sim.Model.Scs ~gst:Round.first []

@@ -307,12 +307,10 @@ let run_cmd =
         write_file path (fun oc -> output_string oc (Sim.Codec.encode schedule));
         Format.fprintf std "schedule saved to %s@." path
     | None -> ());
+    (* The diagram is drawn from the run's event stream. *)
     let mem_sink, drain =
-      match trace_file with
-      | Some _ ->
-          let sink, drain = Obs.Sink.memory () in
-          (sink, Some drain)
-      | None -> (Obs.Sink.noop, None)
+      if diagram || trace_file <> None then Obs.Sink.memory ()
+      else (Obs.Sink.noop, fun () -> [])
     in
     let registry = Obs.Metrics.create () in
     let sink =
@@ -322,7 +320,7 @@ let run_cmd =
     let prof = if metrics then Some (Obs.Prof.acc ()) else None in
     let trace =
       match
-        Sim.Runner.run ~record:true ~sink ?prof algo config
+        Sim.Runner.run ~sink ?prof algo config
           ~proposals:(Sim.Runner.distinct_proposals config)
           schedule
       with
@@ -330,27 +328,36 @@ let run_cmd =
       | exception Sim.Engine.Step_error e ->
           Format.eprintf "algorithm crashed: %a@." Sim.Engine.pp_step_error e;
           exit 2
+      | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+      | exception e ->
+          (* Raised outside every round, e.g. by [init]. *)
+          Format.eprintf "algorithm crashed: %s: %s@." (Sim.Algorithm.name algo)
+            (Printexc.to_string e);
+          exit 2
     in
     (* Traced runs also carry the §4 simulated failure-detector view. *)
-    if Obs.Sink.enabled sink && trace.Sim.Trace.rounds_executed > 0 then
+    if (trace_file <> None || metrics) && trace.Sim.Trace.rounds_executed > 0
+    then
       ignore
         (Fd.Simulate.history ~sink config schedule
            ~rounds:trace.Sim.Trace.rounds_executed);
+    let events = drain () in
     Format.fprintf std "%a@." Sim.Trace.pp_summary trace;
     List.iter
       (fun v -> Format.fprintf std "VIOLATION: %a@." Sim.Props.pp_violation v)
       (Sim.Props.check trace);
-    if diagram then Format.fprintf std "@.%a@." Sim.Trace.pp_diagram trace;
-    (match (trace_file, drain) with
-    | Some path, Some drain ->
-        let events = drain () in
+    if diagram then
+      Format.fprintf std "@.%a@." Obs.Replay.pp_diagram
+        (Result.get_ok (Obs.Replay.of_events events));
+    (match trace_file with
+    | Some path ->
         write_file path (fun oc ->
             match trace_format with
             | `Jsonl -> Obs.Jsonl.to_channel oc events
             | `Chrome -> output_string oc (Obs.Chrome.to_string events));
         Format.fprintf std "event log (%d events) written to %s@."
           (List.length events) path
-    | _ -> ());
+    | None -> ());
     (match prof with
     | Some a -> Obs.Prof.flush a ~metrics:registry ~prefix:"sim" ~per:"round"
     | None -> ());
@@ -403,7 +410,8 @@ let attack_cmd =
     let entry = lookup_algo label in
     let report = Mc.Attack.run_witness entry.Expt.Registry.algo config in
     Format.fprintf std "%a@.@." Mc.Attack.pp_report report;
-    Format.fprintf std "%a@." Sim.Trace.pp_diagram report.Mc.Attack.trace;
+    Format.fprintf std "%a@." Obs.Replay.pp_diagram
+      (Result.get_ok (Obs.Replay.of_events report.Mc.Attack.events));
     if report.Mc.Attack.violations = [] then
       Format.fprintf std "@.%s survives the lower-bound construction.@." label
     else exit 1

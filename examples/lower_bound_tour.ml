@@ -69,7 +69,8 @@ let () =
   Format.printf
     "4. The ES attack: delay p1 -> p3 in round 1 (false suspicion), crash p2 \
      in round 2@.   heard only by p1. At the end of round t+1:@.";
-  Format.printf "%a@.@." Sim.Trace.pp_diagram report.Mc.Attack.trace;
+  Format.printf "%a@.@." Obs.Replay.pp_diagram
+    (Result.get_ok (Obs.Replay.of_events report.Mc.Attack.events));
   List.iter
     (fun v -> Format.printf "   %a@." Sim.Props.pp_violation v)
     report.Mc.Attack.violations;

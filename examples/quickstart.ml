@@ -19,12 +19,15 @@ let () =
   let schedule = Workload.Cascade.chain config in
   Sim.Schedule.validate_exn config schedule;
 
-  (* Pick the algorithm — the paper's A_{t+2} — and run. *)
+  (* Pick the algorithm — the paper's A_{t+2} — and run it, keeping the
+     run's event stream in memory to draw the space/time diagram from. *)
   let algo = Sim.Algorithm.Packed (module Indulgent.At_plus_2.Standard) in
-  let trace = Sim.Runner.run ~record:true algo config ~proposals schedule in
+  let sink, drain = Obs.Sink.memory () in
+  let trace = Sim.Runner.run ~sink algo config ~proposals schedule in
 
   Format.printf "%a@.@." Sim.Trace.pp_summary trace;
-  Format.printf "%a@.@." Sim.Trace.pp_diagram trace;
+  Format.printf "%a@.@." Obs.Replay.pp_diagram
+    (Result.get_ok (Obs.Replay.of_events (drain ())));
 
   (* Check consensus: validity, uniform agreement, termination. *)
   (match Sim.Props.check trace with

@@ -32,9 +32,11 @@ let measure configs =
         (fun entry ->
           if not (Registry.applicable entry config) then None
           else begin
+            let registry = Obs.Metrics.create () in
             let trace =
-              Sim.Runner.run ~record:true entry.Registry.algo config
-                ~proposals quiet
+              Sim.Runner.run
+                ~sink:(Obs.Metrics.counting_sink registry)
+                entry.Registry.algo config ~proposals quiet
             in
             Some
               {
@@ -45,14 +47,13 @@ let measure configs =
                   (match Sim.Trace.global_decision_round trace with
                   | Some r -> Round.to_int r
                   | None -> 0);
-                quiescent_round = Stats.Summary.rounds_to_quiescence trace;
-                (* [Option.value ~default:0] cannot trigger here: the run
-                   above passes ~record:true. *)
+                quiescent_round = trace.Sim.Trace.rounds_executed;
                 messages =
                   Option.value ~default:0
-                    (Stats.Summary.messages_of_trace trace);
+                    (Stats.Summary.messages_of_metrics registry);
                 bytes =
-                  Option.value ~default:0 (Stats.Summary.bytes_of_trace trace);
+                  Option.value ~default:0
+                    (Stats.Summary.bytes_of_metrics registry);
               }
           end)
         entries)

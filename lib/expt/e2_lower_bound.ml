@@ -85,7 +85,8 @@ let run ppf =
   Format.fprintf ppf "The proof-guided run against FloodSetWS at %a:@,%a@,@,"
     Config.pp config Mc.Attack.pp_report report;
   Format.fprintf ppf "Space/time diagram (D=v decision, X crash):@,%a@,@,"
-    Sim.Trace.pp_diagram report.Mc.Attack.trace;
+    Obs.Replay.pp_diagram
+    (Result.get_ok (Obs.Replay.of_events report.Mc.Attack.events));
   (* The full five-run construction of Claim 5.1 (the paper's Fig. 1),
      machine-checked at (5, 2). *)
   let fig1 = Mc.Figure1.against_floodset_ws (Config.make ~n:5 ~t:2) in

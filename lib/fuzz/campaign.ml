@@ -28,9 +28,9 @@ let default_gen config rng =
 
 let mutation_gen ~base config rng = Workload.Mutate.generator ~base config rng
 
-(* Contiguous slice of runs handled by shard [k] of [jobs] — the same
-   split [Workload.Search.over] uses, so shard boundaries depend only on
-   [runs] and [jobs], never on timing. *)
+(* Contiguous slice of runs handled by shard [k] of [jobs]: sizes differ
+   by at most one, the larger slices first, so shard boundaries depend
+   only on [runs] and [jobs], never on timing. *)
 let slice ~jobs ~total k =
   let base = total / jobs and rem = total mod jobs in
   let lo = (k * base) + min k rem in

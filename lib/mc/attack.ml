@@ -6,8 +6,22 @@ type report = {
   proposals : Value.t Pid.Map.t;
   schedule : Sim.Schedule.t;
   trace : Sim.Trace.t;
+  events : Obs.Event.t list;
   violations : Sim.Props.violation list;
 }
+
+let report algo config ~proposals schedule =
+  let sink, drain = Obs.Sink.memory () in
+  let trace = Sim.Runner.run ~sink algo config ~proposals schedule in
+  {
+    algorithm = Sim.Algorithm.name algo;
+    config;
+    proposals;
+    schedule;
+    trace;
+    events = drain ();
+    violations = Sim.Props.check_agreement trace;
+  }
 
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>attack on %s %a:@,%a@,%a%a@]" r.algorithm Config.pp
@@ -73,17 +87,8 @@ let witness_proposals config =
     ~ones:(Pid.Set.of_ints (Listx.range 2 (Config.n config)))
 
 let run_witness algo config =
-  let schedule = witness_schedule config in
-  let proposals = witness_proposals config in
-  let trace = Sim.Runner.run ~record:true algo config ~proposals schedule in
-  {
-    algorithm = Sim.Algorithm.name algo;
-    config;
-    proposals;
-    schedule;
-    trace;
-    violations = Sim.Props.check_agreement trace;
-  }
+  report algo config ~proposals:(witness_proposals config)
+    (witness_schedule config)
 
 let solo_split_schedule ?rounds config =
   Config.validate_indulgent config;
@@ -123,30 +128,12 @@ let solo_split_dls config =
     (List.map (fun _ -> plan) (Listx.range 1 (t + 1)))
 
 let run_solo_split_dls algo config =
-  let schedule = solo_split_dls config in
-  let proposals = witness_proposals config in
-  let trace = Sim.Runner.run ~record:true algo config ~proposals schedule in
-  {
-    algorithm = Sim.Algorithm.name algo;
-    config;
-    proposals;
-    schedule;
-    trace;
-    violations = Sim.Props.check_agreement trace;
-  }
+  report algo config ~proposals:(witness_proposals config)
+    (solo_split_dls config)
 
 let run_solo_split algo config =
-  let schedule = solo_split_schedule config in
-  let proposals = witness_proposals config in
-  let trace = Sim.Runner.run ~record:true algo config ~proposals schedule in
-  {
-    algorithm = Sim.Algorithm.name algo;
-    config;
-    proposals;
-    schedule;
-    trace;
-    violations = Sim.Props.check_agreement trace;
-  }
+  report algo config ~proposals:(witness_proposals config)
+    (solo_split_schedule config)
 
 let floodset_ws_witness config =
   run_witness (Sim.Algorithm.Packed (module Baselines.Floodset_ws)) config
@@ -154,20 +141,13 @@ let floodset_ws_witness config =
 let search ?(samples = 500) ?(gst = 4) ?(directed = true) ~seed ~algo ~config
     ~proposals () =
   let rng = Rng.create ~seed in
+  (* Runs stay unobserved; a violating one is run again for its
+     events. *)
   let try_one schedule =
     let trace = Sim.Runner.run algo config ~proposals schedule in
     match Sim.Props.check_agreement trace with
     | [] -> None
-    | violations ->
-        Some
-          {
-            algorithm = Sim.Algorithm.name algo;
-            config;
-            proposals;
-            schedule;
-            trace;
-            violations;
-          }
+    | _ -> Some (report algo config ~proposals schedule)
   in
   let directed_schedules =
     if directed then [ solo_split_schedule config; witness_schedule config ]

@@ -35,6 +35,8 @@ type report = {
   proposals : Value.t Pid.Map.t;
   schedule : Sim.Schedule.t;
   trace : Sim.Trace.t;
+  events : Obs.Event.t list;
+      (** the run's event stream; {!Obs.Replay.pp_diagram} draws it *)
   violations : Sim.Props.violation list;  (** non-empty = attack succeeded *)
 }
 

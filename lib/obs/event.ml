@@ -1,11 +1,21 @@
 open Kernel
 
+type omission = Send_omit | Recv_omit
+
+let omission_to_string = function Send_omit -> "send" | Recv_omit -> "recv"
+
+let omission_of_string = function
+  | "send" -> Some Send_omit
+  | "recv" -> Some Recv_omit
+  | _ -> None
+
 type t =
   | Run_start of {
       algorithm : string;
       n : int;
       t : int;
       proposals : (Pid.t * Value.t) list;
+      omitters : (Pid.t * omission) list;
     }
   | Round_start of { round : Round.t }
   | Send of { src : Pid.t; round : Round.t; copies : int; bytes : int }
@@ -37,7 +47,7 @@ let label = function
 
 let pp ppf ev =
   match ev with
-  | Run_start { algorithm; n; t; proposals = _ } ->
+  | Run_start { algorithm; n; t; _ } ->
       Format.fprintf ppf "run_start %s n=%d t=%d" algorithm n t
   | Round_start { round } -> Format.fprintf ppf "round_start r%d" (Round.to_int round)
   | Send { src; round; copies; bytes } ->
@@ -79,20 +89,26 @@ let round_json r = Json.Int (Round.to_int r)
 let to_json ev =
   let tag = ("ev", Json.String (label ev)) in
   match ev with
-  | Run_start { algorithm; n; t; proposals } ->
+  | Run_start { algorithm; n; t; proposals; omitters } ->
+      let pairs f l =
+        Json.List (List.map (fun (p, x) -> Json.List [ pid_json p; f x ]) l)
+      in
       Json.Obj
-        [
-          tag;
-          ("algorithm", Json.String algorithm);
-          ("n", Json.Int n);
-          ("t", Json.Int t);
-          ( "proposals",
-            Json.List
-              (List.map
-                 (fun (p, v) ->
-                   Json.List [ pid_json p; Json.Int (Value.to_int v) ])
-                 proposals) );
-        ]
+        ([
+           tag;
+           ("algorithm", Json.String algorithm);
+           ("n", Json.Int n);
+           ("t", Json.Int t);
+           ("proposals", pairs (fun v -> Json.Int (Value.to_int v)) proposals);
+         ]
+        (* only when declared, so crash-only logs keep their bytes *)
+        @
+        if omitters = [] then []
+        else
+          [
+            ( "omitters",
+              pairs (fun c -> Json.String (omission_to_string c)) omitters );
+          ])
   | Round_start { round } -> Json.Obj [ tag; ("round", round_json round) ]
   | Send { src; round; copies; bytes } ->
       Json.Obj
@@ -200,7 +216,28 @@ let of_json json =
             | _ -> Error "proposals: expected [pid, value] pairs")
           (Ok []) raw
       in
-      Ok (Run_start { algorithm; n; t; proposals = List.rev proposals })
+      let* omitters =
+        let bad =
+          Error "omitters: expected [pid, \"send\"|\"recv\"] pairs"
+        in
+        match Json.member "omitters" json with
+        | None -> Ok []
+        | Some (Json.List items) ->
+            List.fold_right
+              (fun item acc ->
+                let* acc = acc in
+                match item with
+                | Json.List [ Json.Int p; Json.String c ] when p >= 1 -> (
+                    match omission_of_string c with
+                    | Some c -> Ok ((Pid.of_int p, c) :: acc)
+                    | None -> bad)
+                | _ -> bad)
+              items (Ok [])
+        | Some _ -> bad
+      in
+      Ok
+        (Run_start
+           { algorithm; n; t; proposals = List.rev proposals; omitters })
   | "round_start" ->
       let* round = round_field "round" json in
       Ok (Round_start { round })

@@ -14,12 +14,25 @@
 
 open Kernel
 
+type omission = Send_omit | Recv_omit
+(** Which side of a declared omission-faulty process loses messages;
+    [Sim.Model.omission] is this type. *)
+
+val omission_to_string : omission -> string
+(** ["send"] or ["recv"], the wire form. *)
+
+val omission_of_string : string -> omission option
+
 type t =
   | Run_start of {
       algorithm : string;
       n : int;
       t : int;
       proposals : (Pid.t * Value.t) list;  (** sorted by pid *)
+      omitters : (Pid.t * omission) list;
+          (** the schedule's declared omitters, sorted by pid; the JSON
+              field is written only when non-empty and read as [[]] when
+              absent *)
     }
   | Round_start of { round : Round.t }
   | Send of { src : Pid.t; round : Round.t; copies : int; bytes : int }

@@ -4,18 +4,20 @@ type run = {
   algorithm : string option;
   n : int;
   t : int option;
+  omitters : (Pid.t * Event.omission) list;
   rounds : int;
   events : Event.t list;
 }
 
 let of_events events =
-  let algorithm, t =
+  let algorithm, t, omitters =
     List.fold_left
-      (fun ((_, _) as acc) ev ->
+      (fun acc ev ->
         match ev with
-        | Event.Run_start { algorithm; t = t'; _ } -> (Some algorithm, Some t')
+        | Event.Run_start { algorithm; t = t'; omitters; _ } ->
+            (Some algorithm, Some t', omitters)
         | _ -> acc)
-      (None, None) events
+      (None, None, []) events
   in
   let n =
     List.fold_left
@@ -44,23 +46,7 @@ let of_events events =
       0 events
   in
   if n = 0 then Error "event stream mentions no process"
-  else Ok { algorithm; n; t; rounds; events }
-
-let crash_round run p =
-  List.find_map
-    (function
-      | Event.Crash { pid; round } when Pid.equal pid p ->
-          Some (Round.to_int round)
-      | _ -> None)
-    run.events
-
-let halt_round run p =
-  List.find_map
-    (function
-      | Event.Halt { pid; round } when Pid.equal pid p ->
-          Some (Round.to_int round)
-      | _ -> None)
-    run.events
+  else Ok { algorithm; n; t; omitters; rounds; events }
 
 let decisions run =
   List.filter_map
@@ -87,24 +73,36 @@ let pp_summary ppf run =
           ds)
     ()
 
-(* Mirrors Sim.Trace.pp_diagram, but cells come from the event stream:
-   Halt events make the "h" cells exact instead of inferred from who sent. *)
+(* The one space/time diagram: the grid comes from Crash/Decide/Halt
+   events, the legend from the declared omitters and the Drop/Delay events,
+   so it shows only the fates of messages that were actually sent. *)
 let pp_diagram ppf run =
-  let decision_at p k =
-    List.find_map
-      (fun (pid, round, value) ->
-        if Pid.equal pid p && Round.to_int round = k then Some value else None)
-      (decisions run)
+  (* Each process's first crash, halt and per-round decision, gathered in
+     one pass: drawing stays linear in the stream, whose Deliver events
+     grow as n^2 per round. *)
+  let crash = Hashtbl.create 16
+  and halt = Hashtbl.create 16
+  and decided = Hashtbl.create 16 in
+  let first tbl key v =
+    if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v
   in
+  List.iter
+    (function
+      | Event.Crash { pid; round } -> first crash pid (Round.to_int round)
+      | Event.Halt { pid; round } -> first halt pid (Round.to_int round)
+      | Event.Decide { pid; round; value } ->
+          first decided (pid, Round.to_int round) value
+      | _ -> ())
+    run.events;
   let cell p k =
-    match crash_round run p with
+    match Hashtbl.find_opt crash p with
     | Some r when r < k -> "."
     | Some r when r = k -> "X"
     | _ -> (
-        match decision_at p k with
+        match Hashtbl.find_opt decided (p, k) with
         | Some v -> Format.asprintf "D=%a" Value.pp v
         | None -> (
-            match halt_round run p with
+            match Hashtbl.find_opt halt p with
             | Some h when h < k -> "h"
             | _ -> "*"))
   in
@@ -127,12 +125,25 @@ let pp_diagram ppf run =
       done;
       Format.fprintf ppf "@,")
     (Pid.all ~n:run.n);
+  if run.omitters <> [] then
+    Format.fprintf ppf "  omitters: %a@,"
+      (Format.pp_print_list
+         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
+         (fun ppf (p, cls) ->
+           Format.fprintf ppf "%a (%s-omission)" Pid.pp p
+             (Event.omission_to_string cls)))
+      run.omitters;
   List.iter
     (fun ev ->
       match ev with
       | Event.Drop { src; dst; round } ->
-          Format.fprintf ppf "  r%d: %a -> %a lost@," (Round.to_int round)
-            Pid.pp src Pid.pp dst
+          Format.fprintf ppf "  r%d: %a -> %a " (Round.to_int round) Pid.pp src
+            Pid.pp dst;
+          if List.mem (src, Event.Send_omit) run.omitters then
+            Format.fprintf ppf "omitted (send-omission by %a)@," Pid.pp src
+          else if List.mem (dst, Event.Recv_omit) run.omitters then
+            Format.fprintf ppf "omitted (receive-omission by %a)@," Pid.pp dst
+          else Format.fprintf ppf "lost@,"
       | Event.Delay { src; dst; round; until } ->
           Format.fprintf ppf "  r%d: %a -> %a delayed until r%d@,"
             (Round.to_int round) Pid.pp src Pid.pp dst (Round.to_int until)

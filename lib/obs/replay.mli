@@ -1,15 +1,18 @@
 (** Reconstructing a run from its event stream.
 
-    A saved JSONL log carries everything the ASCII space/time diagram
-    needs — in fact more than [Sim.Trace.t] without records does, since
-    [Halt] events pin down exactly when each process returned. [ipi trace
-    FILE] parses the log and renders the same Fig.-1-style diagram as
-    [ipi run -d], without re-executing anything. *)
+    The event stream is the one per-round record of a run, and this module
+    draws the one Fig.-1-style space/time diagram from it: [ipi run -d],
+    [ipi attack], the experiments and the examples run with an
+    {!Sink.memory} and render the drained events; [ipi trace FILE] parses
+    a saved JSONL log and renders the same diagram without re-executing
+    anything. *)
 
 type run = {
   algorithm : string option;  (** from [Run_start], when present *)
   n : int;
   t : int option;
+  omitters : (Kernel.Pid.t * Event.omission) list;
+      (** from [Run_start]; [[]] without one *)
   rounds : int;
       (** columns to draw: [Run_end.rounds] when present, otherwise the
           highest round seen in any event *)
@@ -25,4 +28,6 @@ val pp_summary : Format.formatter -> run -> unit
 val pp_diagram : Format.formatter -> run -> unit
 (** One row per process, one cell per round: [X] crash, [D=v] decision,
     [h] halted (no longer sending), [.] already crashed, [*] participating;
-    then a legend of off-schedule fates ([Drop]/[Delay] events). *)
+    then the declared omitters and a legend of off-schedule fates in event
+    order: each [Delay], and each [Drop], attributed to its send- or
+    receive-omitter when the run declares one. *)

@@ -25,12 +25,15 @@
       arrays that are later mutated, hash tables, ...). The model checker's
       transposition table ({!Mc.Dedup}) keys on
       {!Engine.Make.Arena.fingerprint}, which embeds algorithm states
-      and message payloads and compares them with polymorphic [(=)] /
-      [Hashtbl.hash]; a state violating this is not {e unsound} (a missed
-      structural equality only loses cache hits) but a state whose
-      structural equality is {e coarser} than its behaviour — e.g. a
-      memoisation field that does not affect future steps — would be, so
-      keep states canonical: equal behaviour iff equal structure.
+      and message payloads, hashes them with [Hashtbl.hash] and compares
+      them with [compare a b = 0] — the same relation as polymorphic
+      [(=)] on this float-free data, but one that short-circuits on
+      physically shared subterms (DESIGN §16); a state violating this is
+      not {e unsound} (a missed structural equality only loses cache hits)
+      but a state whose structural equality is {e coarser} than its
+      behaviour — e.g. a memoisation field that does not affect future
+      steps — would be, so keep states canonical: equal behaviour iff
+      equal structure.
 
     These are the same rules every algorithm in this repository already
     follows; they are spelled out here because the reduction layer now

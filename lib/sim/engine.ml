@@ -75,18 +75,6 @@ module Make (A : Algorithm.S) = struct
     let st_done = '\001'
     let st_crashed = '\002'
 
-    (* What [run] attaches to watch a run: the round records it builds and
-       the sink it emits to. An observed arena takes the general path every
-       round, so the fast path pays one branch for it. *)
-    type observer = {
-      sink : Obs.Sink.t;
-      emitting : bool;  (* [Obs.Sink.enabled sink] *)
-      recording : bool;
-      mutable bytes : int;  (* this round's *)
-      mutable delivered : (Pid.t * Pid.t * Round.t) list;  (* newest first *)
-      mutable rev_records : Trace.round_record list;
-    }
-
     (* A reusable branch-point slot. [sn_status]/[sn_states] are owned
        buffers (blitted both ways); the decision list and late map are
        immutable values captured by pointer. Crash rounds are {e not}
@@ -145,7 +133,10 @@ module Make (A : Algorithm.S) = struct
       mutable a_restores : int;
       a_filler : A.state;
       a_fp : fingerprint;  (* reusable probe buffers *)
-      mutable a_obs : observer option;
+      mutable a_sink : Obs.Sink.t option;
+          (* the enabled sink [run] attaches; an observed arena takes the
+             general path every round, so the fast path pays one branch
+             for it *)
     }
 
     let init_state config proposals i =
@@ -188,7 +179,7 @@ module Make (A : Algorithm.S) = struct
             fp_late = [];
             fp_decisions = [];
           };
-        a_obs = None;
+        a_sink = None;
       }
 
     (* The cells, the spine over them and the snapshot slots survive; the
@@ -331,7 +322,7 @@ module Make (A : Algorithm.S) = struct
     (* ---------------------------------------------------------------- *)
     (* Round execution *)
 
-    let rec apply_crashes t round obs = function
+    let rec apply_crashes t round sink = function
       | [] -> ()
       | victim :: rest ->
           let i = Pid.to_int victim - 1 in
@@ -339,12 +330,12 @@ module Make (A : Algorithm.S) = struct
             Bytes.set t.a_status i st_crashed;
             t.a_crash_round.(i) <- Round.to_int round;
             t.a_live <- t.a_live - 1;
-            match obs with
-            | Some o when o.emitting ->
-                Obs.Sink.emit o.sink (Obs.Event.Crash { pid = victim; round })
-            | _ -> ()
+            match sink with
+            | Some sink ->
+                Obs.Sink.emit sink (Obs.Event.Crash { pid = victim; round })
+            | None -> ()
           end;
-          apply_crashes t round obs rest
+          apply_crashes t round sink rest
 
     (* Refresh every running sender's cell in place. Cells are created at
        first use (a process not running at one branch's first fast round
@@ -434,64 +425,40 @@ module Make (A : Algorithm.S) = struct
 
     (* The observed sends, ascending by sender: [Send] and the per-copy
        [Delay]/[Drop] fates. *)
-    let observe_sends o ~n cplan round sent =
+    let observe_sends sink ~n cplan round sent =
       List.iter
         (fun (e : A.msg Envelope.t) ->
           let bytes = n * (Algorithm.header_bytes + A.wire_size e.payload) in
-          o.bytes <- o.bytes + bytes;
-          if o.emitting then begin
-            let src = e.src in
-            Obs.Sink.emit o.sink (Obs.Event.Send { src; round; copies = n; bytes });
-            for d = 1 to n do
-              let dst = Pid.of_int d in
-              if not (Pid.equal dst src) then
-                match Schedule.compiled_fate cplan ~src ~dst with
-                | Schedule.Same_round -> ()
-                | Schedule.Delayed_until until ->
-                    Obs.Sink.emit o.sink
-                      (Obs.Event.Delay { src; dst; round; until })
-                | Schedule.Lost ->
-                    Obs.Sink.emit o.sink (Obs.Event.Drop { src; dst; round })
-            done
-          end)
+          let src = e.src in
+          Obs.Sink.emit sink (Obs.Event.Send { src; round; copies = n; bytes });
+          for d = 1 to n do
+            let dst = Pid.of_int d in
+            if not (Pid.equal dst src) then
+              match Schedule.compiled_fate cplan ~src ~dst with
+              | Schedule.Same_round -> ()
+              | Schedule.Delayed_until until ->
+                  Obs.Sink.emit sink
+                    (Obs.Event.Delay { src; dst; round; until })
+              | Schedule.Lost ->
+                  Obs.Sink.emit sink (Obs.Event.Drop { src; dst; round })
+          done)
         sent
 
-    let observe_receive o t p round inbox =
+    let observe_receive sink t p round inbox =
       List.iter
         (fun (e : A.msg Envelope.t) ->
-          if o.recording then o.delivered <- (e.src, p, e.sent) :: o.delivered;
-          if o.emitting then
-            Obs.Sink.emit o.sink
-              (Obs.Event.Deliver { src = e.src; dst = p; sent = e.sent; round }))
+          Obs.Sink.emit sink
+            (Obs.Event.Deliver { src = e.src; dst = p; sent = e.sent; round }))
         inbox;
       let before = t.a_decisions in
       receive_one t p round inbox;
-      if o.emitting then begin
-        (match t.a_decisions with
-        | d :: _ when t.a_decisions != before ->
-            Obs.Sink.emit o.sink
-              (Obs.Event.Decide { pid = p; round; value = d.Trace.value })
-        | _ -> ());
-        if Bytes.get t.a_status (Pid.to_int p - 1) = st_done then
-          Obs.Sink.emit o.sink (Obs.Event.Halt { pid = p; round })
-      end
-
-    let record_round o t (plan : Schedule.plan) round sent =
-      let rec this_round acc = function
-        | (d : Trace.decision) :: rest when Round.equal d.round round ->
-            this_round (d :: acc) rest
-        | _ -> acc
-      in
-      o.rev_records <-
-        {
-          Trace.round;
-          senders = List.map (fun (e : A.msg Envelope.t) -> e.src) sent;
-          crashed_now = plan.crashes;
-          delivered = List.rev o.delivered;
-          bytes_sent = o.bytes;
-          new_decisions = this_round [] t.a_decisions;
-        }
-        :: o.rev_records
+      (match t.a_decisions with
+      | d :: _ when t.a_decisions != before ->
+          Obs.Sink.emit sink
+            (Obs.Event.Decide { pid = p; round; value = d.Trace.value })
+      | _ -> ());
+      if Bytes.get t.a_status (Pid.to_int p - 1) = st_done then
+        Obs.Sink.emit sink (Obs.Event.Halt { pid = p; round })
 
     (* The general path: fate tables, delayed messages, late deliveries due
        this round, and every observed round. Fresh envelopes per sender —
@@ -500,12 +467,9 @@ module Make (A : Algorithm.S) = struct
     let step_general t cplan round late_due =
       let n = t.a_n in
       let plan = Schedule.compiled_source cplan in
-      let obs = t.a_obs in
-      (match obs with
-      | Some o ->
-          o.bytes <- 0;
-          o.delivered <- [];
-          if o.emitting then Obs.Sink.emit o.sink (Obs.Event.Round_start { round })
+      let sink = t.a_sink in
+      (match sink with
+      | Some sink -> Obs.Sink.emit sink (Obs.Event.Round_start { round })
       | None -> ());
       if late_due <> None then t.a_late <- Int_map.remove t.a_next t.a_late;
       let ib = Array.make n [] in
@@ -517,7 +481,7 @@ module Make (A : Algorithm.S) = struct
             Envelope.make ~src:srcp ~sent:round
               (send_guarded t.a_states.(src - 1) ~pid:srcp round)
           in
-          (match obs with Some _ -> sent := env :: !sent | None -> ());
+          (match sink with Some _ -> sent := env :: !sent | None -> ());
           for dst = 1 to n do
             if dst = src then ib.(dst - 1) <- env :: ib.(dst - 1)
             else
@@ -540,7 +504,9 @@ module Make (A : Algorithm.S) = struct
           done
         end
       done;
-      (match obs with Some o -> observe_sends o ~n cplan round !sent | None -> ());
+      (match sink with
+      | Some sink -> observe_sends sink ~n cplan round !sent
+      | None -> ());
       (match late_due with
       | None -> ()
       | Some per ->
@@ -551,17 +517,14 @@ module Make (A : Algorithm.S) = struct
               ib.(i) <-
                 List.sort Envelope.compare_src (List.rev_append q ib.(i)))
             per);
-      apply_crashes t round obs plan.Schedule.crashes;
+      apply_crashes t round sink plan.Schedule.crashes;
       for i = 0 to n - 1 do
         if Bytes.get t.a_status i = st_running then
           let p = Pid.of_int (i + 1) in
-          match obs with
+          match sink with
           | None -> receive_one t p round ib.(i)
-          | Some o -> observe_receive o t p round ib.(i)
+          | Some sink -> observe_receive sink t p round ib.(i)
       done;
-      (match obs with
-      | Some o when o.recording -> record_round o t plan round !sent
-      | _ -> ());
       t.a_next <- t.a_next + 1
 
     (* A raising step leaves the arena mid-round (dirty); the DFS contract
@@ -576,7 +539,7 @@ module Make (A : Algorithm.S) = struct
       in
       match fates with
       | (Schedule.Quiet | Schedule.Single_lost _ | Schedule.Single_dst _)
-        when late_due = None && t.a_obs == None ->
+        when late_due = None && t.a_sink == None ->
           (* Fast path: refresh the spine in place; at most one reduced
              inbox (the victim's messages removed, or the starved
              receiver's view) is looked up per round — nothing allocated
@@ -614,10 +577,6 @@ module Make (A : Algorithm.S) = struct
         crashes = crashed t;
         rounds_executed = t.a_next - 1;
         all_halted = t.a_live = 0;
-        records =
-          (match t.a_obs with
-          | Some o when o.recording -> List.rev o.rev_records
-          | _ -> []);
       }
 
     let finish ?max_rounds ?prof ~schedule t =
@@ -648,8 +607,8 @@ module Make (A : Algorithm.S) = struct
       trace ~schedule t
   end
 
-  let run ?(record = false) ?(sink = Obs.Sink.noop) ?max_rounds ?prof config
-      ~proposals schedule =
+  let run ?(sink = Obs.Sink.noop) ?max_rounds ?prof config ~proposals schedule
+      =
     let emitting = Obs.Sink.enabled sink in
     if emitting then
       Obs.Sink.emit sink
@@ -659,19 +618,10 @@ module Make (A : Algorithm.S) = struct
              n = Config.n config;
              t = Config.t config;
              proposals = Pid.Map.bindings proposals;
+             omitters = Schedule.omitters schedule;
            });
     let arena = Arena.create config ~proposals in
-    if record || emitting then
-      arena.Arena.a_obs <-
-        Some
-          {
-            Arena.sink;
-            emitting;
-            recording = record;
-            bytes = 0;
-            delivered = [];
-            rev_records = [];
-          };
+    if emitting then arena.Arena.a_sink <- Some sink;
     let trace = Arena.finish ?max_rounds ?prof ~schedule arena in
     if emitting then
       Obs.Sink.emit sink

@@ -11,8 +11,9 @@
     One executor runs every simulation: the mutable {!Make.Arena}. The
     model checker steps it branch by branch and rewinds it with snapshots,
     fuzz campaigns step it round by round under a monitor, and {!Make.run}
-    runs it to completion, attaching an observer that builds round records
-    and emits events only when asked to. *)
+    runs it to completion. A run's only per-round record is its
+    {!Obs.Event.t} stream: {!Make.run} emits it into an enabled sink, and
+    {!Obs.Replay} draws the space/time diagram from it. *)
 
 open Kernel
 
@@ -149,9 +150,9 @@ module Make (A : Algorithm.S) : sig
       ?max_rounds:int -> ?prof:Obs.Prof.acc -> schedule:Schedule.t -> t -> Trace.t
     (** Step with [schedule]'s remaining plans (empty past the horizon)
         until all processes halt or [max_rounds] rounds have executed
-        (default {!default_max_rounds}), then package the trace
-        ([records] is empty). Leaves the arena at the end of the run; the
-        caller rewinds via {!restore}. [prof], when given, records one
+        (default {!default_max_rounds}), then package the trace. Leaves
+        the arena at the end of the run; the caller rewinds via
+        {!restore}. [prof], when given, records one
         {!Obs.Prof} interval per executed round.
 
         When the arena was advanced manually via {!step}, pass the
@@ -161,7 +162,6 @@ module Make (A : Algorithm.S) : sig
   end
 
   val run :
-    ?record:bool ->
     ?sink:Obs.Sink.t ->
     ?max_rounds:int ->
     ?prof:Obs.Prof.acc ->
@@ -171,16 +171,16 @@ module Make (A : Algorithm.S) : sig
     Trace.t
   (** Run to completion on a fresh arena: {!Arena.finish} from round 1.
       The default bound is generous enough for every algorithm in this
-      repository to terminate after the schedule's gst. [record] (default
-      [false]) fills {!Trace.t.records} for diagrams. [sink] (default
+      repository to terminate after the schedule's gst. [sink] (default
       {!Obs.Sink.noop}) receives the run's structured event stream —
-      [Run_start], then per round [Round_start], [Send] (with per-copy
-      [Drop]/[Delay] fates) for each sender in ascending order, [Crash],
-      and per receiver in ascending order its [Deliver]s, [Decide] and
-      [Halt], and finally [Run_end]. Event order is deterministic for a
-      fixed config, proposals and schedule. With neither, no observer is
-      attached and the run takes the arena's allocation-free fast path.
-      [prof] records one {!Obs.Prof} interval per executed round. *)
+      [Run_start] (with the schedule's declared omitters), then per round
+      [Round_start], [Send] (with per-copy [Drop]/[Delay] fates) for each
+      sender in ascending order, [Crash], and per receiver in ascending
+      order its [Deliver]s, [Decide] and [Halt], and finally [Run_end].
+      Event order is deterministic for a fixed config, proposals and
+      schedule. Without an enabled sink the run takes the arena's
+      allocation-free fast path. [prof] records one {!Obs.Prof} interval
+      per executed round. *)
 end
 
 val default_max_rounds : Config.t -> Schedule.t -> int

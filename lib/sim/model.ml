@@ -8,21 +8,15 @@ let equal a b =
 let to_string = function Scs -> "SCS" | Es -> "ES" | Dls_basic -> "DLS"
 let pp ppf m = Format.pp_print_string ppf (to_string m)
 
-type omission = Send_omit | Recv_omit
+type omission = Obs.Event.omission = Send_omit | Recv_omit
 
 let equal_omission a b =
   match (a, b) with
   | Send_omit, Send_omit | Recv_omit, Recv_omit -> true
   | _ -> false
 
-let omission_to_string = function
-  | Send_omit -> "send"
-  | Recv_omit -> "recv"
-
-let omission_of_string = function
-  | "send" -> Some Send_omit
-  | "recv" -> Some Recv_omit
-  | _ -> None
+let omission_to_string = Obs.Event.omission_to_string
+let omission_of_string = Obs.Event.omission_of_string
 
 let pp_omission ppf o = Format.pp_print_string ppf (omission_to_string o)
 

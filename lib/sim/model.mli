@@ -42,7 +42,7 @@ val to_string : t -> string
     decide — but the adversary selectively drops messages on one side of
     it without the process ever knowing. *)
 
-type omission =
+type omission = Obs.Event.omission =
   | Send_omit  (** outgoing messages may be dropped (the culprit sends
                    into the void); incoming delivery is unaffected *)
   | Recv_omit  (** incoming messages may be dropped (the culprit hears

@@ -1,9 +1,9 @@
 open Kernel
 
-let run ?record ?sink ?max_rounds ?prof (Algorithm.Packed (module A)) config
+let run ?sink ?max_rounds ?prof (Algorithm.Packed (module A)) config
     ~proposals schedule =
   let module E = Engine.Make (A) in
-  E.run ?record ?sink ?max_rounds ?prof config ~proposals schedule
+  E.run ?sink ?max_rounds ?prof config ~proposals schedule
 
 let proposals_of_list values =
   List.fold_left

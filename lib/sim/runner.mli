@@ -4,7 +4,6 @@
 open Kernel
 
 val run :
-  ?record:bool ->
   ?sink:Obs.Sink.t ->
   ?max_rounds:int ->
   ?prof:Obs.Prof.acc ->

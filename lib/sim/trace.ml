@@ -2,15 +2,6 @@ open Kernel
 
 type decision = { pid : Pid.t; round : Round.t; value : Value.t }
 
-type round_record = {
-  round : Round.t;
-  senders : Pid.t list;
-  crashed_now : Pid.t list;
-  delivered : (Pid.t * Pid.t * Round.t) list;
-  bytes_sent : int;
-  new_decisions : decision list;
-}
-
 type t = {
   algorithm : string;
   config : Config.t;
@@ -20,7 +11,6 @@ type t = {
   crashes : (Pid.t * Round.t) list;
   rounds_executed : int;
   all_halted : bool;
-  records : round_record list;
 }
 
 let decision_of trace pid =
@@ -75,102 +65,3 @@ let pp_summary ppf trace =
       | Some r -> Format.fprintf ppf "@,global decision at round %d" (Round.to_int r)
       | None -> Format.fprintf ppf "@,no decision")
     ()
-
-(* One row per process, one cell per executed round. Cell contents:
-   "X" crash this round, "D=v" decision this round, "*" sent and received
-   normally, "." already crashed, "h" halted. A trailing legend lists the
-   off-schedule deliveries (delayed / lost messages). *)
-let pp_diagram ppf trace =
-  let n = Config.n trace.config in
-  let rounds = trace.rounds_executed in
-  (* Without per-round records we cannot tell a quietly-participating
-     process from one that already halted, so the [*]/[h] distinction (and
-     [*] itself) would be a guess; render those cells as [?] and say why. *)
-  let have_records = trace.records <> [] || rounds = 0 in
-  let crash_round p =
-    List.assoc_opt p (List.map (fun (q, r) -> (q, r)) trace.crashes)
-  in
-  let decision_at p k =
-    List.find_opt
-      (fun d -> Pid.equal d.pid p && Round.to_int d.round = k)
-      trace.decisions
-  in
-  let record_at k =
-    List.find_opt (fun r -> Round.to_int r.round = k) trace.records
-  in
-  let cell p k =
-    match crash_round p with
-    | Some r when Round.to_int r < k -> "."
-    | Some r when Round.to_int r = k -> "X"
-    | _ -> (
-        match decision_at p k with
-        | Some d -> Format.asprintf "D=%a" Value.pp d.value
-        | None when not have_records -> "?"
-        | None -> (
-            match record_at k with
-            | Some rec_ when not (List.exists (Pid.equal p) rec_.senders) ->
-                "h"
-            | _ -> "*"))
-  in
-  let width = 5 in
-  let pad s =
-    let len = String.length s in
-    if len >= width then s else s ^ String.make (width - len) ' '
-  in
-  Format.fprintf ppf "@[<v>";
-  Format.fprintf ppf "     ";
-  for k = 1 to rounds do
-    Format.fprintf ppf "%s" (pad (Printf.sprintf "r%d" k))
-  done;
-  Format.fprintf ppf "@,";
-  List.iter
-    (fun p ->
-      Format.fprintf ppf "%-4s " (Pid.to_string p);
-      for k = 1 to rounds do
-        Format.fprintf ppf "%s" (pad (cell p k))
-      done;
-      Format.fprintf ppf "@,")
-    (Pid.all ~n);
-  if not have_records then
-    Format.fprintf ppf
-      "  (trace carries no per-round records — run with ~record:true; [?] = \
-       sent/halted unknown)@,";
-  (* Off-schedule message fates, from the schedule itself. Losses caused
-     by a declared omitter are labelled with their culprit so a diagram of
-     an omission counterexample reads as faults, not as network losses. *)
-  let sched = trace.schedule in
-  (match Schedule.omitters sched with
-  | [] -> ()
-  | os ->
-      Format.fprintf ppf "  omitters: %a@,"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-           (fun ppf (p, cls) ->
-             Format.fprintf ppf "%a (%a-omission)" Pid.pp p Model.pp_omission
-               cls))
-        os);
-  let horizon = min rounds (Schedule.horizon sched) in
-  for k = 1 to horizon do
-    let plan = Schedule.plan_at sched (Round.of_int k) in
-    List.iter
-      (fun (src, dst) ->
-        match
-          (Schedule.omitter_class sched src, Schedule.omitter_class sched dst)
-        with
-        | Some Model.Send_omit, _ ->
-            Format.fprintf ppf "  r%d: %a -> %a omitted (send-omission by %a)@,"
-              k Pid.pp src Pid.pp dst Pid.pp src
-        | _, Some Model.Recv_omit ->
-            Format.fprintf ppf
-              "  r%d: %a -> %a omitted (receive-omission by %a)@," k Pid.pp src
-              Pid.pp dst Pid.pp dst
-        | _ ->
-            Format.fprintf ppf "  r%d: %a -> %a lost@," k Pid.pp src Pid.pp dst)
-      plan.Schedule.lost;
-    List.iter
-      (fun (src, dst, until) ->
-        Format.fprintf ppf "  r%d: %a -> %a delayed until r%d@," k Pid.pp src
-          Pid.pp dst (Round.to_int until))
-      plan.Schedule.delayed
-  done;
-  Format.fprintf ppf "@]"

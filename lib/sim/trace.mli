@@ -1,20 +1,11 @@
-(** The observable outcome of one simulated run. *)
+(** The outcome of one simulated run: who decided what and when, who
+    crashed, and how the run ended. What happened round by round — sends,
+    fates, deliveries — is the run's {!Obs.Event.t} stream, which
+    {!Obs.Replay} draws. *)
 
 open Kernel
 
 type decision = { pid : Pid.t; round : Round.t; value : Value.t }
-
-type round_record = {
-  round : Round.t;
-  senders : Pid.t list;  (** processes that sent a message this round *)
-  crashed_now : Pid.t list;
-  delivered : (Pid.t * Pid.t * Round.t) list;
-      (** [(src, dst, sent)] for every envelope delivered this round *)
-  bytes_sent : int;
-      (** estimated bytes put on the wire this round: per sender,
-          [n] copies of (header + payload size) *)
-  new_decisions : decision list;
-}
 
 type t = {
   algorithm : string;
@@ -27,7 +18,6 @@ type t = {
   all_halted : bool;
       (** every non-crashed process returned before [rounds_executed] ran
           out; [false] means the run hit the round bound *)
-  records : round_record list;  (** chronological; empty unless requested *)
 }
 
 val decision_of : t -> Pid.t -> decision option
@@ -46,10 +36,3 @@ val correct : t -> Pid.t list
     not declared omission-faulty in the schedule. *)
 
 val pp_summary : Format.formatter -> t -> unit
-
-val pp_diagram : Format.formatter -> t -> unit
-(** Fig.-1-style ASCII space/time diagram: one row per process, one column
-    per round, showing crashes ([X]), decisions ([D=v]), halts ([h]) and
-    off-schedule message fates. The [*]/[h] cells need {!t.records}; on a
-    record-free trace those cells render as [?] with an explanatory note
-    instead of a misleading [*]. *)

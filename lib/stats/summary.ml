@@ -15,32 +15,6 @@ let of_list = function
 let pp ppf s =
   Format.fprintf ppf "n=%d min=%d max=%d mean=%.2f" s.count s.min s.max s.mean
 
-(* A record-free trace of a non-trivial run carries no cost information; the
-   old behaviour (Invalid_argument) turned a missing ~record:true into a
-   crash deep inside an experiment. [None] lets callers degrade: compute the
-   costs from an Obs event stream, or print "-". *)
-let messages_of_trace (trace : Sim.Trace.t) =
-  match trace.records with
-  | [] when trace.rounds_executed > 0 -> None
-  | records ->
-      let n = Kernel.Config.n trace.config in
-      Some
-        (List.fold_left
-           (fun acc (r : Sim.Trace.round_record) ->
-             acc + (List.length r.senders * n))
-           0 records)
-
-let rounds_to_quiescence (trace : Sim.Trace.t) = trace.rounds_executed
-
-let bytes_of_trace (trace : Sim.Trace.t) =
-  match trace.records with
-  | [] when trace.rounds_executed > 0 -> None
-  | records ->
-      Some
-        (List.fold_left
-           (fun acc (r : Sim.Trace.round_record) -> acc + r.bytes_sent)
-           0 records)
-
 let messages_of_metrics metrics =
   Obs.Metrics.find_counter metrics "sim.messages_sent"
 

@@ -1,4 +1,6 @@
-(** Aggregates over integer samples (decision rounds, message counts). *)
+(** Aggregates over integer samples (decision rounds, message counts), and
+    the message and byte totals of runs counted through
+    {!Obs.Metrics.counting_sink}. *)
 
 type t = { count : int; min : int; max : int; mean : float }
 
@@ -7,24 +9,12 @@ val of_list : int list -> t option
 
 val pp : Format.formatter -> t -> unit
 
-val messages_of_trace : Sim.Trace.t -> int option
-(** Total point-to-point message copies sent in the run: each sender
-    broadcasts to all [n] processes every round it participates in. [None]
-    when the trace carries no records (run with [~record:true], or count
-    through an {!Obs.Metrics.counting_sink} instead). *)
-
-val rounds_to_quiescence : Sim.Trace.t -> int
-(** Rounds executed before every surviving process halted. *)
-
-val bytes_of_trace : Sim.Trace.t -> int option
-(** Total estimated bytes on the wire (headers plus per-algorithm
-    {!Sim.Algorithm.S.wire_size} payload estimates). [None] without
-    records. *)
-
 val messages_of_metrics : Obs.Metrics.t -> int option
 (** The [sim.messages_sent] counter of a registry fed by
-    {!Obs.Metrics.counting_sink} — the record-free way to get the same
-    number {!messages_of_trace} computes. *)
+    {!Obs.Metrics.counting_sink}: the point-to-point copies sent, [n] per
+    sender per round it participates in. *)
 
 val bytes_of_metrics : Obs.Metrics.t -> int option
-(** The [sim.bytes_sent] counter, ditto. *)
+(** The [sim.bytes_sent] counter, ditto: estimated bytes on the wire
+    (headers plus per-algorithm {!Sim.Algorithm.S.wire_size} payload
+    estimates). *)

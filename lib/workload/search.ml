@@ -9,137 +9,34 @@ type outcome = {
 
 let empty = { worst_round = 0; worst_schedule = None; runs = 0; violations = [] }
 
-(* One run folded into the outcome; [bump]/[observe_decision] are the
-   caller's progress hooks. *)
-let fold_run ~check ~algo ~config ~proposals ~bump ~observe_decision acc
-    schedule =
+let fold_run ~algo ~config ~proposals acc schedule =
   let trace = Sim.Runner.run algo config ~proposals schedule in
-  let violations =
-    match check with
-    | `Full -> Sim.Props.check trace
-    | `Safety_only -> Sim.Props.check_agreement trace
-    | `None -> []
-  in
-  bump (List.length violations);
+  let acc = { acc with runs = acc.runs + 1 } in
   let acc =
-    match violations with
+    match Sim.Props.check trace with
     | [] -> acc
     | vs -> { acc with violations = (schedule, vs) :: acc.violations }
   in
-  let acc = { acc with runs = acc.runs + 1 } in
   match Sim.Trace.global_decision_round trace with
-  | Some r ->
-      observe_decision (Round.to_int r);
-      if Round.to_int r > acc.worst_round then
-        {
-          acc with
-          worst_round = Round.to_int r;
-          worst_schedule = Some schedule;
-        }
-      else acc
-  | None -> acc
+  | Some r when Round.to_int r > acc.worst_round ->
+      { acc with worst_round = Round.to_int r; worst_schedule = Some schedule }
+  | _ -> acc
 
-let metric_hooks metrics =
-  match metrics with
-  | None -> (ignore, ignore)
-  | Some m ->
-      let runs = Obs.Metrics.counter m "search.runs" in
-      let violations = Obs.Metrics.counter m "search.violations" in
-      let decision = Obs.Metrics.histogram m "search.decision_round" in
-      ( (fun n_violations ->
-          Obs.Metrics.incr runs;
-          Obs.Metrics.incr ~by:n_violations violations),
-        fun r -> Obs.Metrics.observe decision (float_of_int r) )
-
-(* Fold the shard outcomes in enumeration order. The serial fold conses
-   violations, making the final list the reverse of enumeration order;
-   prepending shard lists in shard order rebuilds exactly that. The worst
-   schedule stays the first one attaining the overall worst round because
-   updates are strict within shards and the fold is left-to-right. *)
-let merge_shards parts =
-  List.fold_left
-    (fun acc part ->
-      {
-        worst_round = max acc.worst_round part.worst_round;
-        worst_schedule =
-          (if part.worst_round > acc.worst_round then part.worst_schedule
-           else acc.worst_schedule);
-        runs = acc.runs + part.runs;
-        violations = part.violations @ acc.violations;
-      })
-    empty parts
-
-let over ?(check = `Full) ?(jobs = 1) ?metrics ~algo ~config ~proposals
-    schedules =
-  if jobs <= 1 then begin
-    let bump, observe_decision = metric_hooks metrics in
-    Seq.fold_left
-      (fold_run ~check ~algo ~config ~proposals ~bump ~observe_decision)
-      empty schedules
-  end
-  else begin
-    (* Shard the (finite) sequence into [jobs] contiguous slices; workers
-       touch no shared state — metrics are reported once at the end, in
-       enumeration order, from the calling domain. *)
-    let scheds = Array.of_seq schedules in
-    let total = Array.length scheds in
-    let jobs = max 1 (min jobs total) in
-    let slice k =
-      (* Spread the remainder over the first slices: sizes differ by at
-         most one. *)
-      let base = total / jobs and rem = total mod jobs in
-      let lo = (k * base) + min k rem in
-      let hi = lo + base + (if k < rem then 1 else 0) in
-      (lo, hi)
-    in
-    let tasks =
-      Array.init jobs (fun k () ->
-          let lo, hi = slice k in
-          let decisions = ref [] in
-          let acc = ref empty in
-          for i = lo to hi - 1 do
-            acc :=
-              fold_run ~check ~algo ~config ~proposals ~bump:ignore
-                ~observe_decision:(fun r -> decisions := r :: !decisions)
-                !acc scheds.(i)
-          done;
-          (!acc, List.rev !decisions))
-    in
-    let parts = Array.to_list (Par.map_tasks ~jobs tasks) in
-    let outcome = merge_shards (List.map fst parts) in
-    (match metrics with
-    | None -> ()
-    | Some m ->
-        Obs.Metrics.incr ~by:outcome.runs (Obs.Metrics.counter m "search.runs");
-        Obs.Metrics.incr
-          ~by:
-            (List.fold_left
-               (fun acc (_, vs) -> acc + List.length vs)
-               0 outcome.violations)
-          (Obs.Metrics.counter m "search.violations");
-        let decision = Obs.Metrics.histogram m "search.decision_round" in
-        List.iter
-          (fun (_, ds) ->
-            List.iter
-              (fun r -> Obs.Metrics.observe decision (float_of_int r))
-              ds)
-          parts);
-    outcome
-  end
+let over ~algo ~config ~proposals schedules =
+  Seq.fold_left (fold_run ~algo ~config ~proposals) empty schedules
 
 let random_stream ~seed ~samples make =
   let rng = Rng.create ~seed in
   Seq.init samples (fun _ -> make rng)
 
-let random_synchronous ?(samples = 300) ?(with_delays = false) ?metrics ~seed
-    ~algo ~config ~proposals () =
+let random_synchronous ?(samples = 300) ?(with_delays = false) ~seed ~algo
+    ~config ~proposals () =
   let make rng =
     if with_delays then Random_runs.synchronous_with_delays rng config ()
     else Random_runs.synchronous rng config ()
   in
-  over ?metrics ~algo ~config ~proposals (random_stream ~seed ~samples make)
+  over ~algo ~config ~proposals (random_stream ~seed ~samples make)
 
-let random_es ?(samples = 300) ?(gst = 4) ?metrics ~seed ~algo ~config
-    ~proposals () =
+let random_es ?(samples = 300) ?(gst = 4) ~seed ~algo ~config ~proposals () =
   let make rng = Random_runs.eventually_synchronous rng config ~gst () in
-  over ?metrics ~algo ~config ~proposals (random_stream ~seed ~samples make)
+  over ~algo ~config ~proposals (random_stream ~seed ~samples make)

@@ -1,43 +1,30 @@
 (** Worst-case search: drive an algorithm over a family of schedules and
-    keep the run with the latest global decision (checking consensus
-    properties along the way). *)
+    keep the run with the latest global decision, checking validity,
+    agreement and termination along the way. One serial fold; the
+    exhaustive and parallel searches are {!Mc.Distrib}'s. *)
 
 open Kernel
 
 type outcome = {
   worst_round : int;  (** latest global decision round observed *)
   worst_schedule : Sim.Schedule.t option;
+      (** the first schedule attaining [worst_round] *)
   runs : int;
   violations : (Sim.Schedule.t * Sim.Props.violation list) list;
-      (** schedules whose runs broke a consensus property *)
+      (** schedules whose runs broke a consensus property, newest first *)
 }
 
 val over :
-  ?check:[ `Full | `Safety_only | `None ] ->
-  ?jobs:int ->
-  ?metrics:Obs.Metrics.t ->
   algo:Sim.Algorithm.packed ->
   config:Config.t ->
   proposals:Value.t Pid.Map.t ->
   Sim.Schedule.t Seq.t ->
   outcome
-(** Run every schedule in the (finite) sequence. [`Full] (default) checks
-    validity, agreement and termination; [`Safety_only] skips termination
-    (for runs designed to stall an algorithm); [`None] records rounds
-    only. When [metrics] is given, progress is reported into it: the
-    [search.runs] and [search.violations] counters and the
-    [search.decision_round] histogram.
-
-    [jobs] (default 1) > 1 materialises the sequence and spreads it over
-    that many domains ({!Kernel.Par}), merging shard outcomes in sequence
-    order — the outcome (worst schedule, violation order included) is
-    identical to the serial fold, and metrics are reported once at the end
-    from the calling domain. *)
+(** Run every schedule in the (finite) sequence, in order. *)
 
 val random_synchronous :
   ?samples:int ->
   ?with_delays:bool ->
-  ?metrics:Obs.Metrics.t ->
   seed:int ->
   algo:Sim.Algorithm.packed ->
   config:Config.t ->
@@ -49,7 +36,6 @@ val random_synchronous :
 val random_es :
   ?samples:int ->
   ?gst:int ->
-  ?metrics:Obs.Metrics.t ->
   seed:int ->
   algo:Sim.Algorithm.packed ->
   config:Config.t ->

@@ -10,10 +10,22 @@ let config ~n ~t = Config.make ~n ~t
 
 let quiet_es = Sim.Schedule.make ~model:Sim.Model.Es ~gst:Round.first []
 
-let run ?record ?sink ?max_rounds algo cfg schedule =
-  Sim.Runner.run ?record ?sink ?max_rounds algo cfg
+let run ?sink ?max_rounds algo cfg schedule =
+  Sim.Runner.run ?sink ?max_rounds algo cfg
     ~proposals:(Sim.Runner.distinct_proposals cfg)
     schedule
+
+(* A run with its event stream, and the diagram drawn from such a
+   stream. *)
+let traced_run algo cfg schedule =
+  let sink, drain = Obs.Sink.memory () in
+  let trace = run ~sink algo cfg schedule in
+  (trace, drain ())
+
+let diagram events =
+  match Obs.Replay.of_events events with
+  | Ok replay -> Format.asprintf "%a" Obs.Replay.pp_diagram replay
+  | Error e -> Alcotest.fail e
 
 let run_binary ?max_rounds algo cfg ~ones schedule =
   Sim.Runner.run ?max_rounds algo cfg

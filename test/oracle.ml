@@ -15,7 +15,9 @@
       oldest first; it may decide, and it may halt.
 
    The run stops when no process is running, or after [max_rounds]
-   rounds. Decision stability and callback exceptions are not checked
+   rounds. Besides the trace, [run] returns the event stream the engine
+   must emit for the run: each fact above becomes its event at the moment
+   it happens. Decision stability and callback exceptions are not checked
    here: the engine's containment has tests of its own. *)
 
 open Kernel
@@ -48,18 +50,34 @@ module Make (A : Sim.Algorithm.S) = struct
         (Pid.all ~n)
     in
     let running p = p.status = Running in
-    let decisions = ref [] and records = ref [] in
+    let decisions = ref [] and events = ref [] in
+    let emit ev = events := ev :: !events in
+    emit
+      (Obs.Event.Run_start
+         {
+           algorithm = A.name;
+           n;
+           t = Config.t config;
+           proposals = Pid.Map.bindings proposals;
+           omitters = Sim.Schedule.omitters schedule;
+         });
     let rec loop k =
       if k > max_rounds || not (List.exists running procs) then k - 1
       else begin
         let round = Round.of_int k in
+        emit (Obs.Event.Round_start { round });
         let plan = Sim.Schedule.plan_at schedule round in
-        let senders = List.filter running procs in
-        let bytes = ref 0 in
         List.iter
           (fun s ->
             let m = A.on_send s.state round in
-            bytes := !bytes + (n * (Sim.Algorithm.header_bytes + A.wire_size m));
+            emit
+              (Obs.Event.Send
+                 {
+                   src = s.pid;
+                   round;
+                   copies = n;
+                   bytes = n * (Sim.Algorithm.header_bytes + A.wire_size m);
+                 });
             List.iter
               (fun d ->
                 let arrival =
@@ -67,21 +85,30 @@ module Make (A : Sim.Algorithm.S) = struct
                   else
                     match Sim.Schedule.fate schedule ~src:s.pid ~dst:d.pid ~round with
                     | Sim.Schedule.Same_round -> Some round
-                    | Sim.Schedule.Delayed_until r -> Some r
-                    | Sim.Schedule.Lost -> None
+                    | Sim.Schedule.Delayed_until until ->
+                        emit
+                          (Obs.Event.Delay
+                             { src = s.pid; dst = d.pid; round; until });
+                        Some until
+                    | Sim.Schedule.Lost ->
+                        emit
+                          (Obs.Event.Drop { src = s.pid; dst = d.pid; round });
+                        None
                 in
                 Option.iter
                   (fun r ->
                     d.pending <- (r, Sim.Envelope.make ~src:s.pid ~sent:round m) :: d.pending)
                   arrival)
               procs)
-          senders;
+          (List.filter running procs);
         List.iter
           (fun v ->
             let p = List.find (fun p -> Pid.equal p.pid v) procs in
-            if running p then p.status <- Crashed round)
+            if running p then begin
+              p.status <- Crashed round;
+              emit (Obs.Event.Crash { pid = v; round })
+            end)
           plan.Sim.Schedule.crashes;
-        let delivered = ref [] and decided = ref [] in
         List.iter
           (fun p ->
             if running p then begin
@@ -92,45 +119,45 @@ module Make (A : Sim.Algorithm.S) = struct
               let inbox = List.sort inbox_order (List.map snd due) in
               List.iter
                 (fun (e : A.msg Sim.Envelope.t) ->
-                  delivered := (e.src, p.pid, e.sent) :: !delivered)
+                  emit
+                    (Obs.Event.Deliver
+                       { src = e.src; dst = p.pid; sent = e.sent; round }))
                 inbox;
               let before = A.decision p.state in
               p.state <- A.on_receive p.state round inbox;
               (match (before, A.decision p.state) with
               | None, Some value ->
-                  decided := { Sim.Trace.pid = p.pid; round; value } :: !decided
+                  decisions :=
+                    { Sim.Trace.pid = p.pid; round; value } :: !decisions;
+                  emit (Obs.Event.Decide { pid = p.pid; round; value })
               | _ -> ());
-              if A.halted p.state then p.status <- Halted
+              if A.halted p.state then begin
+                p.status <- Halted;
+                emit (Obs.Event.Halt { pid = p.pid; round })
+              end
             end)
           procs;
-        let decided = List.rev !decided in
-        decisions := !decisions @ decided;
-        records :=
-          {
-            Sim.Trace.round;
-            senders = List.map (fun s -> s.pid) senders;
-            crashed_now = plan.Sim.Schedule.crashes;
-            delivered = List.rev !delivered;
-            bytes_sent = !bytes;
-            new_decisions = decided;
-          }
-          :: !records;
         loop (k + 1)
       end
     in
     let rounds = loop 1 in
-    {
-      Sim.Trace.algorithm = A.name;
-      config;
-      proposals;
-      schedule;
-      decisions = !decisions;
-      crashes =
-        List.filter_map
-          (fun p -> match p.status with Crashed r -> Some (p.pid, r) | _ -> None)
-          procs;
-      rounds_executed = rounds;
-      all_halted = not (List.exists running procs);
-      records = List.rev !records;
-    }
+    let all_halted = not (List.exists running procs) in
+    let decisions = List.rev !decisions in
+    emit
+      (Obs.Event.Run_end
+         { rounds; decided = List.length decisions; all_halted });
+    ( {
+        Sim.Trace.algorithm = A.name;
+        config;
+        proposals;
+        schedule;
+        decisions;
+        crashes =
+          List.filter_map
+            (fun p -> match p.status with Crashed r -> Some (p.pid, r) | _ -> None)
+            procs;
+        rounds_executed = rounds;
+        all_halted;
+      },
+      List.rev !events )
 end

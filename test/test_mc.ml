@@ -778,7 +778,13 @@ let test_search_finds_floodset_violation () =
     Mc.Attack.search ~samples:300 ~seed:5 ~algo:floodset ~config:c52
       ~proposals ()
   with
-  | Some r -> check_bool "violations recorded" true (r.Mc.Attack.violations <> [])
+  | Some r ->
+      check_bool "violations recorded" true (r.Mc.Attack.violations <> []);
+      check_bool "the report carries its run's events" true
+        (match List.rev r.Mc.Attack.events with
+        | Obs.Event.Run_end { rounds; _ } :: _ ->
+            rounds = r.Mc.Attack.trace.Sim.Trace.rounds_executed
+        | _ -> false)
   | None -> Alcotest.fail "random search should break FloodSet in ES"
 
 (* The five-run construction of Claim 5.1 (Fig. 1): every proof obligation

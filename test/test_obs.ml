@@ -17,11 +17,6 @@ let plan ?(crashes = []) ?(lost = []) ?(delayed = []) () =
 let es ~gst plans =
   Sim.Schedule.make ~model:Sim.Model.Es ~gst:(Round.of_int gst) plans
 
-let traced_run ?record algo cfg schedule =
-  let sink, drain = Obs.Sink.memory () in
-  let trace = run ?record ~sink algo cfg schedule in
-  (trace, drain ())
-
 (* ------------------------------------------------------------------ *)
 (* Sink basics                                                         *)
 
@@ -59,11 +54,12 @@ let test_event_stream_shape () =
   let cfg = config ~n:5 ~t:2 in
   let trace, events = chain_events cfg in
   (match events with
-  | Obs.Event.Run_start { algorithm; n; t; proposals } :: _ ->
+  | Obs.Event.Run_start { algorithm; n; t; proposals; omitters } :: _ ->
       check_bool "algorithm named" true (algorithm <> "");
       check_int "n" 5 n;
       check_int "t" 2 t;
-      check_int "all proposals" 5 (List.length proposals)
+      check_int "all proposals" 5 (List.length proposals);
+      check_bool "no omitters declared" true (omitters = [])
   | _ -> Alcotest.fail "first event must be Run_start");
   (match List.rev events with
   | Obs.Event.Run_end { rounds; decided; all_halted } :: _ ->
@@ -105,12 +101,15 @@ let test_metrics_match_schedule_fates () =
   in
   let registry = Obs.Metrics.create () in
   let trace =
-    Sim.Runner.run ~record:true
-      ~sink:(Obs.Metrics.counting_sink registry)
-      floodset cfg
-      ~proposals:(Sim.Runner.distinct_proposals cfg)
-      schedule
+    run ~sink:(Obs.Metrics.counting_sink registry) floodset cfg schedule
   in
+  (* The reference interpreter's event stream, computed without the
+     engine. *)
+  let _, want =
+    let module R = Oracle.Make (Baselines.Floodset) in
+    R.run cfg ~proposals:(Sim.Runner.distinct_proposals cfg) schedule
+  in
+  let sum f = List.fold_left (fun acc ev -> acc + f ev) 0 want in
   let counter name =
     match Obs.Metrics.find_counter registry name with
     | Some v -> v
@@ -120,23 +119,18 @@ let test_metrics_match_schedule_fates () =
   check_int "drops = lost copies" 2 (counter "sim.messages_dropped");
   check_int "delays = delayed copies" 1 (counter "sim.messages_delayed");
   check_int "crashes" 1 (counter "sim.crashes");
-  (* Send accounting agrees with the record-based Stats.Summary path. *)
-  check_int "messages_sent = messages_of_trace"
-    (Option.get (Stats.Summary.messages_of_trace trace))
+  (* Send and delivery accounting agree with the oracle's stream. *)
+  check_int "messages_sent = oracle copies"
+    (sum (function Obs.Event.Send { copies; _ } -> copies | _ -> 0))
     (counter "sim.messages_sent");
-  check_int "bytes_sent = bytes_of_trace"
-    (Option.get (Stats.Summary.bytes_of_trace trace))
+  check_int "bytes_sent = oracle bytes"
+    (sum (function Obs.Event.Send { bytes; _ } -> bytes | _ -> 0))
     (counter "sim.bytes_sent");
   check_int "metrics helpers agree"
     (Option.get (Stats.Summary.messages_of_metrics registry))
     (counter "sim.messages_sent");
-  (* Deliver events agree with the per-round delivery records. *)
-  let recorded_deliveries =
-    List.fold_left
-      (fun acc (r : Sim.Trace.round_record) -> acc + List.length r.delivered)
-      0 trace.Sim.Trace.records
-  in
-  check_int "delivered = recorded deliveries" recorded_deliveries
+  check_int "delivered = oracle deliveries"
+    (sum (function Obs.Event.Deliver _ -> 1 | _ -> 0))
     (counter "sim.messages_delivered");
   check_int "decisions" (List.length trace.Sim.Trace.decisions)
     (counter "sim.decisions");
@@ -175,13 +169,18 @@ let event_gen =
       ( let* n = int_range 1 6 in
         let* t = int_range 0 3 in
         let* algorithm = name in
-        let+ values = list_size (return n) value in
+        let* values = list_size (return n) value in
+        let+ omitters =
+          list_size (int_range 0 3)
+            (pair pid (oneofl Obs.Event.[ Send_omit; Recv_omit ]))
+        in
         Obs.Event.Run_start
           {
             algorithm;
             n;
             t;
             proposals = List.mapi (fun i v -> (Pid.of_int (i + 1), v)) values;
+            omitters;
           } );
       map (fun round -> Obs.Event.Round_start { round }) round;
       ( let* src = pid in
@@ -248,6 +247,26 @@ let test_jsonl_skips_comments () =
   | Ok _ -> Alcotest.fail "expected exactly one event"
   | Error e -> Alcotest.fail e
 
+let test_jsonl_run_start_omitters () =
+  let line omitters =
+    "{\"ev\":\"run_start\",\"algorithm\":\"a\",\"n\":2,\"t\":0,\
+     \"proposals\":[[1,0],[2,1]]" ^ omitters ^ "}"
+  in
+  (match Obs.Jsonl.parse (line "") with
+  | Ok [ Obs.Event.Run_start { omitters; _ } ] ->
+      check_bool "a log without the field declares no omitters" true
+        (omitters = [])
+  | Ok _ -> Alcotest.fail "expected exactly one event"
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun bad ->
+      match Obs.Jsonl.parse (line (",\"omitters\":" ^ bad)) with
+      | Error e ->
+          check_bool (Printf.sprintf "%s: %S names the field" bad e) true
+            (contains e "omitters")
+      | Ok _ -> Alcotest.failf "omitters %s must not decode" bad)
+    [ "[[1,\"both\"]]"; "[[0,\"send\"]]"; "[[1]]"; "[1]"; "{}" ]
+
 let test_jsonl_reports_bad_line () =
   match Obs.Jsonl.parse "{\"ev\":\"round_start\",\"round\":1}\nnot json\n" with
   | Error e -> check_bool "names line 2" true (contains e "line 2")
@@ -256,24 +275,37 @@ let test_jsonl_reports_bad_line () =
 (* ------------------------------------------------------------------ *)
 (* Replay: the `ipi trace` path                                        *)
 
-let test_replay_matches_live_diagram () =
-  let cfg = config ~n:5 ~t:2 in
-  let schedule = Workload.Cascade.chain cfg in
-  let sink, drain = Obs.Sink.memory () in
-  let trace = run ~record:true ~sink at2 cfg schedule in
-  let events = drain () in
-  (* Round-trip through the serialized form, as `ipi trace` does. *)
-  let parsed =
-    match Obs.Jsonl.parse (Obs.Jsonl.to_string events) with
-    | Ok evs -> evs
-    | Error e -> Alcotest.fail e
-  in
-  match Obs.Replay.of_events parsed with
-  | Error e -> Alcotest.fail e
-  | Ok replay ->
-      let live = Format.asprintf "%a" Sim.Trace.pp_diagram trace in
-      let replayed = Format.asprintf "%a" Obs.Replay.pp_diagram replay in
-      check_string "replayed diagram equals live diagram" live replayed
+(* The diagram drawn from a run's in-memory events equals the one drawn
+   after a JSONL round trip, as `ipi trace` reads it, for every
+   generator in [Workload.Random_runs]. *)
+let prop_replay_diagram_roundtrip =
+  qtest ~count:60 "diagram"
+    QCheck.(pair int (int_range 0 8))
+    (fun (seed, gen) ->
+      let rng = Rng.create ~seed in
+      let cfg = config ~n:5 ~t:2 in
+      let module R = Workload.Random_runs in
+      let omissions faults = R.with_omissions rng cfg ~faults () in
+      let schedule =
+        match gen with
+        | 0 -> R.synchronous rng cfg ()
+        | 1 -> R.synchronous_with_delays rng cfg ()
+        | 2 -> R.eventually_synchronous rng cfg ~gst:(1 + Rng.int rng 4) ()
+        | 3 -> R.dls_basic rng cfg ~gst:(1 + Rng.int rng 4) ()
+        | 4 ->
+            R.synchronous_after rng cfg ~k:(Rng.int rng 3) ~f:(Rng.int rng 3) ()
+        | 5 -> omissions Sim.Model.Send_omit_only
+        | 6 -> omissions Sim.Model.Recv_omit_only
+        | 7 -> omissions Sim.Model.Crash_only
+        | _ -> omissions Sim.Model.Mixed
+      in
+      List.for_all
+        (fun algo ->
+          let _, events = traced_run algo cfg schedule in
+          match Obs.Jsonl.parse (Obs.Jsonl.to_string events) with
+          | Error e -> QCheck.Test.fail_report e
+          | Ok parsed -> String.equal (diagram events) (diagram parsed))
+        [ at2; floodset; hr ])
 
 let test_replay_summary () =
   let cfg = config ~n:3 ~t:1 in
@@ -299,28 +331,6 @@ let test_chrome_export_is_valid_json () =
       | None -> Alcotest.fail "missing traceEvents")
 
 (* ------------------------------------------------------------------ *)
-(* Diagram on record-free traces                                       *)
-
-let test_diagram_without_records_is_honest () =
-  let cfg = config ~n:3 ~t:1 in
-  let trace = run floodset cfg quiet_es in
-  let diagram = Format.asprintf "%a" Sim.Trace.pp_diagram trace in
-  check_bool "notes missing records" true (contains diagram "no per-round records");
-  check_bool "unknown cells are '?'" true (contains diagram "?");
-  check_bool "decisions still shown" true (contains diagram "D=")
-
-let test_summary_costs_are_optional () =
-  let cfg = config ~n:3 ~t:1 in
-  let bare = run floodset cfg quiet_es in
-  check_bool "no records -> None" true
-    (Stats.Summary.messages_of_trace bare = None
-    && Stats.Summary.bytes_of_trace bare = None);
-  let recorded = run ~record:true floodset cfg quiet_es in
-  check_bool "records -> Some" true
-    (Stats.Summary.messages_of_trace recorded <> None
-    && Stats.Summary.bytes_of_trace recorded <> None)
-
-(* ------------------------------------------------------------------ *)
 (* Fd_output and progress metrics                                      *)
 
 let test_fd_history_emits_events () =
@@ -335,18 +345,6 @@ let test_fd_history_emits_events () =
     (List.for_all
        (function Obs.Event.Fd_output _ -> true | _ -> false)
        events)
-
-let test_search_reports_metrics () =
-  let cfg = config ~n:3 ~t:1 in
-  let registry = Obs.Metrics.create () in
-  let outcome =
-    Workload.Search.random_synchronous ~samples:20 ~metrics:registry ~seed:1
-      ~algo:at2 ~config:cfg
-      ~proposals:(Sim.Runner.distinct_proposals cfg)
-      ()
-  in
-  check_int "search.runs" outcome.Workload.Search.runs
-    (Option.get (Obs.Metrics.find_counter registry "search.runs"))
 
 let test_exhaustive_reports_metrics () =
   let cfg = config ~n:3 ~t:1 in
@@ -891,8 +889,6 @@ let () =
         [
           Alcotest.test_case "schedule fates" `Quick
             test_metrics_match_schedule_fates;
-          Alcotest.test_case "search progress" `Quick
-            test_search_reports_metrics;
           Alcotest.test_case "mc progress" `Quick
             test_exhaustive_reports_metrics;
         ] );
@@ -902,11 +898,13 @@ let () =
           qtest "round-trip all constructors" events_arbitrary
             jsonl_roundtrip_prop;
           Alcotest.test_case "comments" `Quick test_jsonl_skips_comments;
+          Alcotest.test_case "run_start omitters" `Quick
+            test_jsonl_run_start_omitters;
           Alcotest.test_case "bad line" `Quick test_jsonl_reports_bad_line;
         ] );
       ( "replay",
         [
-          Alcotest.test_case "diagram" `Quick test_replay_matches_live_diagram;
+          prop_replay_diagram_roundtrip;
           Alcotest.test_case "summary" `Quick test_replay_summary;
         ] );
       ( "exporters",
@@ -951,13 +949,6 @@ let () =
           Alcotest.test_case "results unchanged" `Quick
             test_instrumented_sweep_results_unchanged;
           Alcotest.test_case "par report" `Quick test_par_report;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "record-free diagram" `Quick
-            test_diagram_without_records_is_honest;
-          Alcotest.test_case "optional costs" `Quick
-            test_summary_costs_are_optional;
         ] );
       ( "wire",
         [

@@ -403,18 +403,27 @@ let test_engine_halt_stops_sending () =
   check_int "global decision" 3 (global_round trace);
   check_int "everyone decides" 3 (List.length trace.Sim.Trace.decisions)
 
+(* The event stream is the run's per-round record. *)
 let test_engine_records () =
   let cfg = config ~n:3 ~t:1 in
+  let sink, drain = Obs.Sink.memory () in
   let trace =
-    E.run ~record:true cfg
+    E.run ~sink cfg
       ~proposals:(Sim.Runner.distinct_proposals cfg)
       (es ~gst:1 [ plan ~crashes:[ 3 ] ~lost:[ (3, 1); (3, 2) ] () ])
   in
-  check_int "one record per round" trace.Sim.Trace.rounds_executed
-    (List.length trace.Sim.Trace.records);
-  let r1 = List.hd trace.Sim.Trace.records in
-  check_bool "crash recorded" true (r1.Sim.Trace.crashed_now = [ Pid.of_int 3 ]);
-  check_int "senders in round 1" 3 (List.length r1.Sim.Trace.senders)
+  let events = drain () in
+  let count f = List.length (List.filter f events) in
+  check_int "one Round_start per round" trace.Sim.Trace.rounds_executed
+    (count (function Obs.Event.Round_start _ -> true | _ -> false));
+  check_bool "crash recorded" true
+    (List.mem
+       (Obs.Event.Crash { pid = Pid.of_int 3; round = Round.first })
+       events);
+  check_int "senders in round 1" 3
+    (count (function
+      | Obs.Event.Send { round; _ } -> Round.equal round Round.first
+      | _ -> false))
 
 (* Decision stability is enforced. *)
 module Flipper = struct
@@ -491,9 +500,9 @@ let test_engine_send_attribution () =
   let errors =
     [
       ("run", raised (fun () -> Sim.Runner.run algo cfg ~proposals quiet_es));
-      ( "recorded run",
+      ( "observed run",
         raised (fun () ->
-            Sim.Runner.run ~record:true ~sink algo cfg ~proposals quiet_es) );
+            Sim.Runner.run ~sink algo cfg ~proposals quiet_es) );
       ( "fuzz harness",
         match Fuzz.Harness.run ~algo ~config:cfg ~proposals quiet_es with
         | Fuzz.Outcome.Crashed e -> e
@@ -660,17 +669,17 @@ let prop_engine_deterministic =
       run_once () = run_once ())
 
 (* The reference interpreter ([Oracle]) against every way a run is
-   executed: the observer-free fast path, the recording observer with a
-   sink attached (records equal, and its Deliver/Decide events agree
-   with them), and the fuzz harness with its monitor off. ES schedules
-   exercise crashes, losses and delayed deliveries, and the oracle reads
-   every fate from the schedule itself, so the compiled fast shapes
-   ([Single_lost], [Single_dst]) are checked too. *)
+   executed: the sink-free fast path, a run with a sink attached
+   (its whole event stream equal to the oracle's), and the fuzz harness
+   with its monitor off. ES schedules exercise crashes, losses and
+   delayed deliveries, and the oracle reads every fate from the schedule
+   itself, so the compiled fast shapes ([Single_lost], [Single_dst]) are
+   checked too. *)
 let agrees_with_oracle cfg s (Sim.Algorithm.Packed (module A) as algo) =
   let proposals = Sim.Runner.distinct_proposals cfg in
   let module F = Sim.Engine.Make (A) in
   let module R = Oracle.Make (A) in
-  let want = R.run cfg ~proposals s in
+  let want, want_events = R.run cfg ~proposals s in
   let key (t : Sim.Trace.t) =
     ( t.Sim.Trace.decisions,
       t.Sim.Trace.crashes,
@@ -678,7 +687,7 @@ let agrees_with_oracle cfg s (Sim.Algorithm.Packed (module A) as algo) =
       t.Sim.Trace.all_halted )
   in
   let sink, drain = Obs.Sink.memory () in
-  let recorded = F.run ~record:true ~sink cfg ~proposals s in
+  let observed = F.run ~sink cfg ~proposals s in
   let events = drain () in
   let harness_agrees =
     match Fuzz.Harness.run ~monitor:false ~algo ~config:cfg ~proposals s with
@@ -697,21 +706,8 @@ let agrees_with_oracle cfg s (Sim.Algorithm.Packed (module A) as algo) =
     | Fuzz.Outcome.Crashed _ | Fuzz.Outcome.Raised _ -> false
   in
   key (F.run cfg ~proposals s) = key want
-  && key recorded = key want
-  && recorded.Sim.Trace.records = want.Sim.Trace.records
-  && List.filter_map
-       (function
-         | Obs.Event.Deliver { src; dst; sent; _ } -> Some (src, dst, sent)
-         | _ -> None)
-       events
-     = List.concat_map (fun r -> r.Sim.Trace.delivered) want.Sim.Trace.records
-  && List.filter_map
-       (function
-         | Obs.Event.Decide { pid; round; value } ->
-             Some { Sim.Trace.pid; round; value }
-         | _ -> None)
-       events
-     = want.Sim.Trace.decisions
+  && key observed = key want
+  && List.equal Obs.Event.equal events want_events
   && harness_agrees
 
 let prop_incremental_matches_run =
@@ -889,9 +885,8 @@ let test_trace_queries () =
 
 let test_trace_rendering () =
   let cfg = config ~n:3 ~t:1 in
-  let trace =
-    Sim.Runner.run ~record:true floodset cfg
-      ~proposals:(Sim.Runner.distinct_proposals cfg)
+  let trace, events =
+    traced_run floodset cfg
       (es ~gst:1 [ plan ~crashes:[ 2 ] ~lost:[ (2, 1); (2, 3) ] () ])
   in
   let summary = Format.asprintf "%a" Sim.Trace.pp_summary trace in
@@ -899,13 +894,13 @@ let test_trace_rendering () =
     (contains summary "FloodSet");
   check_bool "summary reports the decision" true
     (contains summary "global decision");
-  let diagram = Format.asprintf "%a" Sim.Trace.pp_diagram trace in
+  let drawn = diagram events in
   check_bool "diagram marks the crash" true
-    (contains diagram "X");
+    (contains drawn "X");
   check_bool "diagram marks decisions" true
-    (contains diagram "D=");
+    (contains drawn "D=");
   check_bool "diagram lists losses" true
-    (contains diagram "lost")
+    (contains drawn "lost")
 
 (* Omission fates render distinctly from network losses: the legend names
    the declared omitters and each dropped message is attributed to its
@@ -917,17 +912,13 @@ let test_trace_omission_rendering () =
       [ plan ~lost:[ (1, 2) ] () ]
   in
   assert_valid cfg s;
-  let trace =
-    Sim.Runner.run ~record:true floodset cfg
-      ~proposals:(Sim.Runner.distinct_proposals cfg)
-      s
-  in
-  let diagram = Format.asprintf "%a" Sim.Trace.pp_diagram trace in
+  let trace, events = traced_run floodset cfg s in
+  let drawn = diagram events in
   check_bool "legend declares the omitter" true
-    (contains diagram "omitters: p1 (send-omission)");
+    (contains drawn "omitters: p1 (send-omission)");
   check_bool "fate attributed to the culprit" true
-    (contains diagram "r1: p1 -> p2 omitted (send-omission by p1)");
-  check_bool "no plain loss line" false (contains diagram "p1 -> p2 lost");
+    (contains drawn "r1: p1 -> p2 omitted (send-omission by p1)");
+  check_bool "no plain loss line" false (contains drawn "p1 -> p2 lost");
   (* the omitter is excluded from the correct set *)
   check_bool "correct excludes the omitter" true
     (List.map Pid.to_int (Sim.Trace.correct trace) = [ 2; 3; 4 ]);
@@ -935,12 +926,8 @@ let test_trace_omission_rendering () =
     es_omit ~omitters:[ (4, Sim.Model.Recv_omit) ] ~gst:1
       [ plan ~lost:[ (2, 4) ] () ]
   in
-  let trace_recv =
-    Sim.Runner.run ~record:true floodset cfg
-      ~proposals:(Sim.Runner.distinct_proposals cfg)
-      s_recv
-  in
-  let diagram_recv = Format.asprintf "%a" Sim.Trace.pp_diagram trace_recv in
+  let _, events_recv = traced_run floodset cfg s_recv in
+  let diagram_recv = diagram events_recv in
   check_bool "receive-omission attributed to the receiver" true
     (contains diagram_recv "r1: p2 -> p4 omitted (receive-omission by p4)")
 
@@ -954,13 +941,17 @@ let test_engine_max_rounds () =
 
 let test_engine_bytes_recorded () =
   let cfg = config ~n:4 ~t:1 in
-  let trace = run ~record:true floodset cfg quiet_es in
-  match trace.Sim.Trace.records with
-  | first :: _ ->
-      (* Round 1: four senders, each broadcasting 4 copies of a one-value
-         flood (header 7 + payload 4 + 8). *)
-      check_int "round-1 bytes" (4 * 4 * (7 + 12)) first.Sim.Trace.bytes_sent
-  | [] -> Alcotest.fail "no records"
+  let _, events = traced_run floodset cfg quiet_es in
+  (* Round 1: four senders, each broadcasting 4 copies of a one-value
+     flood (header 7 + payload 4 + 8). *)
+  check_int "round-1 bytes" (4 * 4 * (7 + 12))
+    (List.fold_left
+       (fun acc -> function
+         | Obs.Event.Send { round; bytes; _ } when Round.equal round Round.first
+           ->
+             acc + bytes
+         | _ -> acc)
+       0 events)
 
 (* ------------------------------------------------------------------ *)
 (* Codec                                                               *)

@@ -239,28 +239,6 @@ let test_search_over () =
   check_int "worst is t+1" 2 outcome.Workload.Search.worst_round;
   check_bool "no violations" true (outcome.Workload.Search.violations = [])
 
-let test_search_over_jobs () =
-  (* The parallel fold must produce the outcome of the serial fold — same
-     worst schedule, same violations in the same order. *)
-  let cfg = config ~n:4 ~t:1 in
-  let proposals = Sim.Runner.distinct_proposals cfg in
-  let rng = Rng.create ~seed:11 in
-  let schedules =
-    List.init 30 (fun _ ->
-        Workload.Random_runs.eventually_synchronous rng cfg ~gst:4 ())
-  in
-  let run jobs =
-    Workload.Search.over ~jobs ~algo:floodset ~config:cfg ~proposals
-      (List.to_seq schedules)
-  in
-  let serial = run 1 in
-  List.iter
-    (fun jobs ->
-      let par = run jobs in
-      check_bool (Printf.sprintf "jobs=%d equals serial" jobs) true
-        (serial = par))
-    [ 2; 4; 7 ]
-
 let test_search_random () =
   let proposals = Sim.Runner.distinct_proposals c52 in
   let outcome =
@@ -301,7 +279,6 @@ let () =
       ( "search",
         [
           Alcotest.test_case "over" `Quick test_search_over;
-          Alcotest.test_case "over with jobs" `Quick test_search_over_jobs;
           Alcotest.test_case "random" `Quick test_search_random;
         ] );
     ]

@@ -16,7 +16,7 @@ let sweep_all algo config =
     Mc.Distrib.make ~policy:Mc.Serial.All_subsets ~algo config
       Mc.Distrib.Binary
   in
-  (Result.get_ok (Mc.Distrib.run spec)).Mc.Distrib.result
+  Result.get_ok (Mc.Distrib.run spec)
 
 let () =
   let config = Config.make ~n:3 ~t:1 in
@@ -25,7 +25,8 @@ let () =
 
   (* Step 1 — the fast algorithm really is fast: every serial synchronous
      run of FloodSetWS reaches a global decision at t+1 = 2. *)
-  let sweep = sweep_all fast config in
+  let run = sweep_all fast config in
+  let sweep = run.Mc.Distrib.result in
   Format.printf
     "1. FloodSetWS over ALL %d serial synchronous runs: decisions in rounds \
      [%d, %d], %d violations.@.   It meets the SCS optimum t+1 = 2.@.@."
@@ -33,13 +34,18 @@ let () =
     sweep.Mc.Exhaustive.max_decision
     (List.length sweep.Mc.Exhaustive.violations);
 
-  (* Step 2 — Lemma 3: some initial configuration is bivalent. *)
-  (match Mc.Valency.bivalent_initial ~algo:fast ~config () with
-  | Some proposals ->
+  (* Step 2 — Lemma 3: some initial configuration is bivalent; the first
+     is the first bivalent task (assignment) of that sweep. *)
+  (match
+     List.find_opt
+       (fun (e : Mc.Checkpoint.entry) -> Mc.Exhaustive.frontier e.result >= 0)
+       run.Mc.Distrib.completed
+   with
+  | Some e ->
+      let assignments = Mc.Exhaustive.binary_assignments config in
+      let proposals = List.nth assignments e.task in
       let values =
-        List.map
-          (fun p -> Value.to_int (Pid.Map.find p proposals))
-          (Config.processes config)
+        List.map (fun (_, v) -> Value.to_int v) (Pid.Map.bindings proposals)
       in
       Format.printf
         "2. Lemma 3: proposals %a form a BIVALENT initial configuration —@.\
@@ -52,10 +58,11 @@ let () =
 
   (* Step 3 — the frontier: bivalence survives to round t-1 and no further.
      After round t every serial partial run is univalent... *)
-  let proposals =
-    Sim.Runner.binary_proposals config ~ones:(Pid.Set.of_ints [ 2; 3 ])
+  let proposals = Mc.Attack.witness_proposals config in
+  let spec = Mc.Distrib.make ~algo:fast config (Mc.Distrib.Fixed proposals) in
+  let frontier =
+    Mc.Exhaustive.frontier (Result.get_ok (Mc.Distrib.run spec)).result
   in
-  let frontier, _ = Mc.Valency.frontier ~algo:fast ~config ~proposals () in
   Format.printf
     "3. Lemma 4: the bivalence frontier of FloodSetWS is round %d (= t-1).@.\
     \   Every t-round serial partial run is univalent — in the synchronous@.\
@@ -96,7 +103,7 @@ let () =
      falls@.   back to the underlying consensus — safety is preserved.@.@.";
 
   (* Step 6 — and in synchronous runs A_{t+2} pays exactly one round. *)
-  let sweep2 = sweep_all indulgent config in
+  let sweep2 = (sweep_all indulgent config).Mc.Distrib.result in
   Format.printf
     "6. A(t+2) over ALL %d serial synchronous runs: decisions in rounds \
      [%d, %d].@.   t+2 = %d: the inherent price of indulgence is one round.@."

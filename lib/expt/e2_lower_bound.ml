@@ -12,20 +12,16 @@ type row = {
   at2_survives : bool;
 }
 
+(* The bivalence frontier of FloodSetWS from the witness's proposals,
+   (0, 1, ..., 1). *)
 let frontier_of config =
-  (* Valency exploration is exponential; keep it to small systems. *)
-  if Config.n config > 4 then None
-  else
-    let proposals =
-      Sim.Runner.binary_proposals config
-        ~ones:(Pid.Set.of_ints (Listx.range 2 (Config.n config)))
-    in
-    let k, _ =
-      Mc.Valency.frontier
-        ~algo:(Sim.Algorithm.Packed (module Baselines.Floodset_ws))
-        ~config ~proposals ()
-    in
-    Some k
+  let proposals = Mc.Attack.witness_proposals config in
+  let spec =
+    Mc.Distrib.make ~reduce:Mc.Distrib.Rdedup
+      ~algo:Registry.floodset_ws.Registry.algo config
+      (Mc.Distrib.Fixed proposals)
+  in
+  Mc.Exhaustive.frontier (Result.get_ok (Mc.Distrib.run spec)).Mc.Distrib.result
 
 let measure configs =
   List.map
@@ -43,7 +39,7 @@ let measure configs =
         n;
         t;
         fast_decides_at;
-        frontier = Option.value (frontier_of config) ~default:(t - 1);
+        frontier = frontier_of config;
         attack_violations = List.length attack.Mc.Attack.violations;
         at2_survives = survivor.Mc.Attack.violations = [];
       })

@@ -5,7 +5,7 @@
     + {e Lemma 3}: a bivalent initial configuration exists (the model
       checker finds one for each algorithm);
     + {e Lemma 4}: a bivalent [(t-1)]-round serial partial run exists — the
-      measured bivalence {!Mc.Valency.frontier} is exactly [t - 1];
+      {!Mc.Exhaustive.frontier} of a sweep is exactly [t - 1] at every row;
     + every [t]-round serial partial run is univalent, and exhaustive sweeps
       confirm FloodSetWS globally decides at [t + 1] in {e every} serial
       run — the premise of Lemma 2;
@@ -22,7 +22,7 @@ type row = {
   n : int;
   t : int;
   fast_decides_at : int;  (** FloodSetWS sync worst case, exhaustive/cascade *)
-  frontier : int;  (** largest bivalent round of FloodSetWS *)
+  frontier : int;  (** FloodSetWS's, from proposals [(0, 1, ..., 1)] *)
   attack_violations : int;  (** agreement violations under the witness *)
   at2_survives : bool;  (** A_{t+2} safe under the same witness *)
 }

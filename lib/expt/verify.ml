@@ -13,10 +13,10 @@ let headline_rounds () =
 
 let lower_bound () =
   let rows = E2_lower_bound.measure [ (3, 1); (5, 2) ] in
-  check "E2: t+1-deciders break in ES, A(t+2) survives"
+  check "E2: frontier = t-1, t+1-deciders break in ES, A(t+2) survives"
     (List.for_all
        (fun (r : E2_lower_bound.row) ->
-         r.attack_violations > 0 && r.at2_survives
+         r.frontier = r.t - 1 && r.attack_violations > 0 && r.at2_survives
          && r.fast_decides_at = r.t + 1)
        rows)
 

@@ -17,5 +17,5 @@ val raising : at:int -> Sim.Algorithm.packed
 
 val raising_init : Sim.Algorithm.packed
 (** Raises in [init] — before any round, outside the engine's containment
-    boundary — to exercise the {!Mc.Parallel} shard backstop and the
+    boundary — to exercise the {!Mc.Distrib} shard backstop and the
     campaign's [Raised] outcome. *)

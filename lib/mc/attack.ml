@@ -137,33 +137,3 @@ let run_solo_split algo config =
 
 let floodset_ws_witness config =
   run_witness (Sim.Algorithm.Packed (module Baselines.Floodset_ws)) config
-
-let search ?(samples = 500) ?(gst = 4) ?(directed = true) ~seed ~algo ~config
-    ~proposals () =
-  let rng = Rng.create ~seed in
-  (* Runs stay unobserved; a violating one is run again for its
-     events. *)
-  let try_one schedule =
-    let trace = Sim.Runner.run algo config ~proposals schedule in
-    match Sim.Props.check_agreement trace with
-    | [] -> None
-    | _ -> Some (report algo config ~proposals schedule)
-  in
-  let directed_schedules =
-    if directed then [ solo_split_schedule config; witness_schedule config ]
-    else []
-  in
-  match List.find_map try_one directed_schedules with
-  | Some report -> Some report
-  | None ->
-      let rec go remaining =
-        if remaining = 0 then None
-        else
-          let schedule =
-            Workload.Random_runs.eventually_synchronous rng config ~gst ()
-          in
-          match try_one schedule with
-          | Some report -> Some report
-          | None -> go (remaining - 1)
-      in
-      go samples

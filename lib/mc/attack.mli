@@ -7,8 +7,7 @@
     apart at the end of round [t + 1] — and lets them decide differently.
     This module realises that construction {e executably} against
     FloodSetWS, the canonical algorithm that does decide at [t + 1] in every
-    synchronous run, and provides a randomized violation search usable
-    against any algorithm.
+    synchronous run, and runs the same schedules against any algorithm.
 
     The deterministic witness follows the proof's recipe:
     - rounds [1 .. t-1]: a chain of crashes carries the minority value 0
@@ -78,23 +77,3 @@ val solo_split_dls : Config.t -> Sim.Schedule.t
     executable version of the remark. *)
 
 val run_solo_split_dls : Sim.Algorithm.packed -> Config.t -> report
-
-val search :
-  ?samples:int ->
-  ?gst:int ->
-  ?directed:bool ->
-  seed:int ->
-  algo:Sim.Algorithm.packed ->
-  config:Config.t ->
-  proposals:Value.t Pid.Map.t ->
-  unit ->
-  report option
-(** Search for a safety violation over valid ES schedules: the two directed
-    attacks above first (unless [directed:false]), then [samples] random
-    ES schedules. [None] when every run is safe.
-
-    The directed phase matters: undirected random asynchrony essentially
-    never produces a violation even for FloodSet, because breaking agreement
-    needs the {e same} process's messages withheld from everyone for
-    [t + 1] consecutive rounds — a coordinated adversary, which is exactly
-    the entity the lower-bound proof quantifies over. *)

@@ -1,7 +1,7 @@
 module J = Obs.Json
 
 let ( let* ) = Result.bind
-let version = 1
+let version = 2
 let magic = "ipi-checkpoint"
 
 type entry = {

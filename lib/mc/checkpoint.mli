@@ -1,9 +1,8 @@
 (** Versioned, atomically-written sweep snapshots.
 
     A checkpoint is the crash-safe image of a sweep in flight, at the
-    sharding granularity every driver here already agrees on ({!Dedup}'s
-    fresh-table-per-first-round-subtree, {!Parallel}'s shard, {!Distrib}'s
-    task): the results of the {e completed} tasks, in task order, plus
+    granularity of {!Distrib}'s tasks (one {!Dedup} table each): the
+    results of the {e completed} tasks, in task order, plus
     enough metadata to rebuild the pending ones deterministically. Nothing
     sub-task is persisted — a task interrupted mid-subtree is simply rerun
     on resume, which is what keeps a resumed sweep's aggregates
@@ -37,7 +36,9 @@ type t = {
 }
 
 val version : int
-(** The format version this build reads and writes (1). *)
+(** The format version this build reads and writes (2: results carry their
+    [valency]). A version-1 snapshot has none and is refused as
+    {!Unknown_version}, never read as [Undecided]. *)
 
 val entry_to_json : entry -> Obs.Json.t
 val entry_of_json : Obs.Json.t -> (entry, string) result
@@ -59,7 +60,7 @@ type load_error =
 
 val pp_load_error : Format.formatter -> load_error -> unit
 (** Pinned messages, e.g.
-    ["checkpoint: unknown format version 7 (this build reads version 1)"]. *)
+    ["checkpoint: unknown format version 7 (this build reads version 2)"]. *)
 
 val load : path:string -> (t, load_error) result
 (** Never raises: every failure mode is a {!load_error}. *)

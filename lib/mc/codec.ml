@@ -246,6 +246,21 @@ let violation_entry_of_json json =
   let* vs = list_field "violations" violation_of_json json in
   Ok (choices, vs)
 
+let valency_to_json = function
+  | Exhaustive.Undecided -> J.Null
+  | Exhaustive.Univalent v -> J.Obj [ ("univalent", J.Int (Value.to_int v)) ]
+  | Exhaustive.Bivalent path -> J.Obj [ ("bivalent", choices_to_json path) ]
+
+let valency_of_json json =
+  match J.member "valency" json with
+  | Some J.Null -> Ok Exhaustive.Undecided
+  | Some (J.Obj [ ("univalent", J.Int v) ]) ->
+      Ok (Exhaustive.Univalent (Value.of_int v))
+  | Some (J.Obj [ ("bivalent", _) ] as j) ->
+      Result.map (fun p -> Exhaustive.Bivalent p) (choices_of_json "bivalent" j)
+      |> Result.map_error (fun msg -> "bad field \"valency\": " ^ msg)
+  | _ -> Error "bad or missing field \"valency\""
+
 let result_to_json (r : Exhaustive.result) =
   J.Obj
     [
@@ -264,6 +279,7 @@ let result_to_json (r : Exhaustive.result) =
       ( "shard_failures",
         J.List (List.map shard_failure_to_json r.shard_failures) );
       ("expired", J.Bool r.expired);
+      ("valency", valency_to_json r.valency);
     ]
 
 let result_of_json json =
@@ -292,6 +308,7 @@ let result_of_json json =
   let* crashed = list_field "crashed" crashed_run_of_json json in
   let* shard_failures = list_field "shard_failures" shard_failure_of_json json in
   let* expired = bool_field "expired" json in
+  let* valency = valency_of_json json in
   Ok
     {
       Exhaustive.runs;
@@ -304,6 +321,7 @@ let result_of_json json =
       crashed;
       shard_failures;
       expired;
+      valency;
     }
 
 let result_equal a b =

@@ -30,7 +30,8 @@ val stats_of_json : Obs.Json.t -> (Dedup.stats, string) result
 val result_to_json : Exhaustive.result -> Obs.Json.t
 (** The full record. [min_decision = max_int] (no run decided) encodes as
     [null] rather than a 63-bit integer literal, keeping snapshots readable
-    and parsers honest. *)
+    and parsers honest. The [valency] is [null], [{"univalent": v}] or
+    [{"bivalent": path}]. *)
 
 val result_of_json : Obs.Json.t -> (Exhaustive.result, string) result
 

@@ -12,11 +12,12 @@
       {!Sim.Engine.Make.Arena.fingerprint})]
 
     so each distinct key's subtree is evaluated once. Stored fragments keep
-    their witness/violation/crashed choice lists relative to the subtree
-    root; on a hit the search prepends the current path, which keeps every
-    field of the final {!Exhaustive.result} — aggregates, orders of the
-    [violations]/[crashed] lists, the max witness — {e bit-identical} to
-    the unreduced sweep. Only [distinct_runs] differs: it counts leaves
+    their witness/violation/crashed choice lists and their valency's
+    bivalent path relative to the subtree root; on a hit the search
+    prepends the current path, which keeps every field of the final
+    {!Exhaustive.result} — aggregates, orders of the [violations]/[crashed]
+    lists, the max witness, the valency — {e bit-identical} to the
+    unreduced sweep. Only [distinct_runs] differs: it counts leaves
     actually evaluated, while [runs] still counts every run of the full
     enumeration.
 

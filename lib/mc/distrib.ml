@@ -78,7 +78,8 @@ let task_context spec i =
 (* ------------------------------------------------------------------ *)
 (* The search                                                          *)
 
-(* Prepend [cs] to every choice list of a fragment. *)
+(* Prepend [cs] to every choice list of a fragment. A fragment with no
+   witness decided nothing, so its valency has no path either. *)
 let lift_by cs (frag : Exhaustive.result) =
   if frag.max_witness = None && frag.violations = [] && frag.crashed = [] then
     frag
@@ -91,6 +92,8 @@ let lift_by cs (frag : Exhaustive.result) =
         List.map
           (fun (c : Exhaustive.crashed_run) -> { c with choices = cs @ c.choices })
           frag.crashed;
+      valency =
+        (match frag.valency with Bivalent p -> Bivalent (cs @ p) | v -> v);
     }
 
 (* One depth-first walk of the choice tree below [prefix], over the menu
@@ -98,10 +101,16 @@ let lift_by cs (frag : Exhaustive.result) =
 
    Without a table, runs accumulate in place into one result whose choice
    lists are relative to the task root: a clean leaf allocates its result
-   record and nothing else.
+   record and its valency, nothing else.
    With a table, every miss opens a fresh fragment frame relative to its
    node, stores it, and folds it into the enclosing frame lifted by the
    path between the two; a hit folds the stored fragment in the same way.
+
+   Valency: a node's is its children's, joined as siblings. With a table
+   every node is a frame, folding its children with {!Exhaustive.combine},
+   so each fragment holds its subtree's valency, lifted like its witnesses
+   on a hit. Without one, [below] holds each open node's valency so far,
+   and a closing child joins its parent's: no result record is copied.
 
    Branch discipline: one snapshot per expanded node, taken before its
    first child and restored before every later sibling; the last child
@@ -149,6 +158,15 @@ let search ?deadline ?prof ?(spans = Obs.Span.disabled) ~memo spec ~proposals
   in
   let leaf_choices () = between !base depth0 [] in
   let lift b p frag = if p = b then frag else lift_by (between b p []) frag in
+  let below = Array.make (depth0 + 1) Exhaustive.Undecided in
+  (* The open node [p] closes: it joins its parent's valency. *)
+  let close p =
+    below.(p - 1) <-
+      Exhaustive.join_valency ~siblings:true below.(p - 1)
+        (match below.(p) with
+        | Bivalent q -> Bivalent (path.(p - 1) :: q)
+        | v -> v)
+  in
   let leaf (node : Menu.node) = function
     | Some error ->
         acc := Exhaustive.add_crashed !acc ~choices:(leaf_choices ()) ~error
@@ -158,17 +176,22 @@ let search ?deadline ?prof ?(spans = Obs.Span.disabled) ~memo spec ~proposals
            E.Arena.finish ~max_rounds ?prof ~schedule:node.Menu.leaf_schedule
              arena
          with
-        | trace -> acc := Exhaustive.add_run !acc ~choices:leaf_choices ~trace
+        | trace ->
+            acc := Exhaustive.add_run !acc ~choices:leaf_choices ~trace;
+            if not memo then below.(depth0) <- Exhaustive.run_valency trace
         | exception Sim.Engine.Step_error error ->
             acc := Exhaustive.add_crashed !acc ~choices:(leaf_choices ()) ~error);
         if Obs.Span.enabled spans then Obs.Span.exit spans
   in
   let rec visit depth node err =
     if depth = 0 then check ();
+    let p = depth0 - depth in
     match table with
-    | None -> expand depth node err
+    | None ->
+        below.(p) <- Undecided;
+        expand depth node err;
+        if p > 0 then close p
     | Some t -> (
-        let p = depth0 - depth in
         match Dedup.find t ~depth node err with
         | Dedup.Hit frag ->
             acc :=
@@ -238,14 +261,20 @@ let search ?deadline ?prof ?(spans = Obs.Span.disabled) ~memo spec ~proposals
       (fun () ->
         match visit depth0 root root_err with
         | () -> false
-        | exception Exhaustive.Expired -> true)
+        | exception Exhaustive.Expired ->
+            (* The deadline struck at a leaf: its ancestors are open. *)
+            for p = depth0 - 1 downto 1 do
+              close p
+            done;
+            true)
   in
   (* An expired table search unwound its open frames, so only the
-     unreduced search still holds what it explored. *)
+     unreduced search still holds what it explored, valency included. *)
   let result =
     if expired && memo then Exhaustive.empty
-    else if prefix = [] then !acc
-    else lift_by prefix !acc
+    else
+      let r = if memo then !acc else { !acc with valency = below.(0) } in
+      if prefix = [] then r else lift_by prefix r
   in
   ( { result with Exhaustive.expired },
     {

@@ -21,7 +21,13 @@
     job count, worker count, chaos, interruption and resume yields the
     same aggregates as one undisturbed serial sweep, and the same as the
     from-scratch oracle {!Exhaustive.sweep}. Tasks interrupted mid-subtree
-    are never persisted — they rerun whole on resume. *)
+    are never persisted — they rerun whole on resume.
+
+    The same search computes each task's {!Exhaustive.valency} and the
+    sweep's (Lemmas 3 and 4): [Fixed] tasks are subtrees of one root,
+    [Binary] tasks separate trees, so the first bivalent [Binary] task is
+    a bivalent initial configuration. Under {!Rsym} the bivalent path is
+    an orbit representative's: its length is exact. *)
 
 open Kernel
 

@@ -7,6 +7,11 @@ type crashed_run = {
 
 type shard_failure = { shard : int; context : string; message : string }
 
+type valency =
+  | Undecided
+  | Univalent of Value.t
+  | Bivalent of Serial.choice list
+
 type result = {
   runs : int;
   distinct_runs : int;
@@ -23,6 +28,7 @@ type result = {
   expired : bool;
       (* the sweep's wall-clock budget ran out: the counts above account
          for what was explored, not for the whole space *)
+  valency : valency;
 }
 
 let empty =
@@ -37,7 +43,10 @@ let empty =
     crashed = [];
     shard_failures = [];
     expired = false;
+    valency = Undecided;
   }
+
+let frontier r = match r.valency with Bivalent p -> List.length p | _ -> -1
 
 exception Expired
 (* Raised at the next leaf once a sweep deadline has passed; callers catch
@@ -47,9 +56,35 @@ let deadline_check = function
   | None -> fun () -> ()
   | Some d -> fun () -> if Unix.gettimeofday () > d then raise Expired
 
+(* The deeper bivalent side, the first on a tie; else the first decided
+   side, unless [siblings] share a root that their two values make
+   bivalent. *)
+let join_valency ~siblings a b =
+  match (a, b) with
+  | Undecided, v | v, Undecided -> v
+  | Bivalent p, Bivalent q -> if List.compare_lengths q p > 0 then b else a
+  | Bivalent _, Univalent _ -> a
+  | Univalent _, Bivalent _ -> b
+  | Univalent v, Univalent w ->
+      if siblings && not (Value.equal v w) then Bivalent [] else a
+
+let run_valency (trace : Sim.Trace.t) =
+  let rec same v = function
+    | [] -> true
+    | (d : Sim.Trace.decision) :: rest -> Value.equal d.value v && same v rest
+  in
+  match trace.decisions with
+  | [] -> Undecided
+  | d :: rest -> if same d.value rest then Univalent d.value else Bivalent []
+
 let add_run acc ~choices ~trace =
   let acc =
-    { acc with runs = acc.runs + 1; distinct_runs = acc.distinct_runs + 1 }
+    {
+      acc with
+      runs = acc.runs + 1;
+      distinct_runs = acc.distinct_runs + 1;
+      valency = join_valency ~siblings:true acc.valency (run_valency trace);
+    }
   in
   let acc =
     match Sim.Props.check trace with
@@ -87,10 +122,11 @@ let add_crashed acc ~choices ~error =
     crashed = { choices; error } :: acc.crashed;
   }
 
-(* [merge] and [combine] differ only in which side's violation and crashed
-   lists go first. *)
-let join ~later_first a b =
-  let cat x y = if later_first then y @ x else x @ y in
+(* [merge] joins separate trees, [combine] sibling subtrees of one root:
+   they differ in which side's violation and crashed lists go first and
+   in what two univalent sides make. *)
+let join ~siblings a b =
+  let cat x y = if siblings then y @ x else x @ y in
   {
     runs = a.runs + b.runs;
     distinct_runs = a.distinct_runs + b.distinct_runs;
@@ -104,14 +140,41 @@ let join ~later_first a b =
     crashed = cat a.crashed b.crashed;
     shard_failures = a.shard_failures @ b.shard_failures;
     expired = a.expired || b.expired;
+    valency = join_valency ~siblings a.valency b.valency;
   }
 
-let merge a b = join ~later_first:false a b
+let merge a b = join ~siblings:false a b
 
 (* The search conses violations and crashed runs as it meets them, so its
    lists are the reverse of enumeration order and a later sibling's lists
    go in front. *)
-let combine acc later = join ~later_first:true acc later
+let combine acc later = join ~siblings:true acc later
+
+(* The valency of a tree from its leaves in enumeration order, each its
+   path below the root and the values its run decided: every prefix of a
+   path is a node, and the bivalent one is the deepest, then first met,
+   node under which two different values are decided. *)
+let valency_of_leaves leaves =
+  let below = Hashtbl.create 256 and nodes = ref [] in
+  List.iter
+    (fun (path, vs) ->
+      for k = 0 to List.length path do
+        let node = List.filteri (fun i _ -> i < k) path in
+        if not (Hashtbl.mem below node) then nodes := node :: !nodes;
+        let old = Option.value (Hashtbl.find_opt below node) ~default:[] in
+        Hashtbl.replace below node (List.sort_uniq Value.compare (vs @ old))
+      done)
+    leaves;
+  let bivalent node =
+    List.compare_length_with (Hashtbl.find below node) 2 >= 0
+  in
+  let deeper b node = if List.compare_lengths node b > 0 then node else b in
+  match List.filter bivalent (List.rev !nodes) with
+  | first :: rest -> Bivalent (List.fold_left deeper first rest)
+  | [] -> (
+      match Hashtbl.find_opt below [] with
+      | Some (v :: _) -> Univalent v
+      | _ -> Undecided)
 
 (* The oracle: every run simulated from round 1, so it shares nothing with
    the driver's depth-first search ({!Distrib}) that the tests compare it
@@ -124,15 +187,17 @@ let sweep ?faults ?omit_budget ?(policy = Serial.Prefixes) ?horizon ~algo
       ~faults:(Option.value faults ~default:Sim.Model.Crash_only)
       config
   in
-  let acc = ref empty in
+  let acc = ref empty and leaves = ref [] in
   Serial.enumerate ?faults ?omit_budget ~policy config ~horizon
     ~f:(fun choices ->
       let schedule = Serial.to_schedule ?budget config choices in
       match Sim.Runner.run algo config ~proposals schedule with
-      | trace -> acc := add_run !acc ~choices:(fun () -> choices) ~trace
+      | trace ->
+          acc := add_run !acc ~choices:(fun () -> choices) ~trace;
+          leaves := (choices, Sim.Trace.decided_values trace) :: !leaves
       | exception Sim.Engine.Step_error error ->
           acc := add_crashed !acc ~choices ~error);
-  !acc
+  { !acc with valency = valency_of_leaves (List.rev !leaves) }
 
 let binary_assignments config =
   let n = Config.n config in

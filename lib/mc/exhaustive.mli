@@ -13,6 +13,17 @@
 
 open Kernel
 
+type valency =
+  | Undecided  (** no run decided *)
+  | Univalent of Value.t  (** every run that decided, decided this value *)
+  | Bivalent of Serial.choice list
+      (** the path from the result's root to the deepest, then leftmost,
+          node whose runs decide different values (a run deciding two
+          values is such a node itself). Its length is the {e bivalence
+          frontier}, [>= t - 1] for every consensus algorithm (Lemma 4).
+          It covers the runs the sweep enumerates — serial round-based
+          runs with faults within the horizon — and no others. *)
+
 type crashed_run = {
   choices : Serial.choice list;
   error : Sim.Engine.step_error;
@@ -60,10 +71,15 @@ type result = {
           faithful account of the {e explored} part of the space only.
           Graceful degradation for interactive sweeps — the CLI maps this
           to a distinct exit code. *)
+  valency : valency;  (** of the result's root; crashed runs decide nothing *)
 }
 
 val empty : result
 (** The unit of {!merge}: zero runs. *)
+
+val frontier : result -> int
+(** The bivalence frontier: the length of the [Bivalent] path, [-1] when
+    the root is univalent or undecided. *)
 
 exception Expired
 (** Raised by a sweep's per-leaf deadline check once the wall clock passes
@@ -74,25 +90,37 @@ val deadline_check : float option -> unit -> unit
 (** [deadline_check deadline ()] raises {!Expired} when [deadline] is
     [Some d] and [Unix.gettimeofday () > d]; a no-op otherwise. *)
 
+val run_valency : Sim.Trace.t -> valency
+(** A run's own valency: [Bivalent []] if it decided two values. *)
+
+val join_valency : siblings:bool -> valency -> valency -> valency
+(** The valency {!merge} (two separate trees) or, with [siblings],
+    {!combine} (two subtrees of one root) gives. *)
+
 val merge : result -> result -> result
-(** Aggregate two sweep results. Associative with unit {!empty}; keeps the
-    {e first} (left-most) maximal-round witness, so folding shard results in
-    enumeration order reproduces exactly the single-sweep result. *)
+(** Aggregate two separate trees' results. Associative with unit {!empty};
+    keeps the {e first} (left-most) maximal-round witness, so folding shard
+    results in enumeration order reproduces exactly the single-sweep
+    result, and the deeper (then first) bivalent valency, else the first
+    decided one: two univalent trees never make a bivalent one. *)
 
 val combine : result -> result -> result
-(** [combine acc later] — {!merge} with the depth-first search's list
-    order: the search conses violations and crashed runs as it meets
-    them, so its lists are the reverse of enumeration order and a {e later}
-    sibling subtree's lists land in front of [acc]'s. Folding subtree
-    fragments with [combine] in enumeration order reproduces the one-pass
-    search exactly. *)
+(** [combine acc later] joins two sibling subtrees of one root (univalent
+    on different values, they make it bivalent) in the depth-first
+    search's list order: the search conses violations and crashed runs as
+    it meets them, so its lists are the reverse of enumeration order and a
+    {e later} sibling subtree's lists land in front of [acc]'s. Folding
+    subtree fragments with [combine] in enumeration order reproduces the
+    one-pass search exactly. *)
 
 val add_run :
   result -> choices:(unit -> Serial.choice list) -> trace:Sim.Trace.t -> result
 (** Fold one finished run into a result: checks {!Sim.Props}, updates the
     decision-round extremes and counts. [choices] is forced only when the
     run becomes a violation or the new maximal witness, so a clean leaf
-    builds no choice list. *)
+    builds no choice list. The run joins [valency] as a child of the
+    result's root, as in {!combine}; a caller folding deeper runs into
+    one result sets [valency] itself. *)
 
 val add_crashed :
   result ->
@@ -128,7 +156,7 @@ val sweep :
     omission side of its budget; omission runs are judged with agreement
     and termination restricted to fault-free processes. A run that raises
     {!Sim.Engine.Step_error} is recorded as a {!crashed_run} and the sweep
-    continues. *)
+    continues. The [valency] is derived from the leaves' choice lists. *)
 
 val sweep_binary :
   ?faults:Sim.Model.faults ->

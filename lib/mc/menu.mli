@@ -1,6 +1,6 @@
 (** The serial adversary's transition system, interned.
 
-    The arena DFS ({!Exhaustive.sweep_prefix}, {!Dedup.sweep_prefix})
+    The arena DFS of {!Distrib}, with or without the {!Dedup} table,
     revisits semantically identical adversary states constantly — budgets
     and victim pools converge after a few rounds — and everything the
     immutable DFS used to recompute per edge is a pure function of that

@@ -2,14 +2,6 @@ open Kernel
 
 type 'm t = 'm Envelope.t list
 
-let current inbox ~round =
-  List.sort Envelope.compare_src
-    (List.filter (fun e -> Envelope.is_current e ~round) inbox)
-
-let late inbox ~round =
-  List.sort Envelope.compare_src
-    (List.filter (fun e -> not (Envelope.is_current e ~round)) inbox)
-
 (* One pass over the raw list, no sort, no tree rebalancing: sender sets
    are what every failure-detector-ish step computes per round, so they
    ride on {!Kernel.Bitset}. *)
@@ -19,38 +11,3 @@ let senders_bits inbox ~round =
       if Envelope.is_current e ~round then Bitset.add (Pid.to_int e.src) acc
       else acc)
     Bitset.empty inbox
-
-let suspected_bits ~n inbox ~round =
-  Bitset.diff (Bitset.full ~n) (senders_bits inbox ~round)
-
-(* Array-backed variants for n beyond [Bitset.max_pid]; same one-pass
-   shape, accumulating into a Big set instead. *)
-let senders_bigbits inbox ~round =
-  List.fold_left
-    (fun acc (e : _ Envelope.t) ->
-      if Envelope.is_current e ~round then
-        Bitset.Big.add (Pid.to_int e.src) acc
-      else acc)
-    Bitset.Big.empty inbox
-
-let suspected_bigbits ~n inbox ~round =
-  Bitset.Big.diff (Bitset.Big.full ~n) (senders_bigbits inbox ~round)
-
-let senders inbox ~round = Bitset.to_pid_set (senders_bits inbox ~round)
-
-let suspected ~n inbox ~round =
-  Bitset.to_pid_set (suspected_bits ~n inbox ~round)
-
-let payloads inbox = List.map (fun (e : _ Envelope.t) -> e.payload) inbox
-let current_payloads inbox ~round = payloads (current inbox ~round)
-
-let from inbox ~src ~round =
-  List.find_map
-    (fun (e : _ Envelope.t) ->
-      if Pid.equal e.src src && Envelope.is_current e ~round then
-        Some e.payload
-      else None)
-    inbox
-
-let count_current inbox ~round =
-  Listx.count (fun e -> Envelope.is_current e ~round) inbox

@@ -10,40 +10,7 @@ open Kernel
 
 type 'm t = 'm Envelope.t list
 
-val current : 'm t -> round:Round.t -> 'm Envelope.t list
-(** Envelopes sent in the current round, sorted by sender. *)
-
-val late : 'm t -> round:Round.t -> 'm Envelope.t list
-(** Envelopes sent in earlier rounds (delayed deliveries), sorted by sender
-    then sent round. *)
-
-val senders : 'm t -> round:Round.t -> Pid.Set.t
-(** Senders of current-round envelopes. *)
-
-val suspected : n:int -> 'm t -> round:Round.t -> Pid.Set.t
-(** Complement of {!senders} in the whole process set: exactly the processes
-    the receiver suspects in this round, and also the round-[k] output of the
-    failure-detector simulation of Section 4. Requires
-    [n <= Kernel.Bitset.max_pid]. *)
-
 val senders_bits : 'm t -> round:Round.t -> Kernel.Bitset.t
-(** {!senders} as an unboxed bitset: one pass over the inbox, no sort, no
-    allocation beyond the result. {!senders}/{!suspected} are views over
-    these. *)
-
-val suspected_bits : n:int -> 'm t -> round:Round.t -> Kernel.Bitset.t
-
-val senders_bigbits : 'm t -> round:Round.t -> Kernel.Bitset.Big.t
-(** {!senders_bits} on the array-backed {!Kernel.Bitset.Big}: for systems
-    with [n > Kernel.Bitset.max_pid], where the unboxed variant cannot
-    represent every pid. *)
-
-val suspected_bigbits : n:int -> 'm t -> round:Round.t -> Kernel.Bitset.Big.t
-
-val payloads : 'm t -> 'm list
-val current_payloads : 'm t -> round:Round.t -> 'm list
-
-val from : 'm t -> src:Pid.t -> round:Round.t -> 'm option
-(** The payload of the current-round message from [src], if delivered. *)
-
-val count_current : 'm t -> round:Round.t -> int
+(** Senders of current-round envelopes, as an unboxed bitset: one pass
+    over the inbox, no sort, no allocation beyond the result. Requires
+    [n <= Kernel.Bitset.max_pid]. *)

@@ -41,8 +41,9 @@ let test_e1_small () =
         r.predicted r.measured)
     rows
 
+(* Every frontier is measured: none of them comes from a fallback. *)
 let test_e2_small () =
-  let rows = Expt.E2_lower_bound.measure [ (3, 1); (5, 2) ] in
+  let rows = Expt.E2_lower_bound.measure [ (3, 1); (5, 2); (7, 3) ] in
   List.iter
     (fun (r : Expt.E2_lower_bound.row) ->
       check_int "fast algorithm decides at t+1" (r.t + 1) r.fast_decides_at;

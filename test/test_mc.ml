@@ -135,6 +135,7 @@ let result_equal (a : Mc.Exhaustive.result) (b : Mc.Exhaustive.result) =
   && a.Mc.Exhaustive.crashed = b.Mc.Exhaustive.crashed
   && a.Mc.Exhaustive.shard_failures = b.Mc.Exhaustive.shard_failures
   && a.Mc.Exhaustive.expired = b.Mc.Exhaustive.expired
+  && a.Mc.Exhaustive.valency = b.Mc.Exhaustive.valency
 
 let run_ok name = function
   | Ok r -> r
@@ -185,6 +186,9 @@ let check_against_oracle tag (spec : Mc.Distrib.spec) ~oracle
       res.Mc.Exhaustive.min_decision;
     check_int (tag ^ ": undecided") oracle.Mc.Exhaustive.undecided_runs
       res.Mc.Exhaustive.undecided_runs;
+    check_int (tag ^ ": frontier")
+      (Mc.Exhaustive.frontier oracle)
+      (Mc.Exhaustive.frontier res);
     let weighted f =
       List.fold_left
         (fun acc (e : Mc.Checkpoint.entry) ->
@@ -637,62 +641,68 @@ let test_parallel_shard_failures () =
 (* ------------------------------------------------------------------ *)
 (* Valency                                                             *)
 
-let ones_proposals cfg =
-  Sim.Runner.binary_proposals cfg
-    ~ones:(Pid.Set.of_ints (Listx.range 2 (Config.n cfg)))
+let witness = Mc.Attack.witness_proposals c31
+
+let sweep_fixed algo proposals =
+  sweep "valency" (Mc.Distrib.make ~algo c31 (Mc.Distrib.Fixed proposals))
 
 let test_valency_univalent_uniform () =
   (* All-zero proposals: validity forces 0-valence. *)
-  let proposals =
-    Sim.Runner.binary_proposals c31 ~ones:Pid.Set.empty
-  in
+  let proposals = Sim.Runner.binary_proposals c31 ~ones:Pid.Set.empty in
+  let r = sweep_fixed floodset_ws proposals in
   check_bool "0-valent" true
-    (Mc.Valency.equal Mc.Valency.Zero
-       (Mc.Valency.of_partial ~algo:floodset_ws ~config:c31 ~proposals []))
+    (r.Mc.Distrib.result.Mc.Exhaustive.valency
+    = Mc.Exhaustive.Univalent Value.zero)
 
+(* Lemma 3: the first binary task whose runs decide both values. *)
 let test_valency_bivalent_initial () =
-  match Mc.Valency.bivalent_initial ~algo:floodset_ws ~config:c31 () with
+  let run =
+    sweep "binary" (Mc.Distrib.make ~algo:floodset_ws c31 Mc.Distrib.Binary)
+  in
+  match
+    List.find_opt
+      (fun (e : Mc.Checkpoint.entry) -> Mc.Exhaustive.frontier e.result >= 0)
+      run.Mc.Distrib.completed
+  with
   | None -> Alcotest.fail "Lemma 3: a bivalent initial configuration exists"
-  | Some proposals ->
-      check_bool "it is bivalent" true
-        (Mc.Valency.equal Mc.Valency.Bivalent
-           (Mc.Valency.of_partial ~algo:floodset_ws ~config:c31 ~proposals []))
+  | Some e ->
+      let proposals = List.nth (Mc.Exhaustive.binary_assignments c31) e.task in
+      check_bool "(1,1,0)" true
+        (Pid.Map.equal Value.equal proposals
+           (Sim.Runner.binary_proposals c31 ~ones:(Pid.Set.of_ints [ 1; 2 ])))
 
 let test_valency_frontier_floodset_ws () =
   (* Lemma 4 gives a bivalent (t-1)-round run; the t-round partials of a
      t+1-decider are univalent. *)
-  let k, _ =
-    Mc.Valency.frontier ~algo:floodset_ws ~config:c31
-      ~proposals:(ones_proposals c31) ()
-  in
-  check_int "frontier = t-1" 0 k
+  check_int "frontier = t-1" 0
+    (Mc.Exhaustive.frontier (sweep_fixed floodset_ws witness).Mc.Distrib.result)
 
 let test_valency_frontier_at2 () =
-  let k, _ =
-    Mc.Valency.frontier ~algo:at2 ~config:c31 ~proposals:(ones_proposals c31)
-      ()
-  in
-  check_int "frontier = t-1" 0 k
+  check_int "frontier = t-1" 0
+    (Mc.Exhaustive.frontier (sweep_fixed at2 witness).Mc.Distrib.result)
 
 let test_valency_crash_changes_value () =
   (* (0,1,1): p1 crashing silently at round 1 forces decision 1; quiet runs
-     decide 0 -> the empty prefix is bivalent, the one-round prefix where p1
+     decide 0 -> the root is bivalent, the first-round subtree where p1
      dies silently is 1-valent. *)
-  let proposals = ones_proposals c31 in
+  let run = sweep_fixed floodset_ws witness in
   let silent =
     Mc.Serial.Crash { victim = Pid.of_int 1; receivers = Pid.Set.empty }
   in
-  check_bool "empty prefix bivalent" true
-    (Mc.Valency.equal Mc.Valency.Bivalent
-       (Mc.Valency.of_partial ~algo:floodset_ws ~config:c31 ~proposals []));
-  check_bool "silent-crash prefix 1-valent" true
-    (Mc.Valency.equal Mc.Valency.One
-       (Mc.Valency.of_partial ~algo:floodset_ws ~config:c31 ~proposals
-          [ silent ]));
-  check_bool "no-crash prefix 0-valent" true
-    (Mc.Valency.equal Mc.Valency.Zero
-       (Mc.Valency.of_partial ~algo:floodset_ws ~config:c31 ~proposals
-          [ Mc.Serial.No_crash ]))
+  let subtree choice =
+    Mc.Serial.adversary_choices ~policy:Mc.Serial.Prefixes
+      ~faults:Sim.Model.Crash_only (Mc.Serial.initial c31)
+    |> List.find_index (( = ) choice)
+    |> Option.get
+    |> List.nth run.Mc.Distrib.completed
+    |> fun (e : Mc.Checkpoint.entry) -> e.result.Mc.Exhaustive.valency
+  in
+  check_bool "root bivalent" true
+    (run.Mc.Distrib.result.Mc.Exhaustive.valency = Mc.Exhaustive.Bivalent []);
+  check_bool "silent-crash subtree 1-valent" true
+    (subtree silent = Mc.Exhaustive.Univalent Value.one);
+  check_bool "no-crash subtree 0-valent" true
+    (subtree Mc.Serial.No_crash = Mc.Exhaustive.Univalent Value.zero)
 
 (* ------------------------------------------------------------------ *)
 (* Attack                                                              *)
@@ -707,7 +717,12 @@ let test_witness_breaks_floodset_ws () =
         true
         (List.exists
            (function Sim.Props.Agreement _ -> true | _ -> false)
-           r.Mc.Attack.violations))
+           r.Mc.Attack.violations);
+      check_bool "the report carries its run's events" true
+        (match List.rev r.Mc.Attack.events with
+        | Obs.Event.Run_end { rounds; _ } :: _ ->
+            rounds = r.Mc.Attack.trace.Sim.Trace.rounds_executed
+        | _ -> false))
     [ (3, 1); (4, 1); (5, 2); (7, 3); (9, 4) ]
 
 let test_witness_schedule_shape () =
@@ -772,21 +787,6 @@ let test_survivors () =
       check_bool "solo split survived" true (r2.Mc.Attack.violations = []))
     [ at2; at2_opt; a_ds; hr; ct ]
 
-let test_search_finds_floodset_violation () =
-  let proposals = ones_proposals c52 in
-  match
-    Mc.Attack.search ~samples:300 ~seed:5 ~algo:floodset ~config:c52
-      ~proposals ()
-  with
-  | Some r ->
-      check_bool "violations recorded" true (r.Mc.Attack.violations <> []);
-      check_bool "the report carries its run's events" true
-        (match List.rev r.Mc.Attack.events with
-        | Obs.Event.Run_end { rounds; _ } :: _ ->
-            rounds = r.Mc.Attack.trace.Sim.Trace.rounds_executed
-        | _ -> false)
-  | None -> Alcotest.fail "random search should break FloodSet in ES"
-
 (* The five-run construction of Claim 5.1 (Fig. 1): every proof obligation
    holds against the canonical t+1-round algorithm, at every resilience. *)
 let test_figure1_against_floodset_ws () =
@@ -813,12 +813,6 @@ let test_figure1_against_at2 () =
     (not
        (o.Mc.Figure1.q_decision_a1 = Some Kernel.Value.one
        && o.Mc.Figure1.q_decision_a0 = Some Kernel.Value.zero))
-
-let test_search_clean_for_at2 () =
-  let proposals = ones_proposals c31 in
-  check_bool "no violation found" true
-    (Mc.Attack.search ~samples:120 ~seed:5 ~algo:at2 ~config:c31 ~proposals ()
-    = None)
 
 (* ------------------------------------------------------------------ *)
 (* Codec: canonical JSON for everything a worker ships or a checkpoint
@@ -935,13 +929,22 @@ let test_codec_stats_roundtrip () =
 
 (* Real sweep results — the fixtures deliberately include an algorithm
    that violates agreement and one that raises mid-run, so the codec is
-   exercised on populated violation lists, witnesses and crashed runs. *)
+   exercised on populated violation lists, witnesses and crashed runs, and
+   with the all-zero sweep on every valency constructor. *)
 let test_codec_result_roundtrip () =
+  let all_zero = Sim.Runner.binary_proposals c41 ~ones:Pid.Set.empty in
+  let results =
+    ( "all-zero",
+      Mc.Exhaustive.sweep ~algo:floodset ~config:c41 ~proposals:all_zero () )
+    :: List.map
+         (fun (algo, name, n, t) ->
+           let config = config ~n ~t in
+           let proposals = Sim.Runner.distinct_proposals config in
+           (name, Mc.Exhaustive.sweep ~algo ~config ~proposals ()))
+         reduction_fixtures
+  in
   List.iter
-    (fun (algo, name, n, t) ->
-      let config = config ~n ~t in
-      let proposals = Sim.Runner.distinct_proposals config in
-      let r = Mc.Exhaustive.sweep ~algo ~config ~proposals () in
+    (fun (name, r) ->
       match Mc.Codec.result_of_json (Mc.Codec.result_to_json r) with
       | Error msg -> Alcotest.fail (name ^ ": " ^ msg)
       | Ok r' ->
@@ -949,7 +952,45 @@ let test_codec_result_roundtrip () =
             (result_equal r r');
           check_bool (name ^ ": codec equality agrees") true
             (Mc.Codec.result_equal r r'))
-    reduction_fixtures
+    results;
+  let kind (_, r) =
+    match r.Mc.Exhaustive.valency with
+    | Undecided -> 0
+    | Univalent _ -> 1
+    | Bivalent _ -> 2
+  in
+  check_bool "every valency constructor covered" true
+    (List.sort_uniq compare (List.map kind results) = [ 0; 1; 2 ])
+
+(* A malformed [valency] is an [Error] naming the field, never an
+   exception or a silent default. *)
+let test_codec_valency_errors () =
+  let open Obs.Json in
+  let fields =
+    match
+      Mc.Codec.result_to_json
+        (Mc.Exhaustive.sweep ~algo:floodset ~config:c31
+           ~proposals:(Sim.Runner.distinct_proposals c31)
+           ())
+    with
+    | Obj fields -> List.remove_assoc "valency" fields
+    | _ -> Alcotest.fail "results encode as objects"
+  in
+  List.iter
+    (fun valency ->
+      match
+        Mc.Codec.result_of_json
+          (Obj (fields @ List.map (fun v -> ("valency", v)) valency))
+      with
+      | Ok _ -> Alcotest.fail "a malformed valency decoded"
+      | Error msg -> check_bool msg true (contains msg "valency"))
+    [
+      [];
+      [ String "bivalent" ];
+      [ Obj [ ("univalent", String "0") ] ];
+      [ Obj [ ("bivalent", List [ Obj [ ("act", String "jump") ] ]) ] ];
+      [ Obj [ ("univalent", Int 0); ("bivalent", List []) ] ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint: versioned snapshots and their pinned failure modes       *)
@@ -1073,6 +1114,18 @@ let test_checkpoint_load_errors () =
        "checkpoint: unknown format version 99 (this build reads version %d)"
        Mc.Checkpoint.version)
     msg;
+  (* a version-1 snapshot has no valencies: refused, never read as
+     Undecided *)
+  (match Obs.Json.of_string whole with
+  | Ok (Obs.Json.Obj f) ->
+      Obs.Artifact.write_string path
+        (Obs.Json.to_string
+           (Obs.Json.Obj
+              (("version", Obs.Json.Int 1) :: List.remove_assoc "version" f)))
+  | _ -> Alcotest.fail "a snapshot is a JSON object");
+  let e, _ = load_error "version 1" path in
+  check_bool "version 1 is Unknown_version 1" true
+    (e = Mc.Checkpoint.Unknown_version 1);
   (* hand-edited task lists are refused rather than merged *)
   let entry = List.hd full.Mc.Distrib.completed in
   let forged completed total =
@@ -1362,8 +1415,6 @@ let () =
           Alcotest.test_case "solo split in DLS (Section 1.4)" `Quick test_solo_split_dls;
           Alcotest.test_case "DLS model rules" `Quick test_dls_model_rules;
           Alcotest.test_case "indulgent algorithms survive" `Quick test_survivors;
-          Alcotest.test_case "search finds FloodSet violation" `Quick test_search_finds_floodset_violation;
-          Alcotest.test_case "search clean for A(t+2)" `Quick test_search_clean_for_at2;
         ] );
       ( "figure1",
         [
@@ -1381,6 +1432,8 @@ let () =
             test_codec_stats_roundtrip;
           Alcotest.test_case "real results round-trip" `Quick
             test_codec_result_roundtrip;
+          Alcotest.test_case "malformed valency" `Quick
+            test_codec_valency_errors;
         ] );
       ( "checkpoint",
         [

@@ -14,21 +14,16 @@ let test_envelope () =
   check_bool "compare by src" true
     (Sim.Envelope.compare_src (env 1 3 "a") (env 2 3 "b") < 0)
 
+(* Current-round senders only: the late envelope from p2 is ignored. *)
 let test_inbox () =
   let round = Round.of_int 2 in
   let inbox = [ env 3 2 "c"; env 1 2 "a"; env 2 1 "late" ] in
-  check_int "current count" 2 (Sim.Inbox.count_current inbox ~round);
-  check_int "late count" 1 (List.length (Sim.Inbox.late inbox ~round));
   check_bool "senders" true
-    (Pid.Set.equal (Sim.Inbox.senders inbox ~round) (Pid.Set.of_ints [ 1; 3 ]));
-  check_bool "suspected" true
-    (Pid.Set.equal
-       (Sim.Inbox.suspected ~n:4 inbox ~round)
-       (Pid.Set.of_ints [ 2; 4 ]));
-  check_bool "from present" true
-    (Sim.Inbox.from inbox ~src:(Pid.of_int 1) ~round = Some "a");
-  check_bool "from late is ignored" true
-    (Sim.Inbox.from inbox ~src:(Pid.of_int 2) ~round = None)
+    (Bitset.equal
+       (Sim.Inbox.senders_bits inbox ~round)
+       (Bitset.of_list [ 1; 3 ]));
+  check_bool "no current-round envelope" true
+    (Bitset.is_empty (Sim.Inbox.senders_bits [ env 2 1 "late" ] ~round))
 
 (* ------------------------------------------------------------------ *)
 (* Schedule validation                                                 *)

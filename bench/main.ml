@@ -570,6 +570,17 @@ let check_baseline suites =
             Format.eprintf "bench baseline %s: %s@." path e;
             true
         | Ok old_ ->
+            (* Only the suites this run produced: the baseline's other
+               suites were not measured, not dropped. *)
+            let old_ =
+              {
+                old_ with
+                a_suites =
+                  List.filter
+                    (fun (name, _) -> List.mem_assoc name suites)
+                    old_.a_suites;
+              }
+            in
             let new_ =
               {
                 Stats.Bench_diff.a_date = None;

@@ -52,8 +52,16 @@ let faults_arg =
            <= t.")
 
 let omit_budget_arg =
+  let non_negative =
+    Cmdliner.Arg.conv'
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some k when k >= 0 -> Ok k
+          | _ -> Error (Printf.sprintf "expected an integer >= 0, got %S" s)),
+        Format.pp_print_int )
+  in
   Cmdliner.Arg.(
-    value & opt int 1
+    value & opt non_negative 1
     & info [ "omit-budget" ] ~docv:"N"
         ~doc:
           "Omission budget t_omit for the non-crash fault menus (default \

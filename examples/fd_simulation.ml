@@ -15,23 +15,22 @@ open Kernel
 let () =
   let config = Config.make ~n:4 ~t:1 in
   (* Rounds 1-2 are asynchronous: p1's messages to p4 are delayed. p3
-     crashes in round 4 (after the network has stabilised). *)
-  let delay dst round until =
-    (Pid.of_int 1, Pid.of_int dst, Round.of_int until) |> fun d ->
-    ignore round;
-    d
+     crashes in round 4 (after the network has stabilised), heard by p2
+     and p4 but not p1. *)
+  let n = Config.n config in
+  let late_to_p4 =
+    Sim.Schedule.delay ~n ~except:(Pid.Set.of_ints [ 2; 3 ]) (Pid.of_int 1)
+      ~until:(Round.of_int 3)
   in
   let schedule =
     Sim.Schedule.make ~model:Sim.Model.Es ~gst:(Round.of_int 3)
       [
-        { Sim.Schedule.crashes = []; lost = []; delayed = [ delay 4 1 3 ] };
-        { Sim.Schedule.crashes = []; lost = []; delayed = [ delay 4 2 3 ] };
+        late_to_p4;
+        late_to_p4;
         Sim.Schedule.empty_plan;
-        {
-          Sim.Schedule.crashes = [ Pid.of_int 3 ];
-          lost = [ (Pid.of_int 3, Pid.of_int 1) ];
-          delayed = [];
-        };
+        Sim.Schedule.crash ~n
+          ~heard_by:(Pid.Set.of_ints [ 2; 4 ])
+          (Pid.of_int 3);
       ]
   in
   Sim.Schedule.validate_exn config schedule;

@@ -1,7 +1,6 @@
 open Kernel
 
 let standard_configs = [ (3, 1); (5, 2); (7, 3); (9, 4) ]
-let third_configs = [ (4, 1); (7, 2); (10, 3) ]
 
 let run_trace entry config schedule ~proposals =
   Sim.Runner.run entry.Registry.algo config ~proposals schedule
@@ -10,18 +9,6 @@ let decision_round_on entry config schedule =
   let proposals = Sim.Runner.distinct_proposals config in
   let trace = run_trace entry config schedule ~proposals in
   Option.map Round.to_int (Sim.Trace.global_decision_round trace)
-
-let decision_round_binary entry config schedule =
-  let proposals =
-    Sim.Runner.binary_proposals config
-      ~ones:(Pid.Set.of_ints (Kernel.Listx.range 2 (Config.n config)))
-  in
-  let trace = run_trace entry config schedule ~proposals in
-  Option.map Round.to_int (Sim.Trace.global_decision_round trace)
-
-let check_safety_on entry config schedule =
-  let proposals = Sim.Runner.distinct_proposals config in
-  Sim.Props.check_agreement (run_trace entry config schedule ~proposals)
 
 let fail_on_violations entry config outcome what =
   match outcome.Workload.Search.violations with

@@ -22,15 +22,5 @@ val decision_round_on :
 (** Global decision round of one run with distinct proposals ([None] =
     nobody decided within the engine bound). *)
 
-val decision_round_binary :
-  Registry.entry -> Config.t -> Sim.Schedule.t -> int option
-(** Same with [p_1] proposing 0 and the rest 1. *)
-
-val check_safety_on :
-  Registry.entry -> Config.t -> Sim.Schedule.t -> Sim.Props.violation list
-
 val standard_configs : (int * int) list
 (** The (n, t) pairs the headline tables sweep: (3,1), (5,2), (7,3), (9,4). *)
-
-val third_configs : (int * int) list
-(** (n, t) pairs with n = 3t + 1: (4,1), (7,2), (10,3). *)

@@ -22,114 +22,46 @@ let trim plans =
 
 (* All one-step reductions of a schedule, in the order the greedy loop
    should try them: empty whole rounds (latest first, so the horizon
-   shrinks as early as possible), then remove single crashes, then whole
-   omitter declarations (with the losses they justified), then single
-   fate entries, then pull gst one round earlier. Candidates are blind;
-   the caller re-validates. *)
+   shrinks as early as possible), then {!Workload.Mutate.drops}' removal
+   edits — single crashes with their same-round entries, whole omitter
+   declarations with the losses they licensed, single lost and delayed
+   entries — each re-trimmed, then pull gst one round earlier.
+   Candidates are blind; the caller re-validates. *)
 let candidates schedule =
   let plans = Sim.Schedule.plans schedule in
   let gst = Round.to_int (Sim.Schedule.gst schedule) in
-  let model = Sim.Schedule.model schedule in
-  let omitters0 = Sim.Schedule.omitters schedule in
-  let budget = Sim.Schedule.budget schedule in
-  let rebuild ?(gst = gst) ?(omitters = omitters0) plans =
-    Sim.Schedule.make ~omitters ?budget ~model ~gst:(Round.of_int gst)
+  (* [s] with [plans], trailing empty rounds trimmed. *)
+  let trimmed ?gst s plans =
+    Sim.Schedule.make ~omitters:(Sim.Schedule.omitters s)
+      ?budget:(Sim.Schedule.budget s) ~model:(Sim.Schedule.model s)
+      ~gst:(Option.value gst ~default:(Sim.Schedule.gst s))
       (trim plans)
   in
-  let horizon = List.length plans in
-  let set k p' = List.mapi (fun i p -> if i = k - 1 then p' else p) plans in
-  let update k f = set k (f (List.nth plans (k - 1))) in
   let empty_rounds =
     List.filter_map
       (fun k ->
         if is_empty_plan (List.nth plans (k - 1)) then None
-        else Some (rebuild (set k Sim.Schedule.empty_plan)))
-      (List.rev (Listx.range 1 horizon))
+        else
+          Some
+            (trimmed schedule
+               (List.mapi
+                  (fun i p -> if i = k - 1 then Sim.Schedule.empty_plan else p)
+                  plans)))
+      (List.rev (Listx.range 1 (List.length plans)))
   in
-  let per_round f =
+  let drops =
     List.concat_map
-      (fun k -> f k (List.nth plans (k - 1)))
-      (Listx.range 1 horizon)
-  in
-  let drop_crashes =
-    per_round (fun k (p : Sim.Schedule.plan) ->
+      (fun op ->
         List.map
-          (fun victim ->
-            (* A crash leaves with the same-round entries it justified;
-               keeping orphaned losses on a now-correct sender would just
-               be rejected by the validator. *)
-            rebuild
-              (update k (fun p ->
-                   {
-                     Sim.Schedule.crashes =
-                       List.filter
-                         (fun v -> not (Pid.equal v victim))
-                         p.Sim.Schedule.crashes;
-                     lost =
-                       List.filter
-                         (fun (src, _) -> not (Pid.equal src victim))
-                         p.Sim.Schedule.lost;
-                     delayed =
-                       List.filter
-                         (fun (src, _, _) -> not (Pid.equal src victim))
-                         p.Sim.Schedule.delayed;
-                   })))
-          p.Sim.Schedule.crashes)
+          (fun s -> trimmed s (Sim.Schedule.plans s))
+          (Workload.Mutate.drops op schedule))
+      Workload.Mutate.[ Drop_crash; Drop_omitter; Drop_loss; Drop_delay ]
   in
-  let drop_omitters =
-    (* An omitter declaration leaves with every lost entry it licensed
-       (its outgoing copies for a send-omitter, its incoming ones for a
-       receive-omitter); orphaned omission losses on a now-correct process
-       would just be rejected by the validator. *)
-    List.map
-      (fun (culprit, cls) ->
-        let licensed (src, dst) =
-          match cls with
-          | Sim.Model.Send_omit -> Pid.equal src culprit
-          | Sim.Model.Recv_omit -> Pid.equal dst culprit
-        in
-        rebuild
-          ~omitters:
-            (List.filter (fun (p, _) -> not (Pid.equal p culprit)) omitters0)
-          (List.map
-             (fun (p : Sim.Schedule.plan) ->
-               {
-                 p with
-                 Sim.Schedule.lost =
-                   List.filter (fun e -> not (licensed e)) p.Sim.Schedule.lost;
-               })
-             plans))
-      omitters0
+  let pull_gst =
+    if gst > 1 then [ trimmed ~gst:(Round.of_int (gst - 1)) schedule plans ]
+    else []
   in
-  let drop_losses =
-    per_round (fun k (p : Sim.Schedule.plan) ->
-        List.map
-          (fun entry ->
-            rebuild
-              (update k (fun p ->
-                   {
-                     p with
-                     Sim.Schedule.lost =
-                       List.filter (fun e -> e <> entry) p.Sim.Schedule.lost;
-                   })))
-          p.Sim.Schedule.lost)
-  in
-  let drop_delays =
-    per_round (fun k (p : Sim.Schedule.plan) ->
-        List.map
-          (fun entry ->
-            rebuild
-              (update k (fun p ->
-                   {
-                     p with
-                     Sim.Schedule.delayed =
-                       List.filter (fun e -> e <> entry) p.Sim.Schedule.delayed;
-                   })))
-          p.Sim.Schedule.delayed)
-  in
-  let pull_gst = if gst > 1 then [ rebuild ~gst:(gst - 1) plans ] else [] in
-  empty_rounds @ drop_crashes @ drop_omitters @ drop_losses @ drop_delays
-  @ pull_gst
+  empty_rounds @ drops @ pull_gst
 
 let shrink ?fuel ?(max_steps = max_int) ~algo ~config ~proposals schedule =
   (* One fuel for the original and every candidate: the default bound

@@ -1,12 +1,13 @@
 (** Greedy fixpoint minimization of failing schedules.
 
     Starting from any schedule whose {!Harness} outcome is a failure, the
-    shrinker repeatedly tries one-step reductions — empty a whole round
-    (latest first, so the horizon drops), remove one crash together with
-    the same-round fate entries it justified, remove one omitter
-    declaration together with the lost entries it licensed, remove one
-    lost or delayed entry, pull gst one round earlier — and keeps the
-    first reduction
+    shrinker repeatedly tries one-step reductions, in this order: empty a
+    whole round (latest first, so the horizon drops); then the removal
+    edits of {!Workload.Mutate.drops}, the mutator's own — remove one
+    crash together with the same-round fate entries it justified, one
+    omitter declaration together with the lost entries it licensed, one
+    lost entry, one delayed entry — each with trailing empty rounds
+    trimmed; then pull gst one round earlier. It keeps the first reduction
     whose result still passes {!Sim.Schedule.validate} {e and} still
     fails with the {e same} {!Outcome.failure} class, until none applies.
 

@@ -47,8 +47,6 @@ let prefixes xs =
   in
   go [ [] ] [] xs
 
-let find_map_opt = List.find_map
-
 let max_by ~compare ~f = function
   | [] -> None
   | x :: rest ->

@@ -31,9 +31,6 @@ val subsets : 'a list -> 'a list list
 val prefixes : 'a list -> 'a list list
 (** [prefixes [a;b]] is [[[]; [a]; [a;b]]]. *)
 
-val find_map_opt : ('a -> 'b option) -> 'a list -> 'b option
-(** Alias of [List.find_map], kept for symmetry with older call sites. *)
-
 val max_by : compare:('b -> 'b -> int) -> f:('a -> 'b) -> 'a list -> 'a option
 (** Element maximising [f], or [None] on the empty list; earliest wins
     ties. *)

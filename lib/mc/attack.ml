@@ -35,47 +35,21 @@ let pp_report ppf r =
 let witness_schedule config =
   Config.validate_indulgent config;
   let n = Config.n config and t = Config.t config in
+  (* p_r crashes carrying the 0-chain to p_{r+1} only. *)
   let chain_round r =
-    (* p_r crashes carrying the 0-chain to p_{r+1} only. *)
-    let victim = Pid.of_int r in
-    let keep = Pid.of_int (r + 1) in
-    {
-      Sim.Schedule.crashes = [ victim ];
-      lost =
-        List.filter_map
-          (fun dst -> if Pid.equal dst keep then None else Some (victim, dst))
-          (Pid.others ~n victim);
-      delayed = [];
-    }
+    Sim.Schedule.crash ~n ~heard_by:(Pid.Set.of_ints [ r + 1 ]) (Pid.of_int r)
   in
+  (* p_t is falsely suspected: its round-t message reaches only p_{t+1}
+     in-round; every other copy arrives at round t+2. *)
   let false_suspicion_round =
-    (* p_t is falsely suspected: its round-t message reaches only p_{t+1}
-       in-round; every other copy arrives at round t+2. *)
-    let src = Pid.of_int t in
-    let spare = Pid.of_int (t + 1) in
-    {
-      Sim.Schedule.crashes = [];
-      lost = [];
-      delayed =
-        List.filter_map
-          (fun dst ->
-            if Pid.equal dst spare then None
-            else Some (src, dst, Round.of_int (t + 2)))
-          (Pid.others ~n src);
-    }
+    Sim.Schedule.delay ~n
+      ~except:(Pid.Set.of_ints [ t + 1 ])
+      (Pid.of_int t)
+      ~until:(Round.of_int (t + 2))
   in
+  (* p_{t+1} crashes, heard only by p_t. *)
   let final_crash_round =
-    (* p_{t+1} crashes, heard only by p_t. *)
-    let victim = Pid.of_int (t + 1) in
-    let keep = Pid.of_int t in
-    {
-      Sim.Schedule.crashes = [ victim ];
-      lost =
-        List.filter_map
-          (fun dst -> if Pid.equal dst keep then None else Some (victim, dst))
-          (Pid.others ~n victim);
-      delayed = [];
-    }
+    Sim.Schedule.crash ~n ~heard_by:(Pid.Set.of_ints [ t ]) (Pid.of_int (t + 1))
   in
   Sim.Schedule.make ~model:Sim.Model.Es
     ~gst:(Round.of_int (t + 1))
@@ -94,16 +68,9 @@ let solo_split_schedule ?rounds config =
   Config.validate_indulgent config;
   let n = Config.n config and t = Config.t config in
   let rounds = Option.value rounds ~default:(t + 1) in
-  let p1 = Pid.of_int 1 in
   let plan =
-    {
-      Sim.Schedule.crashes = [];
-      lost = [];
-      delayed =
-        List.map
-          (fun dst -> (p1, dst, Round.of_int (rounds + 1)))
-          (Pid.others ~n p1);
-    }
+    Sim.Schedule.delay ~n ~except:Pid.Set.empty (Pid.of_int 1)
+      ~until:(Round.of_int (rounds + 1))
   in
   Sim.Schedule.make ~model:Sim.Model.Es
     ~gst:(Round.of_int (rounds + 1))

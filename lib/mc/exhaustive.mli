@@ -152,7 +152,7 @@ val sweep :
     call it.
 
     [faults] (default [Crash_only]) selects the adversary's fault menu and
-    [omit_budget] (default 1, clamped per {!Serial.split_budget}) the
+    [omit_budget] (default 1, clamped per {!Sim.Model.split_budget}) the
     omission side of its budget; omission runs are judged with agreement
     and termination restricted to fault-free processes. A run that raises
     {!Sim.Engine.Step_error} is recorded as a {!crashed_run} and the sweep

@@ -47,85 +47,48 @@ let pp_outcome ppf o =
 (* ------------------------------------------------------------------ *)
 (* The five schedules                                                  *)
 
-let chain_plans config =
-  let n = Config.n config in
-  List.map
-    (fun r ->
-      let victim = Pid.of_int r in
-      let keep = Pid.of_int (r + 1) in
-      {
-        Sim.Schedule.crashes = [ victim ];
-        lost =
-          List.filter_map
-            (fun dst ->
-              if Pid.equal dst keep then None else Some (victim, dst))
-            (Pid.others ~n victim);
-        delayed = [];
-      })
-    (Listx.range 1 (Config.t config - 1))
-
-let crash_silent ~n victim =
-  {
-    Sim.Schedule.crashes = [ victim ];
-    lost = List.map (fun dst -> (victim, dst)) (Pid.others ~n victim);
-    delayed = [];
-  }
-
-let crash_heard_only_by ~n victim ~keep =
-  {
-    Sim.Schedule.crashes = [ victim ];
-    lost =
-      List.filter_map
-        (fun dst -> if Pid.equal dst keep then None else Some (victim, dst))
-        (Pid.others ~n victim);
-    delayed = [];
-  }
-
-let delay_all_from ~n src ~until ~except =
-  {
-    Sim.Schedule.crashes = [];
-    lost = [];
-    delayed =
-      List.filter_map
-        (fun dst ->
-          if List.exists (Pid.equal dst) except then None
-          else Some (src, dst, Round.of_int until))
-        (Pid.others ~n src);
-  }
-
 let schedules config ~k' =
   let n = Config.n config and t = Config.t config in
   let p = Pid.of_int t and q = Pid.of_int n in
-  let prefix = chain_plans config in
+  let only x = Pid.Set.singleton x in
+  (* Rounds 1..t-1: the chain, p_r heard only by p_{r+1}. *)
+  let prefix =
+    List.map
+      (fun r ->
+        Sim.Schedule.crash ~n
+          ~heard_by:(only (Pid.of_int (r + 1)))
+          (Pid.of_int r))
+      (Listx.range 1 (t - 1))
+  in
+  let silent victim = Sim.Schedule.crash ~n ~heard_by:Pid.Set.empty victim in
   let sync plans = Sim.Schedule.make ~model:Sim.Model.Es ~gst:Round.first plans in
   let async plans =
     Sim.Schedule.make ~model:Sim.Model.Es ~gst:(Round.of_int (t + 2)) plans
   in
-  let s1 = sync (prefix @ [ crash_silent ~n p ]) in
-  let s0 = sync (prefix @ [ crash_heard_only_by ~n p ~keep:q ]) in
+  let s1 = sync (prefix @ [ silent p ]) in
+  let s0 = sync (prefix @ [ Sim.Schedule.crash ~n ~heard_by:(only q) p ]) in
   (* Round t of the asynchronous runs: P is alive but falsely suspected —
      its messages are delayed to round t+2. In a0, Q still hears P, exactly
      as in s0. *)
-  let p_slandered ~except = delay_all_from ~n p ~until:(t + 2) ~except in
-  let a2 =
-    async (prefix @ [ p_slandered ~except: []; crash_silent ~n q ])
+  let p_slandered ~except =
+    Sim.Schedule.delay ~n ~except p ~until:(Round.of_int (t + 2))
   in
+  let a2 = async (prefix @ [ p_slandered ~except:Pid.Set.empty; silent q ]) in
   (* Round t+1 of a1/a0: everyone falsely suspects Q (its messages arrive at
      k'+1) and Q falsely suspects P; Q crashes silently at t+2. *)
   let q_slandered =
-    let base = delay_all_from ~n q ~until:(k' + 1) ~except:[] in
-    {
-      base with
-      Sim.Schedule.delayed =
-        (p, q, Round.of_int (t + 2)) :: base.Sim.Schedule.delayed;
-    }
+    let base =
+      Sim.Schedule.delay ~n ~except:Pid.Set.empty q
+        ~until:(Round.of_int (k' + 1))
+    in
+    { base with delayed = (p, q, Round.of_int (t + 2)) :: base.delayed }
   in
   let a1 =
-    async (prefix @ [ p_slandered ~except: []; q_slandered; crash_silent ~n q ])
+    async
+      (prefix @ [ p_slandered ~except:Pid.Set.empty; q_slandered; silent q ])
   in
   let a0 =
-    async
-      (prefix @ [ p_slandered ~except: [ q ]; q_slandered; crash_silent ~n q ])
+    async (prefix @ [ p_slandered ~except:(only q); q_slandered; silent q ])
   in
   (p, q, s1, s0, a2, a1, a0)
 

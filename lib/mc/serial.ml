@@ -100,28 +100,15 @@ type adversary = {
   omit_left : int;
 }
 
-(* How the fault menu splits the algorithm's design threshold [t] into the
-   explicit budget [(t_crash, t_omit)] the sweep runs under. [omit_budget]
-   is clamped so the soundness rule [t_crash + t_omit <= t] always holds. *)
-let split_budget ?(omit_budget = 1) ~faults config =
-  let t = Config.t config in
-  match faults with
-  | Sim.Model.Crash_only -> (t, 0)
-  | Sim.Model.Send_omit_only | Sim.Model.Recv_omit_only ->
-      (0, min omit_budget t)
-  | Sim.Model.Mixed ->
-      let o = min omit_budget t in
-      (t - o, o)
-
 let budget_of ?omit_budget ~faults config =
   match faults with
   | Sim.Model.Crash_only -> None
-  | _ ->
-      let t_crash, t_omit = split_budget ?omit_budget ~faults config in
-      Some (Sim.Model.budget ~t_crash ~t_omit)
+  | _ -> Some (Sim.Model.split_budget ?omit_budget ~faults config)
 
 let initial ?omit_budget ?(faults = Sim.Model.Crash_only) config =
-  let t_crash, t_omit = split_budget ?omit_budget ~faults config in
+  let { Sim.Model.t_crash; t_omit } =
+    Sim.Model.split_budget ?omit_budget ~faults config
+  in
   {
     alive = Pid.Set.universe ~n:(Config.n config);
     crashes_left = t_crash;
@@ -166,15 +153,7 @@ let adversary_choices ~policy ~faults adv =
 let plan_of config = function
   | No_crash -> Sim.Schedule.empty_plan
   | Crash { victim; receivers } ->
-      {
-        Sim.Schedule.crashes = [ victim ];
-        lost =
-          List.filter_map
-            (fun dst ->
-              if Pid.Set.mem dst receivers then None else Some (victim, dst))
-            (Pid.others ~n:(Config.n config) victim);
-        delayed = [];
-      }
+      Sim.Schedule.crash ~n:(Config.n config) ~heard_by:receivers victim
   | Send_omit { culprit; dropped } ->
       {
         Sim.Schedule.crashes = [];

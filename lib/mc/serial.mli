@@ -8,15 +8,17 @@
 
     A serial schedule is described by one {!choice} per round: either nobody
     crashes, or one victim crashes and its round message reaches exactly the
-    given set of surviving processes (every other copy is lost). After the
-    horizon the run continues crash-free and synchronous forever.
+    given set of surviving processes (every other copy is lost) — the round
+    {!Sim.Schedule.crash} builds. After the horizon the run continues
+    crash-free and synchronous forever.
 
     The omission-fault adversary keeps the one-act-per-round shape: a round
     may instead apply one send-omission (a culprit's copies towards a target
     set are dropped) or one receive-omission (the copies from a source set
     towards the culprit are dropped). Fault classes are drawn under an
-    explicit budget [(t_crash, t_omit)] derived from the {!Sim.Model.faults}
-    menu: a fresh culprit costs one omission unit and fixes that process's
+    explicit budget [(t_crash, t_omit)] that {!Sim.Model.split_budget}
+    derives from the {!Sim.Model.faults} menu: a fresh culprit costs one
+    omission unit and fixes that process's
     class for the rest of the run; declared culprits re-offend for free, and
     crash victims stay disjoint from omitters. *)
 
@@ -59,9 +61,9 @@ val choices :
     the config is not needed. *)
 
 val plan_of : Config.t -> choice -> Sim.Schedule.plan
-(** The one-round plan a choice denotes: nothing, one crash whose round
-    message is lost towards every survivor outside [receivers], or the
-    lost entries of one omission act. *)
+(** The one-round plan a choice denotes: nothing, one crash heard by
+    exactly [receivers] ({!Sim.Schedule.crash}), or the lost entries of
+    one omission act. *)
 
 val omitters_of : choice list -> (Pid.t * Sim.Model.omission) list
 (** The omitter declarations a choice sequence implies, in order of first
@@ -77,7 +79,7 @@ val budget_of :
   ?omit_budget:int -> faults:Sim.Model.faults -> Config.t -> Sim.Model.budget option
 (** The explicit budget a sweep under the given fault menu runs with:
     [None] for [Crash_only] (crash sweeps carry no budget, as before),
-    and the {!split_budget} split otherwise. *)
+    and the {!Sim.Model.split_budget} split otherwise. *)
 
 (** {1 Adversary state}
 
@@ -96,7 +98,8 @@ type adversary = {
 val initial : ?omit_budget:int -> ?faults:Sim.Model.faults -> Config.t -> adversary
 (** Everybody alive, full budgets. [faults] defaults to [Crash_only] with
     the full crash budget [t]; omission menus split [t] per
-    {!split_budget} ([omit_budget] defaults to 1, clamped to [t]). *)
+    {!Sim.Model.split_budget} ([omit_budget] defaults to 1, clamped to
+    [t]). *)
 
 val advance : adversary -> choice -> adversary
 (** One round's transition: a crash removes the victim and debits the
@@ -106,13 +109,6 @@ val advance : adversary -> choice -> adversary
 val adversary_choices :
   policy:policy -> faults:Sim.Model.faults -> adversary -> choice list
 (** {!choices} with every budget/omitter argument drawn from the state. *)
-
-val split_budget :
-  ?omit_budget:int -> faults:Sim.Model.faults -> Config.t -> int * int
-(** [(t_crash, t_omit)]: how a fault menu splits the design threshold [t].
-    [Crash_only] is [(t, 0)]; the pure omission menus are [(0, min
-    omit_budget t)]; [Mixed] gives the omission side [min omit_budget t]
-    and the crash side the rest, so [t_crash + t_omit = t] always. *)
 
 val fold :
   ?faults:Sim.Model.faults ->

@@ -16,8 +16,6 @@ let to_channel oc events =
       output_char oc '\n')
     events
 
-let sink consume = Sink.make (fun ev -> consume (line ev))
-
 let parse contents =
   let lines = String.split_on_char '\n' contents in
   let rec loop lineno acc = function

@@ -1,10 +1,9 @@
 (** JSON Lines export and import of event streams.
 
     One {!Event.t} per line, encoded with {!Event.to_json}. The format is
-    append-friendly (a sink can stream lines as the run executes), diffable
-    (a fixed config + seed + schedule produces a byte-identical log — the
-    determinism the test suite asserts) and greppable. [ipi run --trace]
-    writes it; [ipi trace] reads it back. *)
+    append-friendly, diffable (a fixed config + seed + schedule produces a
+    byte-identical log — the determinism the test suite asserts) and
+    greppable. [ipi run --trace] writes it; [ipi trace] reads it back. *)
 
 val line : Event.t -> string
 (** One compact JSON object, no trailing newline. *)
@@ -13,10 +12,6 @@ val to_string : Event.t list -> string
 (** Newline-terminated lines, in order. *)
 
 val to_channel : out_channel -> Event.t list -> unit
-
-val sink : (string -> unit) -> Sink.t
-(** A streaming sink: calls the consumer with each event's {!line}
-    (newline not included) as it is emitted. *)
 
 val parse : string -> (Event.t list, string) result
 (** Parse a whole log. Blank lines and [#]-prefixed comment lines are

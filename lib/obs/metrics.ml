@@ -40,7 +40,6 @@ let counter t name =
       c
 
 let incr ?(by = 1) c = c.count <- c.count + by
-let counter_value c = c.count
 
 let gauge t name =
   match find t name with

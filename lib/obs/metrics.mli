@@ -27,7 +27,6 @@ val create : unit -> t
 
 val counter : t -> string -> counter
 val incr : ?by:int -> counter -> unit
-val counter_value : counter -> int
 
 val gauge : t -> string -> gauge
 val set : gauge -> int -> unit

@@ -46,3 +46,13 @@ let faults_of_string = function
 
 let pp_faults ppf f = Format.pp_print_string ppf (faults_to_string f)
 let all_faults = [ Crash_only; Send_omit_only; Recv_omit_only; Mixed ]
+
+(* [omit_budget] is clamped to [t], so the split always obeys the soundness
+   rule [t_crash + t_omit <= t]. *)
+let split_budget ?(omit_budget = 1) ~faults config =
+  let t = Kernel.Config.t config in
+  let o = min omit_budget t in
+  match faults with
+  | Crash_only -> budget ~t_crash:t ~t_omit:0
+  | Send_omit_only | Recv_omit_only -> budget ~t_crash:0 ~t_omit:o
+  | Mixed -> budget ~t_crash:(t - o) ~t_omit:o

@@ -75,3 +75,12 @@ val faults_to_string : faults -> string
 val faults_of_string : string -> faults option
 val pp_faults : Format.formatter -> faults -> unit
 val all_faults : faults list
+
+val split_budget :
+  ?omit_budget:int -> faults:faults -> Kernel.Config.t -> budget
+(** How a fault menu splits the design threshold [t], for the sweeps and
+    the random generators alike. [Crash_only] is [t+0]; the pure omission
+    menus are [0+o]; [Mixed] is [(t-o)+o], where [o = min omit_budget t]
+    ([omit_budget] defaults to 1), so [t_crash + t_omit <= t] always.
+    Built with {!budget}, so a negative [omit_budget] raises
+    [Invalid_argument] outside [Crash_only]. *)

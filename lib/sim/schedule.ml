@@ -10,6 +10,28 @@ type plan = {
 
 let empty_plan = { crashes = []; lost = []; delayed = [] }
 
+let crash ~n ~heard_by victim =
+  {
+    crashes = [ victim ];
+    lost =
+      List.filter_map
+        (fun dst ->
+          if Pid.Set.mem dst heard_by then None else Some (victim, dst))
+        (Pid.others ~n victim);
+    delayed = [];
+  }
+
+let delay ~n ~except src ~until =
+  {
+    crashes = [];
+    lost = [];
+    delayed =
+      List.filter_map
+        (fun dst ->
+          if Pid.Set.mem dst except then None else Some (src, dst, until))
+        (Pid.others ~n src);
+  }
+
 type t = {
   model : Model.t;
   gst : Round.t;

@@ -14,7 +14,8 @@
 
     {!validate} checks the schedule against every constraint of Section 1.2
     for the chosen model (SCS or ES); generators in [Workload] produce valid
-    schedules by construction, and the property tests check that. *)
+    schedules by construction, and the property tests check that. The named
+    runs of the lower bound are lists of {!crash} and {!delay} rounds. *)
 
 open Kernel
 
@@ -38,6 +39,26 @@ type plan = {
 }
 
 val empty_plan : plan
+
+(** {1 The two disrupted rounds}
+
+    Every named run of the lower-bound argument — the chain of Claim 5.1,
+    the five runs of Fig. 1, the witness, every serial run — is built from
+    two kinds of round: a crash whose last message only some processes
+    hear, and a live process whose messages arrive late. Both constructors
+    list their entries in ascending destination order, so the codec and
+    the diagram legend print them in that order. *)
+
+val crash : n:int -> heard_by:Pid.Set.t -> Pid.t -> plan
+(** [crash ~n ~heard_by victim]: [victim] crashes in this round and its
+    round message reaches exactly the processes of [heard_by]; every other
+    copy is lost. An empty [heard_by] is a crash before sending. *)
+
+val delay : n:int -> except:Pid.Set.t -> Pid.t -> until:Round.t -> plan
+(** [delay ~n ~except src ~until]: [src] stays alive, and its round message
+    reaches every other process outside [except] only in round [until]
+    (the processes of [except] receive it in-round). Legal in ES before gst,
+    the false suspicion that indulgence must forgive. *)
 
 type t
 

@@ -234,21 +234,25 @@ let pp ppf report =
            @ [ "verdict" ]))
       report.rows
   in
-  Table.render ppf table;
   let note label = function
     | [] -> ()
     | names ->
         Format.fprintf ppf "@,%s: %s" label (String.concat ", " names)
   in
+  (* One box from the table's first line, so the notes start at its
+     left edge rather than where its last line ends. *)
   Format.pp_open_vbox ppf 0;
+  Table.render ppf table;
   note "only in old" report.only_old;
   note "only in new" report.only_new;
-  let n = List.length (regressions report) in
-  Format.fprintf ppf
-    "@,%d regression(s) at time>%.2fx alloc>%.2fx speedup-vs-none<1x over %d \
-     matched row(s)"
-    n report.threshold report.alloc_threshold
-    (List.length report.rows);
+  (match report.rows with
+  | [] -> Format.fprintf ppf "@,no row compared: the artifacts share no row"
+  | rows ->
+      Format.fprintf ppf
+        "@,%d regression(s) at time>%.2fx alloc>%.2fx speedup-vs-none<1x \
+         over %d matched row(s)"
+        (List.length (regressions report))
+        report.threshold report.alloc_threshold (List.length rows));
   Format.pp_close_box ppf ()
 
 let opt_float = function

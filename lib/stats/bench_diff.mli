@@ -90,6 +90,8 @@ val regressions : report -> row list
 
 val pp : Format.formatter -> report -> unit
 (** Per-row delta table (time, ratio, alloc ratio, verdict) followed by
-    only-old/only-new notes and a one-line summary. *)
+    only-old/only-new notes and a one-line summary: the regression count
+    over the matched rows, or, when no row matched, that no row was
+    compared. *)
 
 val to_json : report -> Obs.Json.t

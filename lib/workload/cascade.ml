@@ -1,26 +1,18 @@
 open Kernel
 
-let lose_to_all ~n victim =
-  List.map (fun dst -> (victim, dst)) (Pid.others ~n victim)
-
-let lose_to_all_but ~n victim ~keep =
-  List.filter_map
-    (fun dst -> if Pid.equal dst keep then None else Some (victim, dst))
-    (Pid.others ~n victim)
-
 let chain config =
   let n = Config.n config and t = Config.t config in
-  let plan_for k =
-    let victim = Pid.of_int k in
-    let keep = Pid.of_int (k + 1) in
-    {
-      Sim.Schedule.crashes = [ victim ];
-      lost = lose_to_all_but ~n victim ~keep;
-      delayed = [];
-    }
-  in
   Sim.Schedule.make ~model:Sim.Model.Es ~gst:Round.first
-    (List.map plan_for (Listx.range 1 t))
+    (List.map
+       (fun k ->
+         Sim.Schedule.crash ~n
+           ~heard_by:(Pid.Set.of_ints [ k + 1 ])
+           (Pid.of_int k))
+       (Listx.range 1 t))
+
+(* Victims crashing in the same round: their plans side by side. *)
+let both (a : Sim.Schedule.plan) (b : Sim.Schedule.plan) =
+  { a with crashes = a.crashes @ b.crashes; lost = a.lost @ b.lost }
 
 let silent_crashes config ~rounds =
   let n = Config.n config in
@@ -29,16 +21,11 @@ let silent_crashes config ~rounds =
   in
   let victims = List.mapi (fun i r -> (Pid.of_int (i + 1), r)) rounds in
   let plan_for k =
-    match
-      List.filter (fun (_, r) -> Round.to_int r = k) victims
-    with
-    | [] -> Sim.Schedule.empty_plan
-    | crashing ->
-        {
-          Sim.Schedule.crashes = List.map fst crashing;
-          lost = List.concat_map (fun (v, _) -> lose_to_all ~n v) crashing;
-          delayed = [];
-        }
+    List.fold_left
+      (fun plan (v, r) ->
+        if Round.to_int r <> k then plan
+        else both plan (Sim.Schedule.crash ~n ~heard_by:Pid.Set.empty v))
+      Sim.Schedule.empty_plan victims
   in
   Sim.Schedule.make ~model:Sim.Model.Es ~gst:Round.first
     (List.map plan_for (Listx.range 1 horizon))
@@ -71,61 +58,34 @@ let minority_keeper config ~f =
   let n = Config.n config and t = Config.t config in
   if f < 1 || f > t then
     invalid_arg "Cascade.minority_keeper: needs 1 <= f <= t";
-  let keep_of r =
-    if r = 1 then List.map Pid.of_int (Listx.range 2 (t + 2))
-    else [ Pid.of_int (r + 1) ]
-  in
-  let plan_for r =
-    let victim = Pid.of_int r in
-    let keep = keep_of r in
-    {
-      Sim.Schedule.crashes = [ victim ];
-      lost =
-        List.filter
-          (fun (_, dst) -> not (List.exists (Pid.equal dst) keep))
-          (lose_to_all ~n victim);
-      delayed = [];
-    }
+  let heard_by r =
+    Pid.Set.of_ints (if r = 1 then Listx.range 2 (t + 2) else [ r + 1 ])
   in
   Sim.Schedule.make ~model:Sim.Model.Es ~gst:Round.first
-    (List.map plan_for (Listx.range 1 f))
+    (List.map
+       (fun r -> Sim.Schedule.crash ~n ~heard_by:(heard_by r) (Pid.of_int r))
+       (Listx.range 1 f))
 
 let split_brain config ~k ~f =
   let n = Config.n config and t = Config.t config in
   if f > t then invalid_arg "Cascade.split_brain: f exceeds t";
-  let low_block = List.map Pid.of_int (Listx.range 1 (t + 1)) in
-  let high_block = List.map Pid.of_int (Listx.range (t + 2) n) in
-  let p1 = Pid.of_int 1 in
-  let prefix_plan round =
-    ignore round;
-    {
-      Sim.Schedule.crashes = [];
-      lost = [];
-      delayed =
-        List.map (fun dst -> (p1, dst, Round.of_int (k + 1))) high_block;
-    }
+  let low_block = Pid.Set.of_ints (Listx.range 1 (t + 1)) in
+  (* Rounds 1..k: p1's messages reach the high block only at round k+1. *)
+  let prefix_plan =
+    Sim.Schedule.delay ~n ~except:low_block (Pid.of_int 1)
+      ~until:(Round.of_int (k + 1))
   in
+  (* Round k+i: p_i crashes, delivering only to the rest of the low
+     block. *)
   let crash_plan i =
-    (* Round k+i: p_i crashes, delivering only to the rest of the low
-       block. *)
     let victim = Pid.of_int i in
-    let keep =
-      List.filter (fun p -> Pid.compare p victim > 0) low_block
-    in
-    {
-      Sim.Schedule.crashes = [ victim ];
-      lost =
-        List.filter
-          (fun (_, dst) -> not (List.exists (Pid.equal dst) keep))
-          (lose_to_all ~n victim);
-      delayed = [];
-    }
+    Sim.Schedule.crash ~n
+      ~heard_by:(Pid.Set.filter (fun p -> Pid.compare p victim > 0) low_block)
+      victim
   in
-  let plans =
-    List.map prefix_plan (Listx.range 1 k)
-    @ List.map crash_plan (Listx.range 1 f)
-  in
-  Sim.Schedule.make ~model:Sim.Model.Es ~gst:(Round.of_int (k + 1)) plans
+  Sim.Schedule.make ~model:Sim.Model.Es ~gst:(Round.of_int (k + 1))
+    (List.map (fun _ -> prefix_plan) (Listx.range 1 k)
+    @ List.map crash_plan (Listx.range 1 f))
 
 let split_then_minority config ~k ~f =
   let prefix = Sim.Schedule.plans (split_brain config ~k ~f:0) in

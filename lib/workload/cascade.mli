@@ -4,8 +4,11 @@
     round, each time letting the victim's last message reach exactly one
     surviving process, so that one value stays known to a single process for
     [t] rounds. Variants of the same cascade hit the coordinator/leader
-    rotation of the phase-based algorithms. All schedules produced here are
-    synchronous (gst = 1) and validate against the ES model. *)
+    rotation of the phase-based algorithms. Every round is a
+    {!Sim.Schedule.crash}, except the asynchronous prefix of
+    {!split_brain}, whose rounds are {!Sim.Schedule.delay}s. All schedules
+    validate against the ES model; all but the split-brain ones are
+    synchronous (gst = 1). *)
 
 open Kernel
 

@@ -63,27 +63,14 @@ let update_round plans k f =
     (fun i (p : Sim.Schedule.plan) -> if i = k - 1 then f p else p)
     (pad plans k)
 
-(* Every (round, entry) pair of one fate kind, for uniform picking. *)
-let losses plans =
+(* Every (round, entry) pair of one plan field, for uniform picking. *)
+let entries field plans =
   List.concat
-    (List.mapi
-       (fun i (p : Sim.Schedule.plan) ->
-         List.map (fun e -> (i + 1, e)) p.Sim.Schedule.lost)
-       plans)
+    (List.mapi (fun i p -> List.map (fun e -> (i + 1, e)) (field p)) plans)
 
-let delays plans =
-  List.concat
-    (List.mapi
-       (fun i (p : Sim.Schedule.plan) ->
-         List.map (fun e -> (i + 1, e)) p.Sim.Schedule.delayed)
-       plans)
-
-let crashes plans =
-  List.concat
-    (List.mapi
-       (fun i (p : Sim.Schedule.plan) ->
-         List.map (fun v -> (i + 1, v)) p.Sim.Schedule.crashes)
-       plans)
+let losses = entries (fun (p : Sim.Schedule.plan) -> p.lost)
+let delays = entries (fun (p : Sim.Schedule.plan) -> p.delayed)
+let crashes = entries (fun (p : Sim.Schedule.plan) -> p.crashes)
 
 (* Remove a victim's crash from round [k] together with the same-round fate
    entries it justified — leaving them would orphan losses on a correct
@@ -103,6 +90,66 @@ let remove_crash plans k victim =
             p.Sim.Schedule.delayed;
       })
 
+(* The removal edits, shared with {!Fuzz.Shrink}: every result of one
+   [Drop_*] operator, in plan order. A crash leaves with its same-round
+   entries ([remove_crash]); a declaration leaves with every lost entry it
+   licensed (its outgoing copies for a send-omitter, its incoming ones for
+   a receive-omitter), since orphaned omission losses on a now-correct
+   process would just be rejected. *)
+let drops op schedule =
+  let plans = Sim.Schedule.plans schedule in
+  let omitters0 = Sim.Schedule.omitters schedule in
+  let rebuild ?(omitters = omitters0) plans =
+    Sim.Schedule.make ~omitters
+      ?budget:(Sim.Schedule.budget schedule)
+      ~model:(Sim.Schedule.model schedule) ~gst:(Sim.Schedule.gst schedule)
+      plans
+  in
+  match op with
+  | Drop_crash ->
+      List.map
+        (fun (k, victim) -> rebuild (remove_crash plans k victim))
+        (crashes plans)
+  | Drop_omitter ->
+      List.map
+        (fun (culprit, cls) ->
+          let licensed (src, dst) =
+            match cls with
+            | Sim.Model.Send_omit -> Pid.equal src culprit
+            | Sim.Model.Recv_omit -> Pid.equal dst culprit
+          in
+          rebuild
+            ~omitters:
+              (List.filter (fun (p, _) -> not (Pid.equal p culprit)) omitters0)
+            (List.map
+               (fun (p : Sim.Schedule.plan) ->
+                 {
+                   p with
+                   lost = List.filter (fun e -> not (licensed e)) p.lost;
+                 })
+               plans))
+        omitters0
+  | Drop_loss ->
+      List.map
+        (fun (k, entry) ->
+          rebuild
+            (update_round plans k (fun p ->
+                 { p with lost = List.filter (fun e -> e <> entry) p.lost })))
+        (losses plans)
+  | Drop_delay ->
+      List.map
+        (fun (k, entry) ->
+          rebuild
+            (update_round plans k (fun p ->
+                 {
+                   p with
+                   delayed = List.filter (fun e -> e <> entry) p.delayed;
+                 })))
+        (delays plans)
+  | Add_crash | Move_crash | Flip_fate | Add_delay | Add_loss | Shift_gst
+  | Add_omitter | Add_omit_loss ->
+      []
+
 let apply_op rng config op schedule =
   let n = Config.n config and t = Config.t config in
   let plans = Sim.Schedule.plans schedule in
@@ -116,6 +163,8 @@ let apply_op rng config op schedule =
   in
   let random_pid () = Pid.of_int (Rng.int_in rng 1 n) in
   match op with
+  | Drop_crash | Drop_omitter | Drop_loss | Drop_delay ->
+      Rng.pick_opt rng (drops op schedule)
   | Add_crash ->
       if Sim.Schedule.crash_count schedule >= t then None
       else begin
@@ -128,28 +177,19 @@ let apply_op rng config op schedule =
         | None -> None
         | Some victim ->
             let k = Rng.int_in rng 1 (horizon + 1) in
-            let kept = Rng.subset rng (Pid.others ~n victim) in
-            let lost =
-              List.filter_map
-                (fun dst ->
-                  if List.exists (Pid.equal dst) kept then None
-                  else Some (victim, dst))
-                (Pid.others ~n victim)
+            let heard_by =
+              Pid.Set.of_list (Rng.subset rng (Pid.others ~n victim))
             in
+            let crash = Sim.Schedule.crash ~n ~heard_by victim in
             Some
               (rebuild
                  (update_round plans k (fun p ->
                       {
                         p with
-                        Sim.Schedule.crashes =
-                          victim :: p.Sim.Schedule.crashes;
-                        lost = lost @ p.Sim.Schedule.lost;
+                        crashes = victim :: p.crashes;
+                        lost = crash.lost @ p.lost;
                       })))
       end
-  | Drop_crash -> (
-      match Rng.pick_opt rng (crashes plans) with
-      | None -> None
-      | Some (k, victim) -> Some (rebuild (remove_crash plans k victim)))
   | Move_crash -> (
       match Rng.pick_opt rng (crashes plans) with
       | None -> None
@@ -194,32 +234,6 @@ let apply_op rng config op schedule =
                           (fun e -> e <> (src, dst, until))
                           p.Sim.Schedule.delayed;
                       lost = (src, dst) :: p.Sim.Schedule.lost;
-                    }))))
-  | Drop_loss -> (
-      match Rng.pick_opt rng (losses plans) with
-      | None -> None
-      | Some (k, entry) ->
-          Some
-            (rebuild
-               (update_round plans k (fun p ->
-                    {
-                      p with
-                      Sim.Schedule.lost =
-                        List.filter (fun e -> e <> entry) p.Sim.Schedule.lost;
-                    }))))
-  | Drop_delay -> (
-      match Rng.pick_opt rng (delays plans) with
-      | None -> None
-      | Some (k, entry) ->
-          Some
-            (rebuild
-               (update_round plans k (fun p ->
-                    {
-                      p with
-                      Sim.Schedule.delayed =
-                        List.filter
-                          (fun e -> e <> entry)
-                          p.Sim.Schedule.delayed;
                     }))))
   | Add_delay ->
       let k = Rng.int_in rng 1 horizon in
@@ -271,34 +285,6 @@ let apply_op rng config op schedule =
             if Rng.bool rng then Sim.Model.Send_omit else Sim.Model.Recv_omit
           in
           Some (rebuild ~omitters:((culprit, cls) :: omitters0) plans))
-  | Drop_omitter -> (
-      (* The declaration leaves with every lost entry it licensed, like
-         [remove_crash] — orphaned omission losses on a now-correct
-         process would just be rejected. *)
-      match Rng.pick_opt rng omitters0 with
-      | None -> None
-      | Some (culprit, cls) ->
-          let licensed (src, dst) =
-            match cls with
-            | Sim.Model.Send_omit -> Pid.equal src culprit
-            | Sim.Model.Recv_omit -> Pid.equal dst culprit
-          in
-          Some
-            (rebuild
-               ~omitters:
-                 (List.filter
-                    (fun (p, _) -> not (Pid.equal p culprit))
-                    omitters0)
-               (List.map
-                  (fun (p : Sim.Schedule.plan) ->
-                    {
-                      p with
-                      Sim.Schedule.lost =
-                        List.filter
-                          (fun e -> not (licensed e))
-                          p.Sim.Schedule.lost;
-                    })
-                  plans)))
   | Add_omit_loss -> (
       (* Lose one more message an existing declaration licenses. *)
       match Rng.pick_opt rng omitters0 with

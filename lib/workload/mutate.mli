@@ -11,8 +11,10 @@
     Operators edit the plan list blindly and {!mutate} re-validates the
     result with {!Sim.Schedule.validate}, retrying with a fresh operator
     draw on failure — the validator stays the single source of truth for
-    model legality. All randomness comes from the caller's {!Kernel.Rng.t},
-    so campaigns remain reproducible from one seed. *)
+    model legality. The four removal operators are {!drops}, which
+    {!Fuzz.Shrink} tries one by one, so mutating and shrinking share one
+    set of removal edits. All randomness comes from the caller's
+    {!Kernel.Rng.t}, so campaigns remain reproducible from one seed. *)
 
 open Kernel
 
@@ -34,6 +36,17 @@ type op =
 
 val all_ops : op list
 val pp_op : Format.formatter -> op -> unit
+
+val drops : op -> Sim.Schedule.t -> Sim.Schedule.t list
+(** The removal edits, one result per entry the operator can remove, in
+    plan order: [Drop_crash] removes one crash (round by round, in each
+    round's crash order) together with its same-round fate entries;
+    [Drop_omitter] retires one declaration (ascending by pid) together
+    with every lost entry it licensed; [Drop_loss] and [Drop_delay]
+    remove one lost or delayed entry. Every other operator gives [[]].
+    {!apply_op} draws one of these results, and {!Fuzz.Shrink} tries them
+    all, so the mutator and the shrinker share one set of removals. The
+    results are {e not} validated. *)
 
 val apply_op :
   Rng.t -> Config.t -> op -> Sim.Schedule.t -> Sim.Schedule.t option

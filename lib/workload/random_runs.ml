@@ -48,20 +48,13 @@ let synchronous_like rng config ~max_crashes ~horizon ~fate =
    omission loss is licensed by a declaration, so the schedules validate by
    construction: a correct receiver loses at most (crashes so far +
    send-omitters) <= t senders per round, which keeps the ES quorum. *)
-let with_omissions rng config ?(faults = Sim.Model.Mixed) ?(omit_budget = 1)
+let with_omissions rng config ?(faults = Sim.Model.Mixed) ?omit_budget
     ?max_crashes ?horizon () =
-  let t = Config.t config in
-  let t_crash, t_omit =
-    match faults with
-    | Sim.Model.Crash_only -> (t, 0)
-    | Sim.Model.Send_omit_only | Sim.Model.Recv_omit_only ->
-        (0, min omit_budget t)
-    | Sim.Model.Mixed ->
-        let o = min omit_budget t in
-        (t - o, o)
+  let ({ Sim.Model.t_crash; t_omit } as budget) =
+    Sim.Model.split_budget ?omit_budget ~faults config
   in
   let max_crashes = min (Option.value max_crashes ~default:t_crash) t_crash in
-  let horizon = Option.value horizon ~default:(t + 3) in
+  let horizon = Option.value horizon ~default:(Config.t config + 3) in
   let crashes = random_crashes rng config ~max_crashes ~horizon in
   let n = Config.n config in
   let omitters =
@@ -110,9 +103,7 @@ let with_omissions rng config ?(faults = Sim.Model.Mixed) ?(omit_budget = 1)
       omitters;
     { Sim.Schedule.crashes = victims; lost = !lost; delayed = [] }
   in
-  Sim.Schedule.make ~omitters
-    ~budget:(Sim.Model.budget ~t_crash ~t_omit)
-    ~model:Sim.Model.Es ~gst:Round.first
+  Sim.Schedule.make ~omitters ~budget ~model:Sim.Model.Es ~gst:Round.first
     (List.map plan_for (Listx.range 1 horizon))
 
 let synchronous rng config ?max_crashes ?horizon () =

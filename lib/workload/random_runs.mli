@@ -27,8 +27,9 @@ val with_omissions :
   unit ->
   Sim.Schedule.t
 (** A random synchronous schedule with declared omission faults: the
-    design threshold [t] is split into [(t_crash, t_omit)] per the fault
-    menu (default [Mixed] with [omit_budget = 1], clamped to [t]), up to
+    design threshold [t] is split into [(t_crash, t_omit)] by
+    {!Sim.Model.split_budget}, the split the sweeps use (default [Mixed]
+    with [omit_budget = 1], clamped to [t]), up to
     [t_crash] crashes land as in {!synchronous}, and 1..[t_omit]
     processes disjoint from the victims are declared send- or
     receive-omitters whose licensed losses are sprinkled across the

@@ -342,6 +342,41 @@ let test_shrink_chain_minimal () =
       check_int "both crashes kept" 2
         (Sim.Schedule.crash_count r.Fuzz.Shrink.schedule)
 
+(* Two mutation-plus-shrink campaigns, pinned: the findings, the accepted
+   reductions and every candidate the shrinker tried. The attempts total
+   moves whenever the shrinker's candidate order does, and the findings
+   whenever a mutation draw does. *)
+let test_mutation_campaigns_pinned () =
+  let pin label ~algo ~config ~base ~runs ~findings ~steps ~attempts =
+    let r =
+      Fuzz.Campaign.run ~shrink:true ~seed:42 ~runs ~algo ~config
+        ~proposals:(props config)
+        ~gen:(Fuzz.Campaign.mutation_gen ~base)
+        ()
+    in
+    check_int (label ^ ": findings") findings
+      (List.length r.Fuzz.Campaign.findings);
+    check_int (label ^ ": shrink steps") steps r.Fuzz.Campaign.shrink_steps;
+    check_int (label ^ ": shrink attempts") attempts
+      (List.fold_left
+         (fun acc (f : Fuzz.Campaign.finding) ->
+           match f.Fuzz.Campaign.shrunk with
+           | Some s -> acc + s.Fuzz.Shrink.attempts
+           | None -> acc)
+         0 r.Fuzz.Campaign.findings)
+  in
+  pin "eager-floodset around the chain" ~algo:eager ~config:c52
+    ~base:(Workload.Cascade.chain c52) ~runs:120 ~findings:28 ~steps:51
+    ~attempts:631;
+  (* test/golden/floodset_sendomit.sched *)
+  pin "FloodSet around a send-omission" ~algo:floodset ~config:c41
+    ~base:
+      (Sim.Codec.decode_exn
+         "schedule SCS gst=1 omit=p1:send budget=0+1\n\
+          round 1: lose p1->p2 p1->p3 p1->p4\n\
+          round 2: lose p1->p3 p1->p4\n")
+    ~runs:600 ~findings:80 ~steps:35 ~attempts:805
+
 (* ------------------------------------------------------------------ *)
 (* Campaigns                                                           *)
 
@@ -517,6 +552,8 @@ let () =
         [
           Alcotest.test_case "chain shrinks to a 1-minimal witness" `Quick
             test_shrink_chain_minimal;
+          Alcotest.test_case "mutation campaigns pinned" `Quick
+            test_mutation_campaigns_pinned;
           prop_shrink_preserves_class;
           prop_mutate_valid;
         ] );

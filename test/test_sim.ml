@@ -123,6 +123,39 @@ let test_schedule_effective_gst_sync () =
   check_bool "quiet is failure-free" true
     (Sim.Schedule.failure_free_synchronous quiet_es)
 
+(* The two plan constructors list their entries in ascending destination
+   order and honour [heard_by] / [except]; their plans validate. *)
+let test_schedule_constructors () =
+  let p = Pid.of_int and set = Pid.Set.of_ints in
+  let plan_eq what expected actual =
+    check_bool what true (expected = actual)
+  in
+  plan_eq "crash heard by p2, p4"
+    (plan ~crashes:[ 3 ] ~lost:[ (3, 1); (3, 5) ] ())
+    (Sim.Schedule.crash ~n:5 ~heard_by:(set [ 4; 2 ]) (p 3));
+  plan_eq "silent crash loses every copy"
+    (plan ~crashes:[ 1 ] ~lost:[ (1, 2); (1, 3); (1, 4); (1, 5) ] ())
+    (Sim.Schedule.crash ~n:5 ~heard_by:Pid.Set.empty (p 1));
+  plan_eq "heard by everyone loses nothing"
+    (plan ~crashes:[ 5 ] ())
+    (Sim.Schedule.crash ~n:5 ~heard_by:(set [ 1; 2; 3; 4 ]) (p 5));
+  plan_eq "delay to all but p3"
+    (plan ~delayed:[ (2, 1, 4); (2, 4, 4); (2, 5, 4) ] ())
+    (Sim.Schedule.delay ~n:5 ~except:(set [ 3 ]) (p 2) ~until:(Round.of_int 4));
+  plan_eq "delay to everyone"
+    (plan ~delayed:[ (1, 2, 3); (1, 3, 3); (1, 4, 3); (1, 5, 3) ] ())
+    (Sim.Schedule.delay ~n:5 ~except:Pid.Set.empty (p 1)
+       ~until:(Round.of_int 3));
+  (* A crash round is legal in every synchronous run; a delay round only
+     before gst. *)
+  assert_valid c52
+    (es ~gst:1 [ Sim.Schedule.crash ~n:5 ~heard_by:(set [ 2 ]) (p 1) ]);
+  assert_valid c52
+    (scs [ Sim.Schedule.crash ~n:5 ~heard_by:Pid.Set.empty (p 1) ]);
+  let late = Sim.Schedule.delay ~n:5 ~except:Pid.Set.empty (p 1) in
+  assert_valid c52 (es ~gst:3 [ late ~until:(Round.of_int 3) ]);
+  assert_invalid c52 (es ~gst:1 [ late ~until:(Round.of_int 3) ])
+
 (* ------------------------------------------------------------------ *)
 (* Omission faults (DESIGN §13)                                        *)
 
@@ -1106,6 +1139,8 @@ let () =
           Alcotest.test_case "invalid cases" `Quick test_schedule_invalid_cases;
           Alcotest.test_case "queries" `Quick test_schedule_queries;
           Alcotest.test_case "effective gst" `Quick test_schedule_effective_gst_sync;
+          Alcotest.test_case "crash and delay constructors" `Quick
+            test_schedule_constructors;
         ] );
       ( "omissions",
         [

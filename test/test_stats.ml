@@ -216,6 +216,19 @@ let test_pp_and_json_report () =
         = Some true)
   | _ -> Alcotest.fail "report json must carry one row"
 
+(* A run whose suites the baseline lacks matches no row: the summary must
+   say that nothing was compared, not count regressions over zero rows. *)
+let test_pp_no_matched_rows () =
+  let old_ = artifact [ ("mc", [ entry "w" 1.0 0.001 ]) ] in
+  let new_ = artifact [ ("mc-alloc", [ entry "w" 9.0 0.001 ]) ] in
+  let report = diff ~old_ ~new_ () in
+  let text = Format.asprintf "%a" Stats.Bench_diff.pp report in
+  check_bool "says no row was compared" true
+    (contains text "no row compared: the artifacts share no row");
+  check_bool "no count over zero rows" false (contains text "regression(s)");
+  check_bool "unmatched rows still listed" true
+    (contains text "only in new: mc-alloc/w")
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -243,5 +256,6 @@ let () =
       ( "bench-diff report",
         [
           Alcotest.test_case "pp and json" `Quick test_pp_and_json_report;
+          Alcotest.test_case "no matched rows" `Quick test_pp_no_matched_rows;
         ] );
     ]

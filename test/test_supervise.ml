@@ -487,6 +487,16 @@ let test_conflicting_flags_refused () =
       ("chaos without workers", [ "--chaos"; "kill" ]);
     ]
 
+(* A negative omission budget is a usage error: the parser refuses it
+   before any shard runs, instead of every shard failing on the budget. *)
+let test_negative_omit_budget_refused () =
+  let out, err, code, _ =
+    ipi_sweep (small @ [ "--faults"; "mixed"; "--omit-budget=-1" ])
+  in
+  check_int "usage error" 124 code;
+  check_string "no result" "" out;
+  check_bool "names the option" true (contains err "--omit-budget")
+
 let () =
   Alcotest.run "supervise"
     [
@@ -524,5 +534,7 @@ let () =
             test_trace_under_every_executor;
           Alcotest.test_case "conflicting flags refused" `Quick
             test_conflicting_flags_refused;
+          Alcotest.test_case "negative omission budget refused" `Quick
+            test_negative_omit_budget_refused;
         ] );
     ]

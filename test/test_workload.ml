@@ -227,6 +227,106 @@ let prop_witness_valid =
       && valid cfg (Mc.Attack.solo_split_schedule cfg))
 
 (* ------------------------------------------------------------------ *)
+(* Mutate.drops: the removal edits the mutator and the shrinker share    *)
+
+let test_mutate_drops () =
+  let p = Pid.of_int in
+  let pair (a, b) = (p a, p b) in
+  let plan crashes lost delayed =
+    {
+      Sim.Schedule.crashes = List.map p crashes;
+      lost = List.map pair lost;
+      delayed = List.map (fun (a, b, r) -> (p a, p b, Round.of_int r)) delayed;
+    }
+  in
+  (* p1 and p2 crash; p5 send-omits and p4 receive-omits. *)
+  let schedule =
+    Sim.Schedule.make
+      ~omitters:[ (p 5, Sim.Model.Send_omit); (p 4, Sim.Model.Recv_omit) ]
+      ~model:Sim.Model.Es ~gst:(Round.of_int 3)
+      [
+        plan [ 1 ] [ (1, 2); (5, 3) ] [ (1, 3, 3); (2, 4, 2) ];
+        plan [ 2 ] [ (2, 3); (3, 4) ] [];
+      ]
+  in
+  let drops op = Workload.Mutate.drops op schedule in
+  let shape s =
+    ( Sim.Schedule.plans s,
+      List.map (fun (q, _) -> Pid.to_int q) (Sim.Schedule.omitters s) )
+  in
+  let check what expected results =
+    check_bool what true (List.map shape results = expected)
+  in
+  check "a dropped crash takes its same-round entries, in plan order"
+    [
+      ( [ plan [] [ (5, 3) ] [ (2, 4, 2) ]; plan [ 2 ] [ (2, 3); (3, 4) ] [] ],
+        [ 4; 5 ] );
+      ( [
+          plan [ 1 ] [ (1, 2); (5, 3) ] [ (1, 3, 3); (2, 4, 2) ];
+          plan [] [ (3, 4) ] [];
+        ],
+        [ 4; 5 ] );
+    ]
+    (drops Workload.Mutate.Drop_crash);
+  check "a dropped omitter takes the losses it licensed, by pid"
+    [
+      ( [
+          plan [ 1 ] [ (1, 2); (5, 3) ] [ (1, 3, 3); (2, 4, 2) ];
+          plan [ 2 ] [ (2, 3) ] [];
+        ],
+        [ 5 ] );
+      ( [
+          plan [ 1 ] [ (1, 2) ] [ (1, 3, 3); (2, 4, 2) ];
+          plan [ 2 ] [ (2, 3); (3, 4) ] [];
+        ],
+        [ 4 ] );
+    ]
+    (drops Workload.Mutate.Drop_omitter);
+  check_bool "one loss dropped per result, in plan order" true
+    (List.map
+       (fun s ->
+         List.concat_map
+           (fun (pl : Sim.Schedule.plan) -> pl.lost)
+           (Sim.Schedule.plans s))
+       (drops Workload.Mutate.Drop_loss)
+    = List.map
+        (List.map pair)
+        [
+          [ (5, 3); (2, 3); (3, 4) ];
+          [ (1, 2); (2, 3); (3, 4) ];
+          [ (1, 2); (5, 3); (3, 4) ];
+          [ (1, 2); (5, 3); (2, 3) ];
+        ]);
+  check "one delay dropped per result"
+    [
+      ( [
+          plan [ 1 ] [ (1, 2); (5, 3) ] [ (2, 4, 2) ];
+          plan [ 2 ] [ (2, 3); (3, 4) ] [];
+        ],
+        [ 4; 5 ] );
+      ( [
+          plan [ 1 ] [ (1, 2); (5, 3) ] [ (1, 3, 3) ];
+          plan [ 2 ] [ (2, 3); (3, 4) ] [];
+        ],
+        [ 4; 5 ] );
+    ]
+    (drops Workload.Mutate.Drop_delay);
+  List.iter
+    (fun op ->
+      match op with
+      | Workload.Mutate.Drop_crash | Drop_omitter | Drop_loss | Drop_delay -> ()
+      | _ ->
+          check_int
+            (Format.asprintf "%a removes nothing" Workload.Mutate.pp_op op)
+            0
+            (List.length (drops op)))
+    Workload.Mutate.all_ops;
+  check_bool "gst kept" true
+    (List.for_all
+       (fun s -> Round.to_int (Sim.Schedule.gst s) = 3)
+       (drops Workload.Mutate.Drop_loss))
+
+(* ------------------------------------------------------------------ *)
 (* Search                                                              *)
 
 let test_search_over () =
@@ -265,6 +365,7 @@ let () =
           Alcotest.test_case "all named" `Quick test_all_named;
         ] );
       ("partition", [ Alcotest.test_case "split" `Quick test_partition ]);
+      ("mutate", [ Alcotest.test_case "drops" `Quick test_mutate_drops ]);
       ( "generators",
         [
           prop_sync_valid;

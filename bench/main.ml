@@ -551,13 +551,24 @@ let write_bench_json suites =
    warn-only, a release checklist exports BENCH_GATE=1. The 1.03 default
    bar is the instrumentation disabled-path budget; Bench_diff's 2-sigma
    absolute guard keeps sub-microsecond rows from tripping it on timer
-   noise. *)
+   noise. With no baseline to read (outside a checkout, or an unreadable
+   file) the check says that it compared nothing, and fails under
+   BENCH_GATE: a gate that compared nothing must not pass. *)
 let check_baseline suites =
+  let gate = Sys.getenv_opt "BENCH_GATE" <> None in
+  let compared_nothing why =
+    Format.printf "Perf trajectory: nothing compared (%s)%s@." why
+      (if gate then "; BENCH_GATE fails the run" else "");
+    not gate
+  in
   match repo_root () with
-  | None -> true
+  | None ->
+      compared_nothing
+        (Printf.sprintf "no dune-project above %s" (Sys.getcwd ()))
   | Some root -> (
       let path = Filename.concat root "bench/BASELINE.json" in
-      if not (Sys.file_exists path) then true
+      if not (Sys.file_exists path) then
+        compared_nothing (Printf.sprintf "%s does not exist" path)
       else
         let contents =
           let ic = open_in_bin path in
@@ -567,8 +578,7 @@ let check_baseline suites =
         in
         match Stats.Bench_diff.artifact_of_string contents with
         | Error e ->
-            Format.eprintf "bench baseline %s: %s@." path e;
-            true
+            compared_nothing (Printf.sprintf "bench baseline %s: %s" path e)
         | Ok old_ ->
             (* Only the suites this run produced: the baseline's other
                suites were not measured, not dropped. *)
@@ -619,8 +629,7 @@ let check_baseline suites =
             in
             Format.printf "Perf trajectory vs %s:@.%a@." path
               Stats.Bench_diff.pp report;
-            Stats.Bench_diff.regressions report = []
-            || Sys.getenv_opt "BENCH_GATE" = None)
+            Stats.Bench_diff.regressions report = [] || not gate)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel tables (stdout, unchanged)                                 *)
@@ -1101,81 +1110,89 @@ let scaling_smoke_rows () =
 (* ------------------------------------------------------------------ *)
 (* The mc-alloc suite: checker-core allocation per DFS round            *)
 
-(* DESIGN §16's contract in one number: minor words per checker-core
-   round over the *distinct* (post-dedup) work of the FloodSet n=5, t=2
-   binary dedup sweep — the arena DFS's inner loop, branch
-   snapshot/restore included. Like the steady-state row this is
-   deterministic (allocation does not depend on the machine), so the gate
-   below is unconditional. Before the arena port this row read ≈140
-   words/round; the budget holds it at the arena's level. *)
-let mc_alloc_spec () =
-  Mc.Distrib.make ~reduce:Mc.Distrib.Rdedup
-    ~algo:Expt.Registry.floodset.Expt.Registry.algo (Config.make ~n:5 ~t:2)
-    Mc.Distrib.Binary
+(* DESIGN §16's contract in numbers: minor words per checker-core round
+   over the *distinct* (post-dedup) work of a binary dedup sweep at n=5,
+   t=2 — the arena DFS's inner loop, branch snapshot/restore included.
+   Like the steady-state row this is deterministic (allocation does not
+   depend on the machine), so the gate below is unconditional. FloodSet
+   read ≈140 words/round before the arena port; its budget holds it at
+   the arena's level. A(t+2) is the paper's algorithm, with Ws_flood's
+   halt sets inside every state the table keys: its budget is the 220.39
+   words/round it read when the row was added, plus 5 %. *)
+let mc_alloc_cases =
+  [
+    ("mc-alloc/floodset-n5t2-binary/dedup", Expt.Registry.floodset, 16.0);
+    ("mc-alloc/at2-n5t2-binary/dedup", Expt.Registry.at_plus_2, 232.0);
+  ]
 
-let mc_alloc_words_per_round () =
+let mc_alloc_spec (entry : Expt.Registry.entry) =
+  Mc.Distrib.make ~reduce:Mc.Distrib.Rdedup ~algo:entry.Expt.Registry.algo
+    (Config.make ~n:5 ~t:2) Mc.Distrib.Binary
+
+let mc_alloc_words_per_round spec =
   let a = Obs.Prof.acc () in
-  drive ~prof:a (mc_alloc_spec ()) ();
+  drive ~prof:a spec ();
   let m = Obs.Metrics.create () in
   Obs.Prof.flush a ~metrics:m ~prefix:"mc" ~per:"round";
   Option.map
     (fun s -> s.Obs.Metrics.mean)
     (Obs.Metrics.find_histogram m "mc.minor_words_per_round")
 
-let mc_alloc_workload () =
-  plain "mc-alloc/floodset-n5t2-binary/dedup" (drive (mc_alloc_spec ()))
-
-let mc_alloc_words_budget = 16.0
-
-(* [minor_words] on this row means words per checker-core *round* over
+(* [minor_words] on these rows means words per checker-core *round* over
    distinct work (from the profiled pass), not per run — the
    machine-independent number the arena contract bounds. *)
 let mc_alloc_rows () =
-  let w = mc_alloc_workload () in
-  let runs, mean_s, min_s, stddev_s = time_workload w in
-  let words = mc_alloc_words_per_round () in
-  let row =
-    {
-      row_name = w.name;
-      runs;
-      mean_s;
-      min_s;
-      stddev_s;
-      messages = None;
-      bytes = None;
-      minor_words = words;
-      promoted_words = None;
-      major_collections = None;
-    }
-  in
-  Format.printf
-    "Checker-core allocation (FloodSet n=5 t=2 binary dedup sweep): %s \
-     minor words/round (budget %.0f)@."
-    (match words with Some w -> Printf.sprintf "%.2f" w | None -> "-")
-    mc_alloc_words_budget;
-  [ row ]
+  List.map
+    (fun (name, (entry : Expt.Registry.entry), budget) ->
+      let spec = mc_alloc_spec entry in
+      let runs, mean_s, min_s, stddev_s =
+        time_workload (plain name (drive spec))
+      in
+      let words = mc_alloc_words_per_round spec in
+      Format.printf
+        "Checker-core allocation (%s n=5 t=2 binary dedup sweep): %s minor \
+         words/round (budget %.0f)@."
+        entry.Expt.Registry.label
+        (match words with Some w -> Printf.sprintf "%.2f" w | None -> "-")
+        budget;
+      {
+        row_name = name;
+        runs;
+        mean_s;
+        min_s;
+        stddev_s;
+        messages = None;
+        bytes = None;
+        minor_words = words;
+        promoted_words = None;
+        major_collections = None;
+      })
+    mc_alloc_cases
 
-(* The checker-core allocation gate: enforced whenever its row ran,
+(* The checker-core allocation gate: enforced whenever its rows ran,
    regardless of BENCH_GATE, exactly like the steady-state gate. A probe
    failure (None) also fails — a gate that cannot read its number must
    not pass. *)
 let check_mc_alloc_gate rows =
   List.for_all
     (fun r ->
-      if r.row_name <> "mc-alloc/floodset-n5t2-binary/dedup" then true
-      else
-        match r.minor_words with
-        | Some w when w <= mc_alloc_words_budget -> true
-        | Some w ->
-            Format.eprintf
-              "mc-alloc gate: %s allocates %.1f minor words/round (budget \
-               %.0f)@."
-              r.row_name w mc_alloc_words_budget;
-            false
-        | None ->
-            Format.eprintf "mc-alloc gate: %s has no allocation probe@."
-              r.row_name;
-            false)
+      match
+        List.find_opt (fun (name, _, _) -> name = r.row_name) mc_alloc_cases
+      with
+      | None -> true
+      | Some (_, _, budget) -> (
+          match r.minor_words with
+          | Some w when w <= budget -> true
+          | Some w ->
+              Format.eprintf
+                "mc-alloc gate: %s allocates %.1f minor words/round (budget \
+                 %.0f)@."
+                r.row_name w budget;
+              false
+          | None ->
+              Format.eprintf "mc-alloc gate: %s has no allocation probe@."
+                r.row_name;
+              false))
     rows
 
 (* ------------------------------------------------------------------ *)

@@ -75,16 +75,29 @@ let lookup_algo label =
       Format.eprintf "unknown algorithm %S; try `ipi list`@." label;
       exit 2
 
+(* A registry entry outside its resilience regime is a usage error: it is
+   refused before anything runs, naming the entry and the regime it needs,
+   instead of every run failing on it (or blaming another algorithm). *)
+let lookup_applicable label config =
+  let entry = lookup_algo label in
+  if not (Expt.Registry.applicable entry config) then begin
+    Format.eprintf "%s requires %a; got n=%d, t=%d@." entry.Expt.Registry.label
+      Expt.Registry.pp_regime entry.Expt.Registry.regime (Config.n config)
+      (Config.t config);
+    exit 2
+  end;
+  entry
+
 (* The deliberately broken fuzz fixtures are not consensus algorithms, so
-   they live outside the registry; `run` and `fuzz` accept them anyway so a
-   fuzz counterexample can be replayed against the algorithm that produced
-   it. *)
-let lookup_fuzz_fixture ?(raise_at = 2) label =
+   they live outside the registry; `run`, `sweep` and `fuzz` accept them
+   anyway so a counterexample can be replayed against the algorithm that
+   produced it, and so the containment paths can be driven end to end. *)
+let lookup_runnable label ~raise_at config =
   match label with
-  | "eager-floodset" -> Some Fuzz.Faulty.eager_floodset
-  | "raising" -> Some (Fuzz.Faulty.raising ~at:raise_at)
-  | "raising-init" -> Some Fuzz.Faulty.raising_init
-  | _ -> None
+  | "eager-floodset" -> Fuzz.Faulty.eager_floodset
+  | "raising" -> Fuzz.Faulty.raising ~at:raise_at
+  | "raising-init" -> Fuzz.Faulty.raising_init
+  | _ -> (lookup_applicable label config).Expt.Registry.algo
 
 (* ------------------------------------------------------------------ *)
 (* ipi list                                                             *)
@@ -299,11 +312,7 @@ let run_cmd =
   let run label n t seed schedule_name gst diagram dump trace_file trace_format
       metrics =
     let config = Config.make ~n ~t in
-    let algo =
-      match lookup_fuzz_fixture label with
-      | Some algo -> algo
-      | None -> (lookup_algo label).Expt.Registry.algo
-    in
+    let algo = lookup_runnable label ~raise_at:2 config in
     let schedule = schedule_of_name config ~seed ~gst schedule_name in
     (match Sim.Schedule.validate config schedule with
     | Ok () -> ()
@@ -415,7 +424,7 @@ let trace_cmd =
 let attack_cmd =
   let run label n t =
     let config = Config.make ~n ~t in
-    let entry = lookup_algo label in
+    let entry = lookup_applicable label config in
     let report = Mc.Attack.run_witness entry.Expt.Registry.algo config in
     Format.fprintf std "%a@.@." Mc.Attack.pp_report report;
     Format.fprintf std "%a@." Obs.Replay.pp_diagram
@@ -718,7 +727,7 @@ let sweep_cmd =
     if chaos_mode <> None && workers <= 1 then
       refuse "--chaos exercises the --workers pool: add --workers N (N >= 2)";
     let config = Config.make ~n ~t in
-    let algo = (lookup_algo label).Expt.Registry.algo in
+    let algo = lookup_runnable label ~raise_at:2 config in
     let spec =
       distrib_spec ~algo ~config ~faults ~omit_budget ~policy ~horizon ~binary
         ~reduce ~table_cap ~spill_dir
@@ -814,14 +823,32 @@ let sweep_cmd =
         (match r.Mc.Distrib.stats with
         | Some s -> Format.fprintf std "reduction: %a@." Mc.Dedup.pp_stats s
         | None -> ());
+        let pp_choices =
+          Format.pp_print_list
+            ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
+            Mc.Serial.pp_choice
+        in
         (match result.Mc.Exhaustive.max_witness with
         | Some choices ->
-            Format.fprintf std "worst run: %a@."
-              (Format.pp_print_list
-                 ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-                 Mc.Serial.pp_choice)
-              choices
+            Format.fprintf std "worst run: %a@." pp_choices choices
         | None -> ());
+        (* The list is in reverse enumeration order. A --binary result does
+           not record the proposal assignment, so only a fixed-proposal
+           sweep can print a schedule that `ipi run` replays as is. *)
+        (match List.rev result.Mc.Exhaustive.violations with
+        | [] -> ()
+        | (choices, violations) :: _ ->
+            Format.fprintf std "first violation: %a@." pp_choices choices;
+            List.iter
+              (fun v -> Format.fprintf std "  %a@." Sim.Props.pp_violation v)
+              violations;
+            if not binary then
+              Format.fprintf std
+                "first violation schedule (replay: ipi run -s @FILE -d):@.%s"
+                (Sim.Codec.encode
+                   (Mc.Serial.to_schedule
+                      ?budget:(Mc.Serial.budget_of ~omit_budget ~faults config)
+                      config choices)));
         (match r.Mc.Distrib.sup_metrics with
         | Some m ->
             Format.fprintf std "supervisor: %a@." Mc.Supervise.pp_metrics m
@@ -846,6 +873,10 @@ let sweep_cmd =
           Format.fprintf std "@.metrics:@.%a@." Obs.Metrics.pp registry
         end;
         if result.Mc.Exhaustive.violations <> [] then exit 1;
+        if
+          result.Mc.Exhaustive.crashed <> []
+          || result.Mc.Exhaustive.shard_failures <> []
+        then exit 4;
         if r.Mc.Distrib.partial || result.Mc.Exhaustive.expired then exit 3
   in
   Cmdliner.Cmd.v
@@ -853,7 +884,29 @@ let sweep_cmd =
        ~doc:
          "Exhaustively sweep every serial schedule up to a crash horizon \
           and report worst-case decision rounds and violations; non-zero \
-          exit if any run violates consensus.")
+          exit if any run violates consensus or the sweep checked less \
+          than it reports."
+       ~exits:
+         Cmdliner.Cmd.Exit.(
+           [
+             info 0 ~doc:"the sweep checked every run and found no violation.";
+             info 1 ~doc:"some run violates consensus.";
+             info 2
+               ~doc:
+                 "usage error, refused before any run: unknown algorithm, \
+                  conflicting flags, an unreadable checkpoint, or an \
+                  algorithm outside its resilience regime.";
+             info 3
+               ~doc:
+                 "partial: --budget expired or a signal stopped the sweep \
+                  before every run was checked.";
+             info 4
+               ~doc:
+                 "no violation, but some runs crashed (the algorithm \
+                  raised) or some shards failed, so those runs were not \
+                  checked.";
+           ]
+           @ List.filter (fun i -> info_code i > 4) defaults))
     Cmdliner.Term.(
       const run $ algo_arg $ n_arg $ t_arg $ faults_arg $ omit_budget_arg
       $ jobs_arg $ binary_arg $ policy_arg $ horizon_arg $ reduce_arg
@@ -869,7 +922,7 @@ let sweep_worker_cmd =
   let run label n t faults omit_budget binary policy horizon reduce table_cap
       spill_dir =
     let config = Config.make ~n ~t in
-    let algo = (lookup_algo label).Expt.Registry.algo in
+    let algo = lookup_runnable label ~raise_at:2 config in
     let spec =
       distrib_spec ~algo ~config ~faults ~omit_budget ~policy ~horizon ~binary
         ~reduce ~table_cap ~spill_dir
@@ -1073,16 +1126,11 @@ let fuzz_cmd =
             "Exit non-zero when the campaign has any finding. Without \
              this flag findings are data, not errors.")
   in
-  let lookup_fuzz_algo label ~raise_at =
-    match lookup_fuzz_fixture ~raise_at label with
-    | Some algo -> algo
-    | None -> (lookup_algo label).Expt.Registry.algo
-  in
   let run label n t faults omit_budget seed runs jobs fuel budget_s shrink
       no_monitor gen_name base gst raise_at print_metrics out expect_clean
       show_progress heartbeat =
     let config = Config.make ~n ~t in
-    let algo = lookup_fuzz_algo label ~raise_at in
+    let algo = lookup_runnable label ~raise_at config in
     let jobs = if jobs = 0 then Par.default_jobs () else jobs in
     let gen : Fuzz.Campaign.gen =
       match (gen_name, faults) with

@@ -5,11 +5,6 @@ type msg = Flood of Value.t | Decide of Value.t
 type state = {
   config : Config.t;
   est : Value.t;
-  prev_heard : Bitset.t;
-      (* sender set of the previous round; [Bitset.empty] means "no
-         previous round yet" — a real sender set always contains the
-         process itself (self-delivery is unconditional), so the sentinel
-         is unambiguous and costs no option box per round *)
   decision : Value.t option;
   halted : bool;
 }
@@ -17,17 +12,10 @@ type state = {
 let name = "EarlyFS"
 let model = Sim.Model.Scs
 
-(* Sender sets and value minima only: fully pid-symmetric. *)
+(* Sender counts and value minima only: fully pid-symmetric. *)
 let symmetric = true
 
-let init config _me v =
-  {
-    config;
-    est = v;
-    prev_heard = Bitset.empty;
-    decision = None;
-    halted = false;
-  }
+let init config _me v = { config; est = v; decision = None; halted = false }
 
 let on_send st _round =
   match st.decision with Some v -> Decide v | None -> Flood st.est
@@ -45,29 +33,22 @@ let on_receive st round inbox =
       | Some v -> { st with decision = Some v }
       | None ->
           (* The inbox holds no DECIDE here (the [find_map] above caught
-             that case), so the current-round senders are exactly the
-             FLOOD senders: one unboxed pass instead of a [Pid.Set]
-             round-trip per round. *)
-          let heard = Sim.Inbox.senders_bits inbox ~round in
-          let est =
+             that case), so every current-round envelope is a FLOOD. *)
+          let heard, est =
             List.fold_left
-              (fun acc (e : msg Sim.Envelope.t) ->
+              (fun ((heard, est) as acc) (e : msg Sim.Envelope.t) ->
                 match e.payload with
                 | Flood v when Sim.Envelope.is_current e ~round ->
-                    Value.min acc v
+                    (heard + 1, Value.min est v)
                 | Flood _ | Decide _ -> acc)
-              st.est inbox
+              (0, st.est) inbox
           in
-          let stable =
-            (not (Bitset.is_empty st.prev_heard))
-            && Bitset.equal st.prev_heard heard
-          in
+          let r = Round.to_int round and n = Config.n st.config in
           let decision =
-            if stable || Round.to_int round >= Config.t st.config + 1 then
-              Some est
+            if r >= n - heard + 2 || r >= Config.t st.config + 1 then Some est
             else None
           in
-          { st with est; prev_heard = heard; decision })
+          { st with est; decision })
 
 let decision st = st.decision
 let halted st = st.halted

@@ -17,9 +17,9 @@ type t = private { est : Value.t; halt : Bitset.t }
 
 type payload = { p_est : Value.t; p_halt : Bitset.t }
 (** The content of an ESTIMATE message. Halt sets live on
-    {!Kernel.Bitset} — one unboxed word, set algebra in a handful of
-    machine instructions — because [compute] runs once per process per
-    round on the engine's hottest path. *)
+    {!Kernel.Bitset} — one unboxed word while every member is at most 62,
+    a word array above — because [compute] runs once per process per round
+    on the engine's hottest path. *)
 
 val init : Value.t -> t
 val payload : t -> payload
@@ -28,8 +28,10 @@ val compute :
   n:int -> me:Pid.t -> t -> payload Sim.Envelope.t list -> t
 (** [compute ~n ~me t current] updates the state from the {e current-round}
     ESTIMATE envelopes (the caller filters out late deliveries and other
-    message kinds; suspicion is defined by same-round receipt). The caller
-    must include the process's own envelope. Returns the state physically
+    message kinds; suspicion is defined by same-round receipt). [current]
+    must be ascending by sender, one envelope per sender, all in [1..n] —
+    the order the engine delivers — and must include the process's own
+    envelope; [Invalid_argument] otherwise. Returns the state physically
     unchanged when nothing was learned this round, so steady-state rounds
     allocate nothing. *)
 

@@ -179,3 +179,10 @@ let applicable entry config =
   | Any_t -> true
   | Indulgent -> Config.has_majority_resilience config
   | Third -> Config.has_third_resilience config
+
+let pp_regime ppf regime =
+  Format.pp_print_string ppf
+    (match regime with
+    | Indulgent -> "0 < t < n/2"
+    | Third -> "t < n/3"
+    | Any_t -> "t < n")

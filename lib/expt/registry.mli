@@ -26,6 +26,9 @@ val all : entry list
 val find : string -> entry option
 val applicable : entry -> Config.t -> bool
 
+val pp_regime : Format.formatter -> regime -> unit
+(** The resilience condition a regime requires, e.g. [t < n/3]. *)
+
 val floodset : entry
 val floodset_ws : entry
 val early_floodset : entry

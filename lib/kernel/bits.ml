@@ -1,4 +1,4 @@
-(* Branch-light bit counting shared by both Bitset variants.
+(* Branch-light bit counting for Bitset's words, immediate or boxed.
 
    OCaml has no portable popcount primitive and its 63-bit int literals
    cannot hold the 64-bit SWAR masks (0x5555... overflows max_int), so the

@@ -1,5 +1,5 @@
-(** Word-level bit counting, shared by the int- and array-backed
-    {!Bitset} variants.
+(** Word-level bit counting for {!Bitset}, whose sets are one immediate
+    word while every pid is at most 62 and an array of words above.
 
     Both are branch-light: a 16-bit lookup table replaces the Kernighan
     clear-lowest-bit loop (whose cost grows with the population), so

@@ -1,244 +1,73 @@
-module type S = sig
-  type t
+(* Layout invariant: a set whose members are all at most [width] (62 on
+   64-bit platforms) is an immediate int, bit [p - 1] standing for pid [p];
+   any other set is an int array with a non-zero top word, word [w] holding
+   pids [w * width + 1 .. (w + 1) * width] in its low [width] bits, so the
+   immediate form is word 0 unboxed. [add] is the only constructor and no
+   array is mutated after [add] returns it: the form of a set is a function
+   of its members, and equal sets are structurally equal. [Obj] is confined
+   to this file, behind the abstract [t]. *)
+type t = Obj.t
 
-  val empty : t
-  val is_empty : t -> bool
-  val singleton : int -> t
-  val add : int -> t -> t
-  val remove : int -> t -> t
-  val mem : int -> t -> bool
-  val full : n:int -> t
-  val union : t -> t -> t
-  val inter : t -> t -> t
-  val diff : t -> t -> t
-  val subset : t -> t -> bool
-  val cardinal : t -> int
-  val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-  val iter : (int -> unit) -> t -> unit
-  val to_list : t -> int list
-  val of_list : int list -> t
-  val equal : t -> t -> bool
-  val compare : t -> t -> int
-  val of_pid_set : Pid.Set.t -> t
-  val to_pid_set : t -> Pid.Set.t
-  val pp : Format.formatter -> t -> unit
-end
-
-type t = int
-
-let max_pid = Sys.int_size - 1
-
-let check p =
-  if p < 1 || p > max_pid then
-    invalid_arg
-      (Printf.sprintf "Bitset: pid %d outside 1..%d" p max_pid)
-
-let empty = 0
-let is_empty s = s = 0
-let bit p = 1 lsl (p - 1)
-
-let singleton p =
-  check p;
-  bit p
+let width = Sys.int_size - 1
+let word p = (p - 1) / width
+let bit p = 1 lsl ((p - 1) mod width)
+let empty = Obj.repr 0
+let is_empty s = Obj.is_int s && (Obj.obj s : int) = 0
+let words s = if Obj.is_int s then [| (Obj.obj s : int) |] else Obj.obj s
 
 let add p s =
-  check p;
-  s lor bit p
+  if p < 1 then invalid_arg (Printf.sprintf "Bitset.add: pid %d < 1" p);
+  if Obj.is_int s && p <= width then
+    let b = 1 lsl (p - 1) and bits : int = Obj.obj s in
+    if bits land b <> 0 then s else Obj.repr (bits lor b)
+  else
+    let ws : int array = words s in
+    let w = word p in
+    if w < Array.length ws && ws.(w) land bit p <> 0 then s
+    else begin
+      let a = Array.make (Int.max (Array.length ws) (w + 1)) 0 in
+      Array.blit ws 0 a 0 (Array.length ws);
+      a.(w) <- a.(w) lor bit p;
+      Obj.repr a
+    end
 
-let remove p s =
-  check p;
-  s land lnot (bit p)
+let mem p s =
+  if Obj.is_int s then
+    p >= 1 && p <= width && (Obj.obj s : int) land (1 lsl (p - 1)) <> 0
+  else
+    let ws : int array = Obj.obj s in
+    p >= 1 && word p < Array.length ws && ws.(word p) land bit p <> 0
 
-let mem p s = p >= 1 && p <= max_pid && s land bit p <> 0
+let cardinal s =
+  if Obj.is_int s then Bits.popcount (Obj.obj s)
+  else
+    Array.fold_left
+      (fun acc w -> acc + Bits.popcount w)
+      0 (Obj.obj s : int array)
 
-let full ~n =
-  if n < 0 || n > max_pid then
-    invalid_arg (Printf.sprintf "Bitset.full: n %d outside 0..%d" n max_pid);
-  (1 lsl n) - 1
+let equal a b =
+  a == b
+  || (not (Obj.is_int a))
+     && (not (Obj.is_int b))
+     && (Obj.obj a : int array) = (Obj.obj b : int array)
 
-let union a b = a lor b
-let inter a b = a land b
-let diff a b = a land lnot b
-let subset a b = a land lnot b = 0
-let cardinal = Bits.popcount
-
-(* pid of the lowest set bit: bits are 1-based pids *)
-let lowest v = Bits.ctz v + 1
-
-let rec fold f s acc =
-  if s = 0 then acc
-  else (* lowest set bit first: iteration order is ascending pid *)
-    fold f (s land (s - 1)) (f (lowest s) acc)
-
-let iter f s = fold (fun p () -> f p) s ()
-let to_list s = List.rev (fold (fun p acc -> p :: acc) s [])
-let of_list ps = List.fold_left (fun s p -> add p s) empty ps
-let equal (a : t) b = a = b
-let compare (a : t) b = Stdlib.compare a b
-let to_int s = s
+let to_list s =
+  let acc = ref [] in
+  Array.iteri
+    (fun i w ->
+      let w = ref w in
+      while !w <> 0 do
+        acc := ((i * width) + Bits.ctz !w + 1) :: !acc;
+        w := !w land (!w - 1)
+      done)
+    (words s);
+  List.rev !acc
 
 let of_pid_set ps = Pid.Set.fold (fun p s -> add (Pid.to_int p) s) ps empty
 
-let to_pid_set s =
-  fold (fun p acc -> Pid.Set.add (Pid.of_int p) acc) s Pid.Set.empty
-
-let pp_ints ppf ps =
+let pp ppf s =
   Format.fprintf ppf "{%a}"
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
        Format.pp_print_int)
-    ps
-
-let pp ppf s = pp_ints ppf (to_list s)
-
-(* ------------------------------------------------------------------ *)
-(* The array-backed variant: pids bounded only by memory.
-
-   Word [w] holds pids [w*word_bits + 1 .. (w+1)*word_bits] in its low
-   [word_bits] bits, so a single-word Big set stores exactly the same bit
-   pattern as the int variant — the equivalence the QCheck suite pins.
-
-   Canonical form: no trailing zero words ([empty] is [[||]]).  Every
-   constructor trims, so two Big sets holding the same pids are
-   structurally equal arrays — polymorphic [(=)], [Stdlib.compare] and
-   [Hashtbl.hash] are meaningful, which is what lets them sit inside
-   {!Mc.Dedup} transposition-table keys exactly like the int variant. *)
-
-module Big = struct
-  type t = int array
-
-  let word_bits = Sys.int_size
-  let empty : t = [||]
-  let is_empty (s : t) = Array.length s = 0
-
-  let check p =
-    if p < 1 then invalid_arg (Printf.sprintf "Bitset.Big: pid %d < 1" p)
-
-  let word p = (p - 1) / word_bits
-  let bit p = 1 lsl ((p - 1) mod word_bits)
-
-  (* Smallest canonical array covering the highest set word. *)
-  let trim (a : int array) =
-    let n = ref (Array.length a) in
-    while !n > 0 && a.(!n - 1) = 0 do
-      decr n
-    done;
-    if !n = Array.length a then a else Array.sub a 0 !n
-
-  let singleton p =
-    check p;
-    let a = Array.make (word p + 1) 0 in
-    a.(word p) <- bit p;
-    a
-
-  let add p (s : t) =
-    check p;
-    let w = word p in
-    let len = Stdlib.max (Array.length s) (w + 1) in
-    if w < Array.length s && s.(w) land bit p <> 0 then s
-    else begin
-      let a = Array.make len 0 in
-      Array.blit s 0 a 0 (Array.length s);
-      a.(w) <- a.(w) lor bit p;
-      a
-    end
-
-  let remove p (s : t) =
-    check p;
-    let w = word p in
-    if w >= Array.length s || s.(w) land bit p = 0 then s
-    else begin
-      let a = Array.copy s in
-      a.(w) <- a.(w) land lnot (bit p);
-      trim a
-    end
-
-  let mem p (s : t) =
-    p >= 1 && word p < Array.length s && s.(word p) land bit p <> 0
-
-  let full ~n =
-    if n < 0 then invalid_arg (Printf.sprintf "Bitset.Big.full: n %d < 0" n);
-    if n = 0 then empty
-    else begin
-      let words = ((n - 1) / word_bits) + 1 in
-      (* [-1] is the all-ones word ([int] has exactly [word_bits] bits). *)
-      let a = Array.make words (-1) in
-      let top = n - ((words - 1) * word_bits) in
-      a.(words - 1) <- (if top = word_bits then -1 else (1 lsl top) - 1);
-      a
-    end
-
-  let union (a : t) (b : t) =
-    let la = Array.length a and lb = Array.length b in
-    if la = 0 then b
-    else if lb = 0 then a
-    else begin
-      let short, long = if la <= lb then (a, b) else (b, a) in
-      let r = Array.copy long in
-      Array.iteri (fun i w -> r.(i) <- r.(i) lor w) short;
-      r
-    end
-
-  let inter (a : t) (b : t) =
-    let l = Stdlib.min (Array.length a) (Array.length b) in
-    trim (Array.init l (fun i -> a.(i) land b.(i)))
-
-  let diff (a : t) (b : t) =
-    let lb = Array.length b in
-    trim
-      (Array.mapi (fun i w -> if i < lb then w land lnot b.(i) else w) a)
-
-  let subset (a : t) (b : t) =
-    let lb = Array.length b in
-    let ok = ref true in
-    Array.iteri
-      (fun i w ->
-        if w land lnot (if i < lb then b.(i) else 0) <> 0 then ok := false)
-      a;
-    !ok
-
-  let cardinal (s : t) =
-    Array.fold_left (fun acc w -> acc + Bits.popcount w) 0 s
-
-  let fold f (s : t) acc =
-    let acc = ref acc in
-    Array.iteri
-      (fun i w ->
-        let base = i * word_bits in
-        let w = ref w in
-        while !w <> 0 do
-          acc := f (base + Bits.ctz !w + 1) !acc;
-          w := !w land (!w - 1)
-        done)
-      s;
-    !acc
-
-  let iter f s = fold (fun p () -> f p) s ()
-  let to_list s = List.rev (fold (fun p acc -> p :: acc) s [])
-  let of_list ps = List.fold_left (fun s p -> add p s) empty ps
-  let equal (a : t) (b : t) = a = b
-
-  (* Numeric order on the represented bit string: longer arrays hold
-     higher pids, ties break on the most significant differing word. For
-     single-word sets this agrees with the int variant's comparison. *)
-  let compare (a : t) (b : t) =
-    match Stdlib.compare (Array.length a) (Array.length b) with
-    | 0 ->
-        let rec go i =
-          if i < 0 then 0
-          else match Stdlib.compare a.(i) b.(i) with 0 -> go (i - 1) | c -> c
-        in
-        go (Array.length a - 1)
-    | c -> c
-
-  (* From the int variant's raw bits ({!to_int}): a one-word Big set. *)
-  let of_small (bits : int) : t = if bits = 0 then empty else [| bits |]
-
-  let of_pid_set ps =
-    Pid.Set.fold (fun p s -> add (Pid.to_int p) s) ps empty
-
-  let to_pid_set s =
-    fold (fun p acc -> Pid.Set.add (Pid.of_int p) acc) s Pid.Set.empty
-
-  let pp ppf s = pp_ints ppf (to_list s)
-end
+    (to_list s)

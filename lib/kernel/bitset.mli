@@ -1,84 +1,32 @@
-(** Dense process-id sets.
+(** Dense process-id sets, for any [n].
 
-    Two structurally-canonical representations behind one signature
-    ({!module-type-S}):
+    One abstract type whose layout follows from its members: an unboxed
+    int while every member is at most [Sys.int_size - 1] (62 on 64-bit
+    platforms), an int array otherwise. Two sets holding the same pids are
+    structurally equal, so polymorphic [(=)], [compare], [Hashtbl.hash]
+    and [Marshal] are meaningful on them at any [n] — which is what lets
+    them sit inside {!Mc.Dedup} transposition-table keys and the engine's
+    per-round fate fast path. Population counts and lowest-bit scans use
+    the {!Bits} lookup-table helpers. Pids are 1-based. *)
 
-    - the default int-backed variant ([t = private int]): pids up to
-      {!max_pid} ([Sys.int_size - 1], 62 on 64-bit platforms), every
-      operation branch-light bit arithmetic on an unboxed value;
-    - {!Big}, backed by an int array in canonical (trailing-zero-trimmed)
-      form: pids bounded only by memory, one extra indirection per
-      operation.
+type t
 
-    Both hash with [Hashtbl.hash] and compare with polymorphic [(=)]
-    canonically — two sets holding the same pids are structurally equal —
-    which is what makes either usable inside transposition-table keys
-    ({!Mc.Dedup}) and the engine's per-round fate fast path. Population
-    counts and lowest-bit scans share the {!Bits} lookup-table helpers. *)
+val empty : t
+val is_empty : t -> bool
 
-(** Operations common to both variants. Pids are 1-based. *)
-module type S = sig
-  type t
+val add : int -> t -> t
+(** [add p s] is [s] itself (physically) when [p] is already a member,
+    so a pass that adds nothing new allocates nothing. Raises
+    [Invalid_argument] when [p < 1]. *)
 
-  val empty : t
-  val is_empty : t -> bool
-  val singleton : int -> t
-  val add : int -> t -> t
-  val remove : int -> t -> t
+val mem : int -> t -> bool
+(** Total: a pid below 1 is simply not a member. *)
 
-  val mem : int -> t -> bool
-  (** Total: pids outside the representable range are simply not
-      members. *)
+val cardinal : t -> int
+val equal : t -> t -> bool
 
-  val full : n:int -> t
-  (** [{1, .., n}]. *)
+val to_list : t -> int list
+(** Ascending. *)
 
-  val union : t -> t -> t
-  val inter : t -> t -> t
-
-  val diff : t -> t -> t
-  (** [diff a b] is the elements of [a] not in [b]. *)
-
-  val subset : t -> t -> bool
-  (** [subset a b] iff every element of [a] is in [b]. *)
-
-  val cardinal : t -> int
-
-  val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-  (** Ascending pid order, like [Pid.Set.fold]. *)
-
-  val iter : (int -> unit) -> t -> unit
-
-  val to_list : t -> int list
-  (** Ascending. *)
-
-  val of_list : int list -> t
-  val equal : t -> t -> bool
-  val compare : t -> t -> int
-  val of_pid_set : Pid.Set.t -> t
-  val to_pid_set : t -> Pid.Set.t
-  val pp : Format.formatter -> t -> unit
-end
-
-type t = private int
-
-val max_pid : int
-(** Largest pid the int variant represents. Its constructors raise
-    [Invalid_argument] on pids outside [1..max_pid]. *)
-
-include S with type t := t
-
-val to_int : t -> int
-(** The raw bits ([bit p-1] set iff [p] is a member): a canonical,
-    allocation-free hash key. *)
-
-(** The array-backed variant for [n > max_pid]. A one-word {!Big.t}
-    stores exactly the int variant's bit pattern (the equivalence the
-    kernel QCheck suite pins), and {!Big.compare} agrees with the int
-    variant's order on such sets. *)
-module Big : sig
-  include S
-
-  val of_small : int -> t
-  (** Lift the int variant's raw bits ({!to_int}) into a Big set. *)
-end
+val of_pid_set : Pid.Set.t -> t
+val pp : Format.formatter -> t -> unit

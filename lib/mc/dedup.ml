@@ -65,9 +65,9 @@ type 'fp state_key = K_ok of 'fp | K_err of Sim.Engine.step_error
 type 'fp key = {
   mutable k_depth : int;
   mutable k_left : int;
-  mutable k_alive : Bitset.Big.t;
-  mutable k_send : Bitset.Big.t;
-  mutable k_recv : Bitset.Big.t;
+  mutable k_alive : Bitset.t;
+  mutable k_send : Bitset.t;
+  mutable k_recv : Bitset.t;
   mutable k_omit_left : int;
   mutable k_state : 'fp state_key;
 }
@@ -116,9 +116,9 @@ let create ?cap ?spill_dir ~probe ~copy () =
       {
         k_depth = 0;
         k_left = 0;
-        k_alive = Bitset.Big.empty;
-        k_send = Bitset.Big.empty;
-        k_recv = Bitset.Big.empty;
+        k_alive = Bitset.empty;
+        k_send = Bitset.empty;
+        k_recv = Bitset.empty;
         k_omit_left = 0;
         k_state = probe_ok;
       };
@@ -158,7 +158,7 @@ let set_probe t ~depth (node : Menu.node) err =
   if depth = 0 then (
     p.k_depth <- 0;
     p.k_left <- 0;
-    p.k_alive <- Bitset.Big.empty;
+    p.k_alive <- Bitset.empty;
     p.k_omit_left <- 0)
   else (
     p.k_depth <- depth;

@@ -5,7 +5,7 @@ open Kernel
    (budgets and victim pools converge fast), and the per-edge work the
    immutable DFS used to redo — [Serial.adversary_choices],
    [Serial.plan_of] + [Schedule.compile_plan], [Serial.advance], the
-   [Bitset.Big] mirrors, the leaf schedule — is a pure function of that
+   [Bitset] mirrors, the leaf schedule — is a pure function of that
    state. Interning makes each of them a one-time cost per distinct
    adversary state; a warm edge is two array loads and no allocation.
 
@@ -17,21 +17,21 @@ type node = {
   choices : Serial.choice array;  (* in [Serial.adversary_choices] order *)
   plans : Sim.Schedule.compiled_plan array;  (* [plans.(i)] compiles [choices.(i)] *)
   nexts : node option array;  (* memoized [advance] targets *)
-  aliveb : Bitset.Big.t;
-  sendb : Bitset.Big.t;
-  recvb : Bitset.Big.t;
+  aliveb : Bitset.t;
+  sendb : Bitset.t;
+  recvb : Bitset.t;
   leaf_schedule : Sim.Schedule.t;
 }
 
 (* The intern key is the canonical bitset/budget tuple, NOT the adversary
    record: structurally different [Pid.Set] trees can denote the same set,
-   and [Bitset.Big]'s trimmed-array form restores canonical [( = )] /
-   [Hashtbl.hash]. Two adversaries with equal keys have identical choice
-   menus, transitions and leaf schedules. *)
+   and [Bitset]'s canonical form restores [( = )] / [Hashtbl.hash]. Two
+   adversaries with equal keys have identical choice menus, transitions
+   and leaf schedules. *)
 type key = {
-  key_alive : Bitset.Big.t;
-  key_send : Bitset.Big.t;
-  key_recv : Bitset.Big.t;
+  key_alive : Bitset.t;
+  key_send : Bitset.t;
+  key_recv : Bitset.t;
   key_crashes_left : int;
   key_omit_left : int;
 }
@@ -57,11 +57,6 @@ let create ?(faults = Sim.Model.Crash_only) ?omit_budget ~policy config =
     interned = Hashtbl.create 256;
   }
 
-let big_of_set s =
-  Pid.Set.fold
-    (fun p acc -> Bitset.Big.add (Pid.to_int p) acc)
-    s Bitset.Big.empty
-
 (* Leaves are judged against the run's omitter declarations (validity on
    everybody, agreement/termination on the fault-free set), so omission
    nodes carry a plan-free schedule declaring them; crash-only nodes share
@@ -83,9 +78,9 @@ let leaf_schedule_of t (adv : Serial.adversary) =
       ~gst:Round.first []
 
 let node_of t adv =
-  let aliveb = big_of_set adv.Serial.alive in
-  let sendb = big_of_set adv.Serial.send_omitters in
-  let recvb = big_of_set adv.Serial.recv_omitters in
+  let aliveb = Bitset.of_pid_set adv.Serial.alive in
+  let sendb = Bitset.of_pid_set adv.Serial.send_omitters in
+  let recvb = Bitset.of_pid_set adv.Serial.recv_omitters in
   let key =
     {
       key_alive = aliveb;

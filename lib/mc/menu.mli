@@ -24,9 +24,9 @@ type node = {
   plans : Sim.Schedule.compiled_plan array;
       (** [plans.(i)] is [choices.(i)]'s round plan, precompiled *)
   nexts : node option array;  (** memoized {!child} slots *)
-  aliveb : Bitset.Big.t;  (** [adv.alive], canonical *)
-  sendb : Bitset.Big.t;  (** [adv.send_omitters], canonical *)
-  recvb : Bitset.Big.t;  (** [adv.recv_omitters], canonical *)
+  aliveb : Bitset.t;  (** [adv.alive], canonical *)
+  sendb : Bitset.t;  (** [adv.send_omitters], canonical *)
+  recvb : Bitset.t;  (** [adv.recv_omitters], canonical *)
   leaf_schedule : Sim.Schedule.t;
       (** the plan-free schedule declaring this state's omitters (shared
           empty schedule when there are none) — what a run terminating in

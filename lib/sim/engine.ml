@@ -395,7 +395,7 @@ module Make (A : Algorithm.S) = struct
     let reduced_dst t sd_srcs =
       key_running t;
       for src = 1 to t.a_n do
-        if Bitset.Big.mem src sd_srcs then Bytes.set t.a_key (src - 1) '\000'
+        if Bitset.mem src sd_srcs then Bytes.set t.a_key (src - 1) '\000'
       done;
       interned t
 
@@ -559,7 +559,7 @@ module Make (A : Algorithm.S) = struct
               receive_one t (Pid.of_int (i + 1)) round
                 (match fates with
                 | Schedule.Single_lost { sl_dsts; _ }
-                  when Bitset.Big.mem (i + 1) sl_dsts ->
+                  when Bitset.mem (i + 1) sl_dsts ->
                     reduced
                 | Schedule.Single_dst { sd_dst; _ } when sd_dst = i + 1 -> reduced
                 | _ -> t.a_spine)

@@ -135,11 +135,10 @@ let fate s ~src ~dst ~round =
 
 type compiled_fates =
   | Quiet  (* no losses or delays: every fate is [Same_round] *)
-  | Single_lost of { sl_src : int; sl_dsts : Bitset.Big.t }
+  | Single_lost of { sl_src : int; sl_dsts : Bitset.t }
       (* one sender's messages lost to a destination set, nothing delayed —
-         the shape of every serial-adversary crash plan. [Bitset.Big], so
-         the fast path holds at any n. *)
-  | Single_dst of { sd_dst : int; sd_srcs : Bitset.Big.t }
+         the shape of every serial-adversary crash plan *)
+  | Single_dst of { sd_dst : int; sd_srcs : Bitset.t }
       (* one receiver loses messages from a source set, nothing delayed —
          the shape of every serial-adversary receive-omission plan. *)
   | Table of fate array  (* [(src-1) * c_n + (dst-1)] *)
@@ -168,8 +167,8 @@ let compile_plan ~n plan =
     | Some src ->
         let dsts =
           List.fold_left
-            (fun acc (_, dst) -> Bitset.Big.add (Pid.to_int dst) acc)
-            Bitset.Big.empty plan.lost
+            (fun acc (_, dst) -> Bitset.add (Pid.to_int dst) acc)
+            Bitset.empty plan.lost
         in
         {
           source = plan;
@@ -181,8 +180,8 @@ let compile_plan ~n plan =
         | Some dst ->
             let srcs =
               List.fold_left
-                (fun acc (src, _) -> Bitset.Big.add (Pid.to_int src) acc)
-                Bitset.Big.empty plan.lost
+                (fun acc (src, _) -> Bitset.add (Pid.to_int src) acc)
+                Bitset.empty plan.lost
             in
             {
               source = plan;
@@ -210,11 +209,11 @@ let compiled_fate c ~src ~dst =
   match c.cfates with
   | Quiet -> Same_round
   | Single_lost { sl_src; sl_dsts } ->
-      if Pid.to_int src = sl_src && Bitset.Big.mem (Pid.to_int dst) sl_dsts
+      if Pid.to_int src = sl_src && Bitset.mem (Pid.to_int dst) sl_dsts
       then Lost
       else Same_round
   | Single_dst { sd_dst; sd_srcs } ->
-      if Pid.to_int dst = sd_dst && Bitset.Big.mem (Pid.to_int src) sd_srcs
+      if Pid.to_int dst = sd_dst && Bitset.mem (Pid.to_int src) sd_srcs
       then Lost
       else Same_round
   | Table fates -> fates.(((Pid.to_int src - 1) * c.c_n) + (Pid.to_int dst - 1))

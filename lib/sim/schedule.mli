@@ -145,11 +145,11 @@ val fate : t -> src:Pid.t -> dst:Pid.t -> round:Round.t -> fate
 
 type compiled_fates =
   | Quiet  (** no losses or delays: every fate is [Same_round] *)
-  | Single_lost of { sl_src : int; sl_dsts : Kernel.Bitset.Big.t }
+  | Single_lost of { sl_src : int; sl_dsts : Kernel.Bitset.t }
       (** one sender's messages lost to a destination set, nothing
           delayed — the shape of every serial-adversary crash and
           send-omission plan *)
-  | Single_dst of { sd_dst : int; sd_srcs : Kernel.Bitset.Big.t }
+  | Single_dst of { sd_dst : int; sd_srcs : Kernel.Bitset.t }
       (** one receiver loses messages from a source set, nothing
           delayed — the shape of every serial-adversary receive-omission
           plan *)

@@ -95,6 +95,13 @@ let keys artifact =
     (fun (suite, entries) -> List.map (fun e -> (suite, e)) entries)
     artifact.a_suites
 
+(* A row's name in the report: bench rows already carry their suite
+   ([mc-alloc/floodset-...]), so the suite is prefixed only to names that
+   lack it. *)
+let qualified suite name =
+  if String.starts_with ~prefix:(suite ^ "/") name then name
+  else suite ^ "/" ^ name
+
 let diff ?(threshold = 1.25) ?(alloc_threshold = 1.10) ?(noise_sigma = 2.0)
     ?(min_words = 1000.) ~old_ ~new_ () =
   let old_keys = keys old_ and new_keys = keys new_ in
@@ -166,7 +173,7 @@ let diff ?(threshold = 1.25) ?(alloc_threshold = 1.10) ?(noise_sigma = 2.0)
       (fun (suite, e) ->
         match find other suite e.e_name with
         | Some _ -> None
-        | None -> Some (suite ^ "/" ^ e.e_name))
+        | None -> Some (qualified suite e.e_name))
       side
   in
   {
@@ -218,7 +225,7 @@ let pp ppf report =
       (fun t r ->
         Table.add_row t
           ([
-             r.suite ^ "/" ^ r.name;
+             qualified r.suite r.name;
              cell_seconds r.old_mean_s;
              cell_seconds r.new_mean_s;
              cell_ratio (Some r.time_ratio);

@@ -7,7 +7,10 @@ let c52 = config ~n:5 ~t:2
 (* Ws_flood compute(), driven by hand                                  *)
 
 let payload est halt =
-  { Baselines.Ws_flood.p_est = Value.of_int est; p_halt = Bitset.of_list halt }
+  {
+    Baselines.Ws_flood.p_est = Value.of_int est;
+    p_halt = Bitset.of_pid_set (Pid.Set.of_ints halt);
+  }
 
 let env src p =
   Sim.Envelope.make ~src:(Pid.of_int src) ~sent:Round.first p
@@ -75,6 +78,26 @@ let test_ws_flood_false_detection () =
     (Baselines.Ws_flood.detects_false_suspicion t ~config:(config ~n:5 ~t:1));
   check_bool "not with t = 2" false
     (Baselines.Ws_flood.detects_false_suspicion t ~config:c52)
+
+(* A round that learns nothing returns the state itself, and the walk
+   refuses envelopes that are not ascending one per sender. *)
+let test_ws_flood_walk () =
+  let t = Baselines.Ws_flood.init (Value.of_int 5) in
+  let round =
+    [ env 1 (payload 5 []); env 2 (payload 7 []); env 3 (payload 9 []) ]
+  in
+  check_bool "nothing learned: same state" true
+    (Baselines.Ws_flood.compute ~n:3 ~me:(Pid.of_int 1) t round == t);
+  let raises current =
+    match Baselines.Ws_flood.compute ~n:3 ~me:(Pid.of_int 1) t current with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "descending refused" true (raises (List.rev round));
+  check_bool "duplicate sender refused" true
+    (raises [ env 1 (payload 5 []); env 1 (payload 5 []) ]);
+  check_bool "sender beyond n refused" true
+    (raises (round @ [ env 4 (payload 1 []) ]))
 
 (* ------------------------------------------------------------------ *)
 (* FloodSet                                                            *)
@@ -226,13 +249,15 @@ let test_early_fs_failure_free () =
   check_int "minimum" 1 (decided_value trace)
 
 let test_early_fs_tracks_failures () =
-  (* A crash silent from round 1 is invisible afterwards: round 1 and 2
-     sender sets already agree, so the decision lands at round 2. *)
+  (* A crash silent from round 1 leaves every process hearing n - 1 in
+     rounds 1 and 2, so neither round decides (r < n - h_r + 2 = 3); round
+     3 = f + 2 = t + 1 does. *)
   let s1 = Workload.Cascade.silent_crashes c52 ~rounds:[ Round.first ] in
   let trace1 = run early_fs c52 s1 in
   assert_consensus trace1;
-  check_int "round-1 crash: still 2" 2 (global_round trace1);
-  (* A crash in round 2 breaks the first comparison: decision at f+2 = 3. *)
+  check_int "round-1 crash: f+2 = 3" 3 (global_round trace1);
+  (* A crash in round 2: round 1 heard everyone but r = 1 < 2, round 2
+     misses the victim; decision at f+2 = 3. *)
   let s2 = Workload.Cascade.silent_crashes c52 ~rounds:[ Round.of_int 2 ] in
   let trace2 = run early_fs c52 s2 in
   assert_consensus trace2;
@@ -240,8 +265,8 @@ let test_early_fs_tracks_failures () =
 
 let test_early_fs_exhaustive () =
   (* Uniform agreement over EVERY serial run with every receiver subset:
-     the rule "decide at the first repeat of the sender set, from round 2
-     on" survives the adversary that kills all early deciders. *)
+     the rule "decide at round r once r >= n - h_r + 2" survives the
+     adversary that kills all early deciders, t = 3 included. *)
   List.iter
     (fun (n, t) ->
       let config = config ~n ~t in
@@ -255,7 +280,26 @@ let test_early_fs_exhaustive () =
         (r.Mc.Exhaustive.violations = []);
       check_bool "bounded by t+1" true
         (r.Mc.Exhaustive.max_decision <= t + 1))
-    [ (3, 1); (4, 1); (4, 2) ]
+    [ (3, 1); (4, 1); (4, 2); (4, 3) ]
+
+(* The (7,3) run that broke the earlier "same sender set twice" rule: p2's
+   last message reaches p3, so p3 heard the same six senders in rounds 1
+   and 2, decided 1 at round 2 and crashed silently in round 3, while
+   p4..p7 decided 2 at round 4. *)
+let test_early_fs_regression_7_3 () =
+  let c73 = config ~n:7 ~t:3 in
+  let crash victim receivers =
+    Mc.Serial.Crash
+      { victim = Pid.of_int victim; receivers = Pid.Set.of_ints receivers }
+  in
+  let s =
+    Mc.Serial.to_schedule c73
+      [ crash 1 [ 2 ]; crash 2 [ 3 ]; crash 3 []; Mc.Serial.No_crash ]
+  in
+  assert_valid c73 s;
+  let trace = run early_fs c73 s in
+  assert_consensus trace;
+  check_bool "within min(f+2, t+1)" true (global_round trace <= 4)
 
 (* Proposition 1 applies to the early decider too: it reaches t+1 in every
    synchronous run, so some ES run must break it — the crash-free solo split
@@ -362,8 +406,9 @@ let test_floodmin_exhaustive () =
       check_int "always decides at t+1" (t + 1) r.Mc.Exhaustive.max_decision)
     [ (3, 1); (4, 1); (4, 2) ]
 
-(* n beyond max_pid: these runs only work end to end if the schedule and
-   engine paths that index processes use the word-array bitsets. *)
+(* n beyond one word of pids: these runs only work end to end if the
+   schedule and engine paths that index processes hold pid sets of any
+   size. *)
 let test_floodmin_large_n () =
   List.iter
     (fun (n, t) ->
@@ -427,6 +472,7 @@ let () =
           Alcotest.test_case "accusation" `Quick test_ws_flood_accusation;
           Alcotest.test_case "halt sticky" `Quick test_ws_flood_halt_is_sticky;
           Alcotest.test_case "false detection" `Quick test_ws_flood_false_detection;
+          Alcotest.test_case "one walk" `Quick test_ws_flood_walk;
         ] );
       ( "floodset",
         [
@@ -468,6 +514,8 @@ let () =
             test_early_fs_tracks_failures;
           Alcotest.test_case "exhaustive uniform agreement" `Slow
             test_early_fs_exhaustive;
+          Alcotest.test_case "(7,3) regression" `Quick
+            test_early_fs_regression_7_3;
           Alcotest.test_case "broken in ES (Proposition 1)" `Quick
             test_early_fs_broken_in_es;
           test_early_fs_random;

@@ -237,46 +237,46 @@ let test_listx_max_by () =
 (* ------------------------------------------------------------------ *)
 (* Bitset                                                              *)
 
+let of_pids ps = List.fold_left (fun s p -> Bitset.add p s) Bitset.empty ps
+
 let test_bitset_basics () =
   let open Bitset in
   check_bool "empty" true (is_empty empty);
-  let s = add 5 (add 1 (singleton 3)) in
+  let s = of_pids [ 3; 1; 5 ] in
   check_int "cardinal" 3 (cardinal s);
   check_bool "mem 3" true (mem 3 s);
   check_bool "mem 2" false (mem 2 s);
-  check_bool "remove" false (mem 3 (remove 3 s));
-  check_int "remove absent is id" (cardinal s) (cardinal (remove 7 s));
-  check_bool "ascending fold" true
-    (List.rev (fold (fun i acc -> i :: acc) s []) = [ 1; 3; 5 ]);
+  check_bool "not empty" false (is_empty s);
   check_bool "to_list" true (to_list s = [ 1; 3; 5 ]);
-  check_bool "of_list round-trip" true (equal s (of_list [ 5; 3; 1 ]))
+  check_bool "order-free" true (equal s (of_pids [ 5; 3; 1 ]));
+  check_string "pp" "{1,3,5}" (Format.asprintf "%a" pp s)
 
+(* [add] is idempotent and commutative, and returns its argument itself
+   for a member: a pass that learns nothing builds no set. *)
 let test_bitset_algebra () =
   let open Bitset in
-  let a = of_list [ 1; 2; 3 ] and b = of_list [ 2; 3; 4 ] in
-  check_bool "union" true (to_list (union a b) = [ 1; 2; 3; 4 ]);
-  check_bool "inter" true (to_list (inter a b) = [ 2; 3 ]);
-  check_bool "diff" true (to_list (diff a b) = [ 1 ]);
-  check_bool "subset" true (subset (inter a b) a);
-  check_bool "not subset" false (subset a b);
-  check_int "full n=6" 6 (cardinal (full ~n:6));
-  check_bool "full mem bounds" true
-    (mem 1 (full ~n:6) && mem 6 (full ~n:6) && not (mem 7 (full ~n:6)))
+  let s = of_pids [ 1; 2; 3 ] in
+  check_bool "idempotent" true (equal (add 2 s) s);
+  check_bool "member: physically unchanged" true (add 2 s == s);
+  check_bool "commutative" true (equal (add 4 (add 7 s)) (add 7 (add 4 s)));
+  check_bool "monotone" true
+    (List.for_all (fun p -> mem p (add 9 s)) [ 1; 2; 3; 9 ]);
+  check_bool "not equal" false (equal s (add 4 s))
 
 let test_bitset_pid_set_round_trip () =
   let s = Pid.Set.of_ints [ 2; 4; 5 ] in
   check_bool "round-trip" true
-    (Pid.Set.equal s (Bitset.to_pid_set (Bitset.of_pid_set s)));
+    (Bitset.to_list (Bitset.of_pid_set s)
+    = List.map Pid.to_int (Pid.Set.elements s));
   check_int "cardinal agrees" (Pid.Set.cardinal s)
-    (Bitset.cardinal (Bitset.of_pid_set s))
+    (Bitset.cardinal (Bitset.of_pid_set s));
+  check_bool "empty" true (Bitset.is_empty (Bitset.of_pid_set Pid.Set.empty))
 
 let test_bitset_bounds () =
   let raises f = try f () |> ignore; false with Invalid_argument _ -> true in
-  check_bool "0 rejected" true (raises (fun () -> Bitset.singleton 0));
-  check_bool "max_pid ok" true
-    (Bitset.mem Bitset.max_pid (Bitset.singleton Bitset.max_pid));
-  check_bool "max_pid+1 rejected" true
-    (raises (fun () -> Bitset.singleton (Bitset.max_pid + 1)))
+  check_bool "0 rejected" true (raises (fun () -> Bitset.add 0 Bitset.empty));
+  check_bool "0 never a member" false (Bitset.mem 0 (of_pids [ 1; 100 ]));
+  check_bool "negative never a member" false (Bitset.mem (-1) (of_pids [ 1 ]))
 
 (* ------------------------------------------------------------------ *)
 (* Bits: popcount / ctz against naive loops                            *)
@@ -312,78 +312,73 @@ let test_bits_ctz =
       Bits.ctz x = naive_ctz x)
 
 (* ------------------------------------------------------------------ *)
-(* Bitset.Big: equivalence with the int variant on n <= max_pid, and   *)
-(* behaviour beyond it                                                 *)
+(* Bitset across the immediate/array boundary (pid 62 | 63)            *)
 
-let small_pids = QCheck.(list_of_size Gen.(0 -- 12) (int_range 1 Bitset.max_pid))
+(* Member lists drawn below one of four ceilings, so every property run
+   mixes sets that stay immediate with sets that cross into the array
+   form, and lists with repeats. *)
+let pid_lists =
+  QCheck.make
+    ~print:QCheck.Print.(list int)
+    QCheck.Gen.(
+      oneofl [ 62; 63; 64; 200 ] >>= fun hi ->
+      list_size (0 -- 30) (int_range 1 hi))
 
-(* Big.of_small lifts the int variant's raw bits: the canonical bridge
-   the two representations are pinned to agree across. *)
-let big_of s = Bitset.Big.of_small (Bitset.to_int s)
-
-let test_big_equiv_ops =
-  qtest "Big agrees with the int variant on every operation"
-    QCheck.(pair small_pids small_pids)
-    (fun (xs, ys) ->
-      let a = Bitset.of_list xs and b = Bitset.of_list ys in
-      let ba = Bitset.Big.of_list xs and bb = Bitset.Big.of_list ys in
-      Bitset.Big.equal ba (big_of a)
-      && Bitset.to_list (Bitset.union a b) = Bitset.Big.to_list (Bitset.Big.union ba bb)
-      && Bitset.to_list (Bitset.inter a b) = Bitset.Big.to_list (Bitset.Big.inter ba bb)
-      && Bitset.to_list (Bitset.diff a b) = Bitset.Big.to_list (Bitset.Big.diff ba bb)
-      && Bitset.subset a b = Bitset.Big.subset ba bb
-      && Bitset.cardinal a = Bitset.Big.cardinal ba
-      && Bitset.is_empty a = Bitset.Big.is_empty ba
+let test_bitset_any_n =
+  qtest ~count:300 "pids 1..200: one set per member list"
+    QCheck.(pair pid_lists int)
+    (fun (ps, seed) ->
+      let s = of_pids ps in
+      let sorted = List.sort_uniq compare ps in
+      let shuffled =
+        let st = Random.State.make [| seed |] in
+        List.map snd
+          (List.sort compare
+             (List.map (fun p -> (Random.State.bits st, p)) (ps @ List.rev ps)))
+      in
+      let s' = of_pids shuffled in
+      Bitset.to_list s = sorted
       && List.for_all
-           (fun p -> Bitset.mem p a = Bitset.Big.mem p ba)
-           (List.init 16 (fun i -> i + 1))
-      && Bitset.fold (fun p acc -> p :: acc) a []
-         = Bitset.Big.fold (fun p acc -> p :: acc) ba []
-      && compare (Bitset.compare a b) 0 = compare (Bitset.Big.compare ba bb) 0)
-
-let test_big_equiv_full =
-  qtest "Big.full matches full on small n"
-    QCheck.(int_range 0 Bitset.max_pid)
-    (fun n -> Bitset.Big.equal (Bitset.Big.full ~n) (big_of (Bitset.full ~n)))
+           (fun p -> Bitset.mem p s = List.mem p sorted)
+           (List.init 202 Fun.id)
+      && Bitset.cardinal s = List.length sorted
+      && Bitset.is_empty s = (sorted = [])
+      && s = s'
+      && Bitset.equal s s'
+      && Hashtbl.hash s = Hashtbl.hash s'
+      && Marshal.to_string s [] = Marshal.to_string s' [])
 
 let test_big_large_n () =
   List.iter
     (fun n ->
-      let open Bitset.Big in
-      let f = full ~n in
+      let open Bitset in
+      let f = of_pid_set (Pid.Set.universe ~n) in
       check_int (Printf.sprintf "full cardinal n=%d" n) n (cardinal f);
       check_bool "low mem" true (mem 1 f);
       check_bool "high mem" true (mem n f);
       check_bool "n+1 not mem" false (mem (n + 1) f);
-      check_bool "remove high" false (mem n (remove n f));
-      check_int "remove high cardinal" (n - 1) (cardinal (remove n f));
-      (* removing the top pid must re-canonicalise (trim), so structural
-         equality keeps working *)
-      check_bool "canonical after remove" true
-        (equal (remove n f) (diff f (singleton n)));
-      check_bool "add back round-trips" true
-        (equal f (add n (remove n f)));
       check_bool "to_list ascending" true
         (to_list f = List.init n (fun i -> i + 1));
-      check_bool "fold agrees with to_list" true
-        (List.rev (fold (fun p acc -> p :: acc) f []) = to_list f);
-      check_bool "singleton beyond word 0" true (mem n (singleton n));
-      check_bool "union across words" true
-        (equal f (union (of_list (List.init (n / 2) (fun i -> i + 1)))
-                    (of_list (List.init (n - (n / 2)) (fun i -> (n / 2) + i + 1))))))
+      check_bool "descending build equal" true
+        (equal f (of_pids (List.init n (fun i -> n - i))));
+      check_bool "top pid alone" true (to_list (add n empty) = [ n ]);
+      check_bool "re-adding the top pid is the identity" true (add n f == f))
     [ 63; 64; 100; 1_000 ]
 
+(* The form of a set is a function of its members: sets built along
+   different paths across the boundary are structurally equal, hash alike
+   and marshal alike — what Mc.Dedup keys rely on. *)
 let test_big_canonical () =
-  let open Bitset.Big in
-  (* empty must be the unique representation of the empty set, whatever
-     operations produced it — Dedup keys rely on structural equality. *)
-  check_bool "remove to empty" true (equal empty (remove 100 (singleton 100)));
-  check_bool "inter disjoint" true
-    (equal empty (inter (singleton 100) (singleton 999)));
-  check_bool "diff self" true
-    (equal empty (diff (full ~n:200) (full ~n:200)));
-  check_bool "of_small zero" true (equal empty (of_small 0));
-  check_bool "compare sign" true (compare (singleton 100) (singleton 99) > 0)
+  let open Bitset in
+  let a = of_pids [ 62; 1; 63; 200 ] and b = of_pids [ 200; 63; 62; 1; 63 ] in
+  check_bool "structural" true (a = b);
+  check_bool "hash" true (Hashtbl.hash a = Hashtbl.hash b);
+  check_bool "compare" true (compare a b = 0);
+  check_bool "below the boundary differs from above" false
+    (equal (of_pids [ 62 ]) (of_pids [ 62; 63 ]));
+  check_bool "word boundary" true
+    (to_list (of_pids [ 124; 125; 62; 63 ]) = [ 62; 63; 124; 125 ]);
+  check_bool "empty is unique" true (empty = of_pid_set Pid.Set.empty)
 
 let () =
   Alcotest.run "kernel"
@@ -411,8 +406,7 @@ let () =
         ] );
       ( "bitset-big",
         [
-          test_big_equiv_ops;
-          test_big_equiv_full;
+          test_bitset_any_n;
           Alcotest.test_case "large n" `Quick test_big_large_n;
           Alcotest.test_case "canonical" `Quick test_big_canonical;
         ] );

@@ -2,7 +2,7 @@ open Kernel
 open Helpers
 
 (* ------------------------------------------------------------------ *)
-(* Envelope / Inbox                                                    *)
+(* Envelope                                                            *)
 
 let env src sent payload =
   Sim.Envelope.make ~src:(Pid.of_int src) ~sent:(Round.of_int sent) payload
@@ -13,17 +13,6 @@ let test_envelope () =
   check_bool "late" false (Sim.Envelope.is_current e ~round:(Round.of_int 4));
   check_bool "compare by src" true
     (Sim.Envelope.compare_src (env 1 3 "a") (env 2 3 "b") < 0)
-
-(* Current-round senders only: the late envelope from p2 is ignored. *)
-let test_inbox () =
-  let round = Round.of_int 2 in
-  let inbox = [ env 3 2 "c"; env 1 2 "a"; env 2 1 "late" ] in
-  check_bool "senders" true
-    (Bitset.equal
-       (Sim.Inbox.senders_bits inbox ~round)
-       (Bitset.of_list [ 1; 3 ]));
-  check_bool "no current-round envelope" true
-    (Bitset.is_empty (Sim.Inbox.senders_bits [ env 2 1 "late" ] ~round))
 
 (* ------------------------------------------------------------------ *)
 (* Schedule validation                                                 *)
@@ -826,8 +815,8 @@ let prop_arena_snapshot_restore =
 
 (* Past the schedule horizon the fast path reuses one envelope per sender
    round after round; holding FloodMin in its steady state for many rounds
-   pins that loop against the oracle, on both sides of the 63-process
-   limit of the int bitsets. *)
+   pins that loop against the oracle, on both sides of pid 63, where
+   pid sets leave the immediate-int form. *)
 module Floodmin_steady = Baselines.Floodmin.Make (struct
   let extra_rounds = 40
 end)
@@ -842,6 +831,30 @@ let test_flat_tail_equivalence () =
         true
         (agrees_with_oracle cfg quiet_es algo))
     [ (5, 2); (63, 2); (64, 2); (100, 3) ]
+
+(* Every registry entry past the one-word pid sets: at n = 63, 64 and 100
+   (t = 3), quiet and chain runs decide, stay safe, and replay as the
+   oracle does. *)
+let test_registry_large_n () =
+  List.iter
+    (fun n ->
+      let cfg = config ~n ~t:3 in
+      List.iter
+        (fun (sname, s) ->
+          List.iter
+            (fun (e : Expt.Registry.entry) ->
+              let name =
+                Printf.sprintf "%s %s at n=%d" e.Expt.Registry.label sname n
+              in
+              let trace = run e.Expt.Registry.algo cfg s in
+              check_bool (name ^ " decides") true
+                (Sim.Trace.global_decision_round trace <> None);
+              check_bool (name ^ " is safe") true (Sim.Props.check trace = []);
+              check_bool (name ^ " agrees with the oracle") true
+                (agrees_with_oracle cfg s e.Expt.Registry.algo))
+            Expt.Registry.all)
+        [ ("quiet", quiet_es); ("chain", Workload.Cascade.chain cfg) ])
+    [ 63; 64; 100 ]
 
 (* Crash-round edge cases: a victim crashing in its own decision round
    records no decision (it does not complete the round), and a victim all
@@ -1131,7 +1144,6 @@ let () =
       ( "envelope/inbox",
         [
           Alcotest.test_case "envelope" `Quick test_envelope;
-          Alcotest.test_case "inbox" `Quick test_inbox;
         ] );
       ( "schedule",
         [
@@ -1185,6 +1197,8 @@ let () =
           prop_cross_engine_equivalence;
           prop_all_algorithms_all_menus;
           prop_arena_snapshot_restore;
+          Alcotest.test_case "registry at n = 63, 64, 100" `Quick
+            test_registry_large_n;
           Alcotest.test_case "flat tail equivalence" `Quick
             test_flat_tail_equivalence;
           Alcotest.test_case "crash-round edge cases" `Quick

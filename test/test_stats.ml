@@ -229,6 +229,23 @@ let test_pp_no_matched_rows () =
   check_bool "unmatched rows still listed" true
     (contains text "only in new: mc-alloc/w")
 
+(* Bench rows already carry their suite in their name: the report must not
+   prefix it a second time. *)
+let test_pp_suite_named_rows () =
+  let old_ = artifact [ ("mc", [ entry "mc/w" 1.0 0.001 ]) ] in
+  let new_ =
+    artifact
+      [
+        ("mc", [ entry "mc/w" 1.0 0.001 ]);
+        ("mc-alloc", [ entry "mc-alloc/w" 9.0 0.001 ]);
+      ]
+  in
+  let text = Format.asprintf "%a" Stats.Bench_diff.pp (diff ~old_ ~new_ ()) in
+  check_bool "note names the row once" true
+    (contains text "only in new: mc-alloc/w");
+  check_bool "no doubled suite" false (contains text "mc-alloc/mc-alloc/");
+  check_bool "table names the row once" false (contains text "mc/mc/")
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -257,5 +274,6 @@ let () =
         [
           Alcotest.test_case "pp and json" `Quick test_pp_and_json_report;
           Alcotest.test_case "no matched rows" `Quick test_pp_no_matched_rows;
+          Alcotest.test_case "suite-named rows" `Quick test_pp_suite_named_rows;
         ] );
     ]

@@ -497,6 +497,53 @@ let test_negative_omit_budget_refused () =
   check_string "no result" "" out;
   check_bool "names the option" true (contains err "--omit-budget")
 
+(* A sweep that checked less than it reports does not exit 0: crashed runs
+   ([raising] raises from on_receive) and failed shards ([raising-init]
+   raises from init) exit 4 under either executor, and say why. *)
+let test_unchecked_runs_exit_4 () =
+  List.iter
+    (fun (fixture, executor, evidence) ->
+      let name = fixture ^ " " ^ String.concat " " executor in
+      let out, _, code, _ =
+        ipi_sweep ([ "-a"; fixture; "-n"; "4"; "-t"; "1" ] @ executor)
+      in
+      check_int (name ^ ": exit 4") 4 code;
+      check_bool (name ^ ": no violation") true
+        (contains out "0 violation(s)");
+      check_bool (name ^ ": says why") true (contains out evidence))
+    [
+      ("raising", [], "crashed run(s)");
+      ("raising", [ "--workers"; "2" ], "crashed run(s)");
+      ("raising-init", [], "failed");
+      ("raising-init", [ "--workers"; "2" ], "failed");
+    ]
+
+(* The other outcomes: clean 0, violation 1 (FloodSet under
+   send-omissions), partial 3 (a zero wall-clock budget). *)
+let test_exit_codes () =
+  List.iter
+    (fun (name, args, expected) ->
+      let _, _, code, _ = ipi_sweep args in
+      check_int name expected code)
+    [
+      ("clean", small, 0);
+      ( "violation",
+        [ "-a"; "FloodSet"; "-n"; "4"; "-t"; "1"; "--faults"; "send-omit" ],
+        1 );
+      ("partial", small @ [ "--budget"; "0" ], 3);
+    ]
+
+(* An (algorithm, n, t) the registry rejects is refused before any run:
+   exit 2, no result, one stderr line naming the entry and its regime. *)
+let test_inapplicable_refused () =
+  let out, err, code, _ =
+    ipi_sweep [ "-a"; "AMR-leader"; "-n"; "5"; "-t"; "2" ]
+  in
+  check_int "usage error" 2 code;
+  check_string "no result" "" out;
+  check_string "names the entry and its regime"
+    "AMR-leader requires t < n/3; got n=5, t=2\n" err
+
 let () =
   Alcotest.run "supervise"
     [
@@ -536,5 +583,11 @@ let () =
             test_conflicting_flags_refused;
           Alcotest.test_case "negative omission budget refused" `Quick
             test_negative_omit_budget_refused;
+          Alcotest.test_case "clean, violating and partial exits" `Quick
+            test_exit_codes;
+          Alcotest.test_case "unchecked runs exit 4" `Quick
+            test_unchecked_runs_exit_4;
+          Alcotest.test_case "inapplicable algorithm refused" `Quick
+            test_inapplicable_refused;
         ] );
     ]

@@ -19,12 +19,24 @@ let algo_arg =
   Cmdliner.Arg.(
     value & opt string "A(t+2)" & info [ "a"; "algo" ] ~docv:"LABEL" ~doc)
 
-let n_arg =
-  Cmdliner.Arg.(value & opt int 5 & info [ "n" ] ~docv:"N" ~doc:"Processes.")
-
-let t_arg =
-  Cmdliner.Arg.(
-    value & opt int 2 & info [ "t" ] ~docv:"T" ~doc:"Crash resilience bound.")
+(* -n and -t as one validated configuration: a pair [Config.make] refuses
+   is a usage error, reported in one line before anything runs. *)
+let config_arg =
+  let n_arg =
+    Cmdliner.Arg.(value & opt int 5 & info [ "n" ] ~docv:"N" ~doc:"Processes.")
+  in
+  let t_arg =
+    Cmdliner.Arg.(
+      value & opt int 2 & info [ "t" ] ~docv:"T" ~doc:"Crash resilience bound.")
+  in
+  let make n t =
+    match Config.make ~n ~t with
+    | config -> config
+    | exception Invalid_argument _ ->
+        Format.eprintf "a system needs 0 <= t < n; got n=%d, t=%d@." n t;
+        exit 2
+  in
+  Cmdliner.Term.(const make $ n_arg $ t_arg)
 
 let seed_arg =
   Cmdliner.Arg.(
@@ -88,6 +100,15 @@ let lookup_applicable label config =
   end;
   entry
 
+(* The lower-bound constructions of [attack] and [figure1] live in the
+   indulgent regime. *)
+let require_indulgent what config =
+  if not (Config.has_majority_resilience config) then begin
+    Format.eprintf "%s requires 0 < t < n/2; got n=%d, t=%d@." what
+      (Config.n config) (Config.t config);
+    exit 2
+  end
+
 (* The deliberately broken fuzz fixtures are not consensus algorithms, so
    they live outside the registry; `run`, `sweep` and `fuzz` accept them
    anyway so a counterexample can be replayed against the algorithm that
@@ -146,7 +167,13 @@ let experiments_cmd =
     in
     List.iter
       (fun e ->
-        e.Expt.Suite.run std;
+        (* A measurement fails with [Failure] (a violation, a crashed run):
+           one line naming the experiment, and exit 1. *)
+        (try e.Expt.Suite.run std
+         with Failure msg ->
+           Format.pp_print_flush std ();
+           Format.eprintf "%s: %s@." e.Expt.Suite.name msg;
+           exit 1);
         Format.fprintf std "@.")
       selected
   in
@@ -309,9 +336,8 @@ let run_cmd =
       & info [ "metrics" ]
           ~doc:"Count the run's events and print the metrics registry.")
   in
-  let run label n t seed schedule_name gst diagram dump trace_file trace_format
-      metrics =
-    let config = Config.make ~n ~t in
+  let run label config seed schedule_name gst diagram dump trace_file
+      trace_format metrics =
     let algo = lookup_runnable label ~raise_at:2 config in
     let schedule = schedule_of_name config ~seed ~gst schedule_name in
     (match Sim.Schedule.validate config schedule with
@@ -383,7 +409,7 @@ let run_cmd =
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "run" ~doc:"Run one algorithm on one schedule.")
     Cmdliner.Term.(
-      const run $ algo_arg $ n_arg $ t_arg $ seed_arg $ schedule_arg $ gst_arg
+      const run $ algo_arg $ config_arg $ seed_arg $ schedule_arg $ gst_arg
       $ diagram_arg $ dump_arg $ trace_file_arg $ trace_format_arg
       $ metrics_arg)
 
@@ -422,9 +448,9 @@ let trace_cmd =
 (* ipi attack                                                           *)
 
 let attack_cmd =
-  let run label n t =
-    let config = Config.make ~n ~t in
+  let run label config =
     let entry = lookup_applicable label config in
+    require_indulgent "the lower-bound attack" config;
     let report = Mc.Attack.run_witness entry.Expt.Registry.algo config in
     Format.fprintf std "%a@.@." Mc.Attack.pp_report report;
     Format.fprintf std "%a@." Obs.Replay.pp_diagram
@@ -436,7 +462,7 @@ let attack_cmd =
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "attack"
        ~doc:"Run the proof-guided ES attack against an algorithm.")
-    Cmdliner.Term.(const run $ algo_arg $ n_arg $ t_arg)
+    Cmdliner.Term.(const run $ algo_arg $ config_arg)
 
 (* ------------------------------------------------------------------ *)
 (* ipi sweep / sweep-worker — shared shape flags and crash-safety
@@ -714,7 +740,7 @@ let sweep_cmd =
             "Per-shard deadline under --workers: a worker silent past it \
              is killed and its shard reassigned (default 60).")
   in
-  let run label n t faults omit_budget jobs binary policy horizon reduce
+  let run label config faults omit_budget jobs binary policy horizon reduce
       budget_s checkpoint checkpoint_every resume_path workers chaos_mode
       chaos_seed chunk_timeout table_cap spill_dir print_metrics show_progress
       heartbeat trace_file trace_format =
@@ -726,7 +752,7 @@ let sweep_cmd =
       refuse "--jobs and --workers each choose an executor: pass only one";
     if chaos_mode <> None && workers <= 1 then
       refuse "--chaos exercises the --workers pool: add --workers N (N >= 2)";
-    let config = Config.make ~n ~t in
+    let n = Config.n config and t = Config.t config in
     let algo = lookup_runnable label ~raise_at:2 config in
     let spec =
       distrib_spec ~algo ~config ~faults ~omit_budget ~policy ~horizon ~binary
@@ -893,9 +919,10 @@ let sweep_cmd =
              info 1 ~doc:"some run violates consensus.";
              info 2
                ~doc:
-                 "usage error, refused before any run: unknown algorithm, \
-                  conflicting flags, an unreadable checkpoint, or an \
-                  algorithm outside its resilience regime.";
+                 "usage error, refused before any run: n and t outside \
+                  0 <= t < n, an unknown algorithm, conflicting flags, an \
+                  unreadable checkpoint, or an algorithm outside its \
+                  resilience regime.";
              info 3
                ~doc:
                  "partial: --budget expired or a signal stopped the sweep \
@@ -908,7 +935,7 @@ let sweep_cmd =
            ]
            @ List.filter (fun i -> info_code i > 4) defaults))
     Cmdliner.Term.(
-      const run $ algo_arg $ n_arg $ t_arg $ faults_arg $ omit_budget_arg
+      const run $ algo_arg $ config_arg $ faults_arg $ omit_budget_arg
       $ jobs_arg $ binary_arg $ policy_arg $ horizon_arg $ reduce_arg
       $ budget_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
       $ workers_arg $ chaos_arg $ chaos_seed_arg $ chunk_timeout_arg
@@ -919,9 +946,8 @@ let sweep_cmd =
 (* ipi sweep-worker                                                     *)
 
 let sweep_worker_cmd =
-  let run label n t faults omit_budget binary policy horizon reduce table_cap
-      spill_dir =
-    let config = Config.make ~n ~t in
+  let run label config faults omit_budget binary policy horizon reduce
+      table_cap spill_dir =
     let algo = lookup_runnable label ~raise_at:2 config in
     let spec =
       distrib_spec ~algo ~config ~faults ~omit_budget ~policy ~horizon ~binary
@@ -939,7 +965,7 @@ let sweep_worker_cmd =
           stdin, run each shard, write result frames to stdout. Spawned \
           by `ipi sweep --workers`; not meant for interactive use.")
     Cmdliner.Term.(
-      const run $ algo_arg $ n_arg $ t_arg $ faults_arg $ omit_budget_arg
+      const run $ algo_arg $ config_arg $ faults_arg $ omit_budget_arg
       $ binary_arg $ policy_arg $ horizon_arg $ reduce_arg $ table_cap_arg
       $ spill_dir_arg)
 
@@ -1126,10 +1152,9 @@ let fuzz_cmd =
             "Exit non-zero when the campaign has any finding. Without \
              this flag findings are data, not errors.")
   in
-  let run label n t faults omit_budget seed runs jobs fuel budget_s shrink
+  let run label config faults omit_budget seed runs jobs fuel budget_s shrink
       no_monitor gen_name base gst raise_at print_metrics out expect_clean
       show_progress heartbeat =
-    let config = Config.make ~n ~t in
     let algo = lookup_runnable label ~raise_at config in
     let jobs = if jobs = 0 then Par.default_jobs () else jobs in
     let gen : Fuzz.Campaign.gen =
@@ -1181,8 +1206,8 @@ let fuzz_cmd =
             ~meta:
               [
                 ("algo", Obs.Json.String label);
-                ("n", Obs.Json.Int n);
-                ("t", Obs.Json.Int t);
+                ("n", Obs.Json.Int (Config.n config));
+                ("t", Obs.Json.Int (Config.t config));
                 ("seed", Obs.Json.Int seed);
                 ("jobs", Obs.Json.Int jobs);
               ]
@@ -1203,7 +1228,7 @@ let fuzz_cmd =
           containment and a round budget, optionally shrink every finding \
           to a 1-minimal counterexample.")
     Cmdliner.Term.(
-      const run $ algo_arg $ n_arg $ t_arg $ faults_arg $ omit_budget_arg
+      const run $ algo_arg $ config_arg $ faults_arg $ omit_budget_arg
       $ seed_arg $ runs_arg $ jobs_arg $ fuel_arg $ budget_arg $ shrink_arg
       $ no_monitor_arg $ gen_arg $ base_arg $ gst_arg $ raise_at_arg
       $ metrics_arg $ out_arg $ expect_clean_arg $ progress_flag_arg
@@ -1213,8 +1238,8 @@ let fuzz_cmd =
 (* ipi figure1                                                          *)
 
 let figure1_cmd =
-  let run n t =
-    let config = Config.make ~n ~t in
+  let run config =
+    require_indulgent "the Fig. 1 construction" config;
     let outcome = Mc.Figure1.against_floodset_ws config in
     Format.fprintf std "%a@." Mc.Figure1.pp_outcome outcome;
     Format.fprintf std "@.The five schedules:@.";
@@ -1235,7 +1260,7 @@ let figure1_cmd =
        ~doc:
          "Build and machine-check the five-run lower-bound construction of \
           the paper's Fig. 1 against FloodSetWS.")
-    Cmdliner.Term.(const run $ n_arg $ t_arg)
+    Cmdliner.Term.(const run $ config_arg)
 
 (* ------------------------------------------------------------------ *)
 (* ipi bench-diff                                                       *)

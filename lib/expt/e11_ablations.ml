@@ -40,22 +40,24 @@ let halt_exchange_async () =
 let halt_exchange_sync () =
   (* The ablation costs nothing in synchronous runs: still exactly t+2. *)
   let config = Config.make ~n:5 ~t:2 in
-  let proposals = Sim.Runner.distinct_proposals config in
-  let outcome =
-    Workload.Search.random_synchronous ~samples:120 ~with_delays:true ~seed:97
-      ~algo:(Sim.Algorithm.Packed (module Indulgent.At_plus_2.No_halt_exchange))
-      ~config ~proposals ()
+  let r =
+    Measure.sync_sweep
+      (Sim.Algorithm.Packed (module Indulgent.At_plus_2.No_halt_exchange))
+      config
+  in
+  let safe =
+    r.Mc.Exhaustive.violations = []
+    && r.Mc.Exhaustive.crashed = []
+    && r.Mc.Exhaustive.shard_failures = []
   in
   {
     ablation = "no Halt exchange (Lemma 6)";
-    scenario = "random synchronous runs";
+    scenario = "exhaustive synchronous sweep";
     guarded = "t+2, safe";
     ablated =
-      Printf.sprintf "worst %d, %s" outcome.Workload.Search.worst_round
-        (if outcome.Workload.Search.violations = [] then "safe" else "BROKEN");
-    as_predicted =
-      outcome.Workload.Search.worst_round = Config.t config + 2
-      && outcome.Workload.Search.violations = [];
+      Printf.sprintf "worst %d, %s" r.Mc.Exhaustive.max_decision
+        (if safe then "safe" else "BROKEN");
+    as_predicted = r.Mc.Exhaustive.max_decision = Config.t config + 2 && safe;
   }
 
 let third_guard () =

@@ -12,20 +12,7 @@ type row = {
   indulgent : bool;
 }
 
-let entries =
-  [
-    Registry.floodset;
-    Registry.floodset_ws;
-    Registry.early_floodset;
-    Registry.at_plus_2;
-    Registry.a_diamond_s;
-    Registry.at_plus_2_slow;
-    Registry.hurfin_raynal;
-    Registry.ct_diamond_s;
-    Registry.af_plus_2;
-  ]
-
-let measure ?(seed = 7) ?(samples = 150) configs =
+let measure configs =
   List.concat_map
     (fun (n, t) ->
       let config = Config.make ~n ~t in
@@ -33,19 +20,16 @@ let measure ?(seed = 7) ?(samples = 150) configs =
         (fun entry ->
           if not (Registry.applicable entry config) then None
           else
-            let measured =
-              Measure.sync_worst_case ~samples ~seed ~entry ~config ()
-            in
             Some
               {
                 label = entry.Registry.label;
                 n;
                 t;
                 predicted = entry.Registry.sync_worst_case config;
-                measured;
+                measured = Measure.sync_worst_case ~entry ~config;
                 indulgent = entry.Registry.indulgent;
               })
-        entries)
+        Registry.all)
     configs
 
 let run ppf =

@@ -28,9 +28,7 @@ let measure configs =
     (fun (n, t) ->
       let config = Config.make ~n ~t in
       let entry = Registry.floodset_ws in
-      let fast_decides_at =
-        Measure.sync_worst_case ~samples:80 ~seed:11 ~entry ~config ()
-      in
+      let fast_decides_at = Measure.sync_worst_case ~entry ~config in
       let attack = Mc.Attack.floodset_ws_witness config in
       let survivor =
         Mc.Attack.run_witness Registry.at_plus_2.Registry.algo config
@@ -46,8 +44,7 @@ let measure configs =
     configs
 
 let run ppf =
-  let configs = [ (3, 1); (4, 1); (5, 2); (7, 3) ] in
-  let rows = measure configs in
+  let rows = measure Measure.standard_configs in
   let table =
     List.fold_left
       (fun table r ->

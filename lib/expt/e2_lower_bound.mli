@@ -21,7 +21,7 @@
 type row = {
   n : int;
   t : int;
-  fast_decides_at : int;  (** FloodSetWS sync worst case, exhaustive/cascade *)
+  fast_decides_at : int;  (** {!Measure.sync_worst_case} of FloodSetWS *)
   frontier : int;  (** FloodSetWS's, from proposals [(0, 1, ..., 1)] *)
   attack_violations : int;  (** agreement violations under the witness *)
   at2_survives : bool;  (** A_{t+2} safe under the same witness *)

@@ -3,14 +3,14 @@
     round [t + 2] (Lemma 13), independently of the underlying consensus
     module [C].
 
-    Checked three ways: exhaustive serial sweeps over all binary inputs for
-    small systems; deterministic cascades plus random synchronous schedules
-    (with crash-round delays, the part SCS does not even allow) for larger
-    ones; and the same again with [C] padded by 40 idle rounds — the
-    padding must not move a single synchronous decision. The sweeps also
-    confirm the decision round is {e exactly} [t + 2]: the algorithm never
-    decides earlier without the Fig. 4 optimization, so the bound is tight
-    run-by-run, not just in the worst case. *)
+    Each row is one exhaustive serial sweep ({!Measure.sync_sweep}, with
+    the limits {!Measure} states) of [A_{t+2}], of [A_{t+2}] with [C]
+    padded by 40 idle rounds, and of [A<>S]: the padding must not move a
+    single synchronous decision. [safe] means no run violated a consensus
+    property, crashed or stayed undecided. The sweeps also confirm the
+    decision round is {e exactly} [t + 2] — min = max — since the
+    algorithm never decides earlier without the Fig. 4 optimization, so
+    the bound is tight run by run, not just in the worst case. *)
 
 type row = {
   variant : string;
@@ -22,7 +22,7 @@ type row = {
   safe : bool;
 }
 
-val measure : ?seed:int -> (int * int) list -> row list
+val measure : (int * int) list -> row list
 val run : Format.formatter -> unit
 val name : string
 val title : string

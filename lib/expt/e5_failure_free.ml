@@ -20,21 +20,21 @@ let entries =
   ]
 
 let measure ?(seed = 43) config =
+  let proposals = Sim.Runner.distinct_proposals config in
   let quiet = Sim.Schedule.make ~model:Sim.Model.Es ~gst:Round.first [] in
   List.map
     (fun entry ->
       let failure_free =
-        Option.value (Measure.decision_round_on entry config quiet) ~default:0
+        Sim.Runner.run entry.Registry.algo config ~proposals quiet
+        |> Sim.Trace.global_decision_round
+        |> Option.fold ~none:0 ~some:Round.to_int
       in
-      let sync_worst =
-        Measure.sync_worst_case ~samples:150 ~seed ~entry ~config ()
-      in
+      let sync_worst = Measure.sync_worst_case ~entry ~config in
       let safe_async =
         if not entry.Registry.indulgent then
           (* Not expected to be safe in ES; measured by E9 instead. *)
           false
         else begin
-          let proposals = Sim.Runner.distinct_proposals config in
           let outcome =
             Workload.Search.random_es ~samples:150 ~seed ~algo:entry.Registry.algo
               ~config ~proposals ()

@@ -1,69 +1,54 @@
 open Kernel
 
-let standard_configs = [ (3, 1); (5, 2); (7, 3); (9, 4) ]
+let standard_configs = [ (3, 1); (4, 1); (5, 2); (7, 3) ]
 
-let run_trace entry config schedule ~proposals =
-  Sim.Runner.run entry.Registry.algo config ~proposals schedule
+let sync_sweep algo config =
+  let spec =
+    Mc.Distrib.make ~reduce:Mc.Distrib.Rdedup ~algo config
+      (Mc.Distrib.Fixed (Sim.Runner.distinct_proposals config))
+  in
+  (Result.get_ok (Mc.Distrib.run spec)).Mc.Distrib.result
 
-let decision_round_on entry config schedule =
-  let proposals = Sim.Runner.distinct_proposals config in
-  let trace = run_trace entry config schedule ~proposals in
-  Option.map Round.to_int (Sim.Trace.global_decision_round trace)
+(* Raise [Failure] with a message on one line however long it is: the CLI
+   prints it as one stderr line, [ipi verify] as one [FAIL] line. With an
+   unbounded margin and indentation the formatter never breaks a line. *)
+let fail entry config fmt =
+  let buf = Buffer.create 128 in
+  let ppf = Format.formatter_of_buffer buf in
+  Format.pp_set_margin ppf max_int;
+  Format.pp_set_max_indent ppf (Format.pp_get_margin ppf () - 1);
+  Format.kfprintf
+    (fun ppf ->
+      Format.pp_print_flush ppf ();
+      failwith (Buffer.contents buf))
+    ppf
+    ("%s on %a, exhaustive sweep: " ^^ fmt)
+    entry.Registry.label Config.pp config
 
-let fail_on_violations entry config outcome what =
-  match outcome.Workload.Search.violations with
+let pp_choices =
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
+    Mc.Serial.pp_choice
+
+let sync_worst_case ~entry ~config =
+  let r = sync_sweep entry.Registry.algo config in
+  (* The lists are in reverse enumeration order. An undecided run is a
+     termination violation. *)
+  (match List.rev r.Mc.Exhaustive.violations with
   | [] -> ()
-  | (schedule, vs) :: _ ->
-      failwith
-        (Format.asprintf "%s on %a, %s: %a@ under %a" entry.Registry.label
-           Config.pp config what
-           (Format.pp_print_list Sim.Props.pp_violation)
-           vs Sim.Schedule.pp schedule)
-
-let sync_worst_case ?(samples = 200) ?(exhaustive_up_to_n = 4) ~seed ~entry
-    ~config () =
-  let proposals = Sim.Runner.distinct_proposals config in
-  let algo = entry.Registry.algo in
-  (* Deterministic cascades. *)
-  let named =
-    Workload.Search.over ~algo ~config ~proposals
-      (List.to_seq (List.map snd (Workload.Cascade.all_named config)))
-  in
-  fail_on_violations entry config named "cascades";
-  (* Random synchronous schedules, plain and with crash-round delays. *)
-  let plain =
-    Workload.Search.random_synchronous ~samples ~seed ~algo ~config ~proposals
-      ()
-  in
-  fail_on_violations entry config plain "random synchronous";
-  let delayed =
-    Workload.Search.random_synchronous ~samples ~with_delays:true
-      ~seed:(seed + 1) ~algo ~config ~proposals ()
-  in
-  fail_on_violations entry config delayed "random synchronous with delays";
-  let best =
-    max named.Workload.Search.worst_round
-      (max plain.Workload.Search.worst_round
-         delayed.Workload.Search.worst_round)
-  in
-  (* Exhaustive serial sweep for small systems. *)
-  if Config.n config <= exhaustive_up_to_n then begin
-    let sweep =
-      (Result.get_ok
-         (Mc.Distrib.run
-            (Mc.Distrib.make ~algo config (Mc.Distrib.Fixed proposals))))
-        .Mc.Distrib.result
-    in
-    (match sweep.Mc.Exhaustive.violations with
-    | [] -> ()
-    | (choices, vs) :: _ ->
-        failwith
-          (Format.asprintf "%s on %a, exhaustive: %a under %a"
-             entry.Registry.label Config.pp config
-             (Format.pp_print_list Sim.Props.pp_violation)
-             vs
-             (Format.pp_print_list Mc.Serial.pp_choice)
-             choices));
-    max best sweep.Mc.Exhaustive.max_decision
-  end
-  else best
+  | (choices, vs) :: _ ->
+      fail entry config "%a under %a"
+        (Format.pp_print_list
+           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
+           Sim.Props.pp_violation)
+        vs pp_choices choices);
+  (match List.rev r.Mc.Exhaustive.crashed with
+  | [] -> ()
+  | { Mc.Exhaustive.choices; error } :: _ ->
+      fail entry config "run crashed: %a under %a" Sim.Engine.pp_step_error
+        error pp_choices choices);
+  (match r.Mc.Exhaustive.shard_failures with
+  | [] -> ()
+  | { Mc.Exhaustive.shard; context; message } :: _ ->
+      fail entry config "shard %d (%s) failed: %s" shard context message);
+  r.Mc.Exhaustive.max_decision

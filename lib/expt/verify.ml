@@ -2,81 +2,88 @@ open Kernel
 
 type check = { claim : string; ok : bool }
 
-let check claim ok = { claim; ok }
+(* A measurement that raises [Failure] (a violation, a crashed run) fails
+   its claim with the message instead of aborting the certificate. *)
+let check claim ok =
+  match ok () with
+  | ok -> { claim; ok }
+  | exception Failure msg -> { claim = claim ^ ": " ^ msg; ok = false }
 
 let headline_rounds () =
-  (* E1 at (5,2): every algorithm hits exactly its predicted worst case. *)
-  let rows = E1_price.measure ~samples:60 [ (5, 2) ] in
-  check "E1: measured worst cases equal predictions at (5,2)"
-    (rows <> []
-    && List.for_all (fun (r : E1_price.row) -> r.measured = r.predicted) rows)
+  check "E1: exhaustive worst cases equal every registry prediction to (7,3)"
+    (fun () ->
+      List.for_all
+        (fun (r : E1_price.row) -> r.measured = r.predicted)
+        (E1_price.measure Measure.standard_configs))
 
 let lower_bound () =
-  let rows = E2_lower_bound.measure [ (3, 1); (5, 2) ] in
-  check "E2: frontier = t-1, t+1-deciders break in ES, A(t+2) survives"
-    (List.for_all
-       (fun (r : E2_lower_bound.row) ->
-         r.frontier = r.t - 1 && r.attack_violations > 0 && r.at2_survives
-         && r.fast_decides_at = r.t + 1)
-       rows)
+  check
+    "E2: FloodSetWS's exhaustive worst case t+1, frontier t-1; it breaks in \
+     ES, A(t+2) survives" (fun () ->
+      List.for_all
+        (fun (r : E2_lower_bound.row) ->
+          r.frontier = r.t - 1 && r.attack_violations > 0 && r.at2_survives
+          && r.fast_decides_at = r.t + 1)
+        (E2_lower_bound.measure Measure.standard_configs))
 
 let figure1 () =
-  check "Fig. 1: all five-run obligations hold at (5,2)"
-    (Mc.Figure1.all_hold (Mc.Figure1.against_floodset_ws (Config.make ~n:5 ~t:2)))
+  check "Fig. 1: all five-run obligations hold at (5,2)" (fun () ->
+      Mc.Figure1.all_hold
+        (Mc.Figure1.against_floodset_ws (Config.make ~n:5 ~t:2)))
 
 let fast_decision () =
-  let rows = E3_fast_decision.measure [ (4, 1); (5, 2) ] in
-  check "E3: A(t+2) decides at exactly t+2 in every synchronous run"
-    (List.for_all
-       (fun (r : E3_fast_decision.row) ->
-         r.safe && r.min_decision = r.t + 2 && r.max_decision = r.t + 2)
-       rows)
+  check "E3: A(t+2) decides at exactly t+2 in every run of exhaustive sweeps"
+    (fun () ->
+      List.for_all
+        (fun (r : E3_fast_decision.row) ->
+          r.safe && r.min_decision = r.t + 2 && r.max_decision = r.t + 2)
+        (E3_fast_decision.measure Measure.standard_configs))
 
 let failure_free () =
-  let rows = E5_failure_free.measure (Config.make ~n:5 ~t:2) in
   check "E5: the Fig. 4 optimization decides at round 2 failure-free"
-    (List.exists
-       (fun (r : E5_failure_free.row) ->
-         r.label = "A(t+2)+ff" && r.failure_free = 2 && r.sync_worst <= 4)
-       rows)
+    (fun () ->
+      List.exists
+        (fun (r : E5_failure_free.row) ->
+          r.label = "A(t+2)+ff" && r.failure_free = 2 && r.sync_worst <= 4)
+        (E5_failure_free.measure (Config.make ~n:5 ~t:2)))
 
 let early_decision () =
-  let config = Config.make ~n:7 ~t:2 in
-  let rows = E6_early.measure ~samples:60 config in
-  check "E6: A(f+2) decides at exactly f+2 for every f"
-    (List.for_all (fun (r : E6_early.row) -> r.af2_worst = r.f + 2) rows)
+  check "E6: A(f+2) decides at exactly f+2 for every f" (fun () ->
+      List.for_all
+        (fun (r : E6_early.row) -> r.af2_worst = r.f + 2)
+        (E6_early.measure ~samples:60 (Config.make ~n:7 ~t:2)))
 
 let eventual_decision () =
-  let config = Config.make ~n:7 ~t:2 in
-  let rows = E7_eventual.measure ~samples:30 config ~ks:[ 0; 3 ] in
   check "E7: A(f+2) achieves k+f+2 exactly; AMR stays within k+2f+2"
-    (List.for_all
-       (fun (r : E7_eventual.row) ->
-         r.af2_worst = r.af2_bound && r.amr_worst <= r.amr_bound)
-       rows)
+    (fun () ->
+      List.for_all
+        (fun (r : E7_eventual.row) ->
+          r.af2_worst = r.af2_bound && r.amr_worst <= r.amr_bound)
+        (E7_eventual.measure ~samples:30 (Config.make ~n:7 ~t:2) ~ks:[ 0; 3 ]))
 
 let failure_detectors () =
-  let rows = E8_fd.measure ~samples:25 (Config.make ~n:5 ~t:2) [ 1; 4 ] in
-  check "E8: the Section-4 simulation satisfies the <>P/<>S axioms"
-    (List.for_all
-       (fun (r : E8_fd.row) ->
-         r.completeness_ok = r.runs
-         && r.dp_accuracy_ok = r.runs
-         && r.ds_accuracy_ok = r.runs
-         && (r.gst <> 1 || r.p_accuracy_ok = r.runs))
-       rows)
+  check "E8: the Section-4 simulation satisfies the <>P/<>S axioms" (fun () ->
+      List.for_all
+        (fun (r : E8_fd.row) ->
+          r.completeness_ok = r.runs
+          && r.dp_accuracy_ok = r.runs
+          && r.ds_accuracy_ok = r.runs
+          && (r.gst <> 1 || r.p_accuracy_ok = r.runs))
+        (E8_fd.measure ~samples:25 (Config.make ~n:5 ~t:2) [ 1; 4 ]))
 
 let resilience () =
   check "E9: solo split breaks fast algorithms; partition breaks t >= n/2"
-    (List.for_all
-       (fun (d : E9_resilience.demo) -> d.violated = d.expected_violation)
-       (E9_resilience.measure ()))
+    (fun () ->
+      List.for_all
+        (fun (d : E9_resilience.demo) -> d.violated = d.expected_violation)
+        (E9_resilience.measure ()))
 
 let ablations () =
   check "E11: removing Halt exchange / the n/3 guard breaks as predicted"
-    (List.for_all
-       (fun (r : E11_ablations.row) -> r.as_predicted)
-       (E11_ablations.measure ()))
+    (fun () ->
+      List.for_all
+        (fun (r : E11_ablations.row) -> r.as_predicted)
+        (E11_ablations.measure ()))
 
 let run () =
   [

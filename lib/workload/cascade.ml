@@ -95,14 +95,3 @@ let split_then_minority config ~k ~f =
   Sim.Schedule.make ~model:Sim.Model.Es
     ~gst:(Kernel.Round.of_int (k + 1))
     (prefix @ crashes)
-
-let all_named config =
-  let t = Config.t config in
-  [
-    ("chain", chain config);
-    ( "silent-prefix",
-      silent_crashes config
-        ~rounds:(List.map Round.of_int (Listx.range 1 t)) );
-    ("coordinator-killer/2", coordinator_killer config ~phase_rounds:2);
-    ("coordinator-killer/4", coordinator_killer config ~phase_rounds:4);
-  ]

@@ -64,6 +64,3 @@ val split_brain : Config.t -> k:int -> f:int -> Sim.Schedule.t
     low block — each crash keeps the split alive for one more round. This is
     the workload that drives [A_{f+2}] towards its [k + f + 2] bound and
     AMR towards [k + 2f + 2]. *)
-
-val all_named : Config.t -> (string * Sim.Schedule.t) list
-(** The cascades above under standard parameters, labelled, for table E1. *)

@@ -25,18 +25,8 @@ let fold_run ~algo ~config ~proposals acc schedule =
 let over ~algo ~config ~proposals schedules =
   Seq.fold_left (fold_run ~algo ~config ~proposals) empty schedules
 
-let random_stream ~seed ~samples make =
-  let rng = Rng.create ~seed in
-  Seq.init samples (fun _ -> make rng)
-
-let random_synchronous ?(samples = 300) ?(with_delays = false) ~seed ~algo
-    ~config ~proposals () =
-  let make rng =
-    if with_delays then Random_runs.synchronous_with_delays rng config ()
-    else Random_runs.synchronous rng config ()
-  in
-  over ~algo ~config ~proposals (random_stream ~seed ~samples make)
-
 let random_es ?(samples = 300) ?(gst = 4) ~seed ~algo ~config ~proposals () =
-  let make rng = Random_runs.eventually_synchronous rng config ~gst () in
-  over ~algo ~config ~proposals (random_stream ~seed ~samples make)
+  let rng = Rng.create ~seed in
+  over ~algo ~config ~proposals
+    (Seq.init samples (fun _ ->
+         Random_runs.eventually_synchronous rng config ~gst ()))

@@ -22,17 +22,6 @@ val over :
   outcome
 (** Run every schedule in the (finite) sequence, in order. *)
 
-val random_synchronous :
-  ?samples:int ->
-  ?with_delays:bool ->
-  seed:int ->
-  algo:Sim.Algorithm.packed ->
-  config:Config.t ->
-  proposals:Value.t Pid.Map.t ->
-  unit ->
-  outcome
-(** {!over} on [samples] (default 300) random synchronous schedules. *)
-
 val random_es :
   ?samples:int ->
   ?gst:int ->

@@ -11,13 +11,22 @@ let print label config schedule =
 
 let () =
   let config (n, t) = Config.make ~n ~t in
-  (* E1 and E3: the cascades of [all_named]. *)
+  (* The four synchronous cascades. *)
   List.iter
     (fun nt ->
       let c = config nt in
       List.iter
         (fun (label, s) -> print label c s)
-        (Workload.Cascade.all_named c))
+        [
+          ("chain", Workload.Cascade.chain c);
+          ( "silent-prefix",
+            Workload.Cascade.silent_crashes c
+              ~rounds:(List.map Round.of_int (Listx.range 1 (Config.t c))) );
+          ( "coordinator-killer/2",
+            Workload.Cascade.coordinator_killer c ~phase_rounds:2 );
+          ( "coordinator-killer/4",
+            Workload.Cascade.coordinator_killer c ~phase_rounds:4 );
+        ])
     [ (3, 1); (4, 1); (5, 2); (7, 3); (9, 4) ];
   (* E6 and E7 at (7,2). *)
   let c72 = config (7, 2) in

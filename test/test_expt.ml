@@ -28,11 +28,68 @@ let test_registry_predictions () =
   check_int "HR" 6 (Expt.Registry.hurfin_raynal.Expt.Registry.sync_worst_case c);
   check_int "CT" 12 (Expt.Registry.ct_diamond_s.Expt.Registry.sync_worst_case c)
 
+(* The runs the exhaustive sweeps leave out — several crashes in one round,
+   crash-round delays — sampled for every entry: each run is safe, decides,
+   and never decides after the entry's predicted worst case. "After", not
+   "equal": AMR-leader peaks at 4 at (7,2) against a predicted 6. *)
+let test_registry_sampled_within_prediction () =
+  List.iter
+    (fun (n, t) ->
+      let c = config ~n ~t in
+      let proposals = Sim.Runner.distinct_proposals c in
+      List.iter
+        (fun (entry : Expt.Registry.entry) ->
+          if Expt.Registry.applicable entry c then
+            let bound = entry.sync_worst_case c in
+            List.iter
+              (fun (family, make) ->
+                for seed = 0 to 299 do
+                  let schedule = make (Kernel.Rng.create ~seed) in
+                  let trace =
+                    Sim.Runner.run entry.algo c ~proposals schedule
+                  in
+                  let what =
+                    Format.asprintf "%s at %a, %s seed %d" entry.label
+                      Kernel.Config.pp c family seed
+                  in
+                  check_bool (what ^ ": safe") true (Sim.Props.check trace = []);
+                  match Sim.Trace.global_decision_round trace with
+                  | None -> Alcotest.fail (what ^ ": undecided")
+                  | Some r ->
+                      check_bool
+                        (Printf.sprintf "%s: decides by %d" what bound)
+                        true
+                        (Kernel.Round.to_int r <= bound)
+                done)
+              [
+                ( "synchronous",
+                  fun rng -> Workload.Random_runs.synchronous rng c () );
+                ( "with delays",
+                  fun rng ->
+                    Workload.Random_runs.synchronous_with_delays rng c () );
+              ])
+        Expt.Registry.all)
+    (Expt.Measure.standard_configs @ [ (7, 2) ])
+
+(* A violation fails the measurement, naming the run that broke. *)
+let test_sync_worst_case_names_violation () =
+  let entry =
+    { Expt.Registry.floodset with algo = Fuzz.Faulty.eager_floodset }
+  in
+  match Expt.Measure.sync_worst_case ~entry ~config:(config ~n:4 ~t:1) with
+  | worst -> Alcotest.failf "no failure, worst case %d" worst
+  | exception Failure msg ->
+      check_bool "names the entry and size" true
+        (contains msg "FloodSet on (n=4, t=1)");
+      check_bool "names the violation" true (contains msg "uniform agreement");
+      check_bool "names the choice list" true (contains msg "under p1!{p2} - -");
+      check_bool "one line" false (String.contains msg '\n')
+
 (* ------------------------------------------------------------------ *)
 (* Experiments (reduced parameters: these are smoke + correctness)     *)
 
 let test_e1_small () =
-  let rows = Expt.E1_price.measure ~samples:40 [ (3, 1); (5, 2) ] in
+  let rows = Expt.E1_price.measure [ (3, 1); (5, 2) ] in
   check_bool "rows present" true (List.length rows >= 10);
   List.iter
     (fun (r : Expt.E1_price.row) ->
@@ -129,9 +186,9 @@ let test_e12 () =
       if r.crashes = 0 then
         check_bool "failure-free: opt ties HR at 2" true
           (r.opt_mean = 2.0 && r.hr_mean = 2.0))
-      (* HR's 2t+2 tail vs the opt's t+2 cap is certified deterministically
-         by E1's coordinator-killer cascade; random sampling at this size
-         need not surface it. *)
+      (* HR's 2t+2 tail vs the opt's t+2 cap is certified by E1's
+         exhaustive sweeps; random sampling at this size need not surface
+         it. *)
     rows
 
 let test_e13 () =
@@ -211,6 +268,10 @@ let () =
           Alcotest.test_case "lookup" `Quick test_registry_lookup;
           Alcotest.test_case "applicability" `Quick test_registry_applicability;
           Alcotest.test_case "predictions" `Quick test_registry_predictions;
+          Alcotest.test_case "sampled runs within every prediction" `Quick
+            test_registry_sampled_within_prediction;
+          Alcotest.test_case "a violation fails the worst case" `Quick
+            test_sync_worst_case_names_violation;
         ] );
       ( "experiments",
         [

@@ -369,10 +369,10 @@ let test_worker_failure_frame () =
 (* ------------------------------------------------------------------ *)
 (* `ipi sweep` honours or refuses every flag combination               *)
 
-(* Run [ipi sweep ARGS] in a fresh temporary directory, an argument
-   ["@name"] naming a file there. Returns stdout, stderr, the exit code and
-   every file the run left behind, with its contents. *)
-let ipi_sweep args =
+(* Run [ipi ARGS] in a fresh temporary directory, an argument ["@name"]
+   naming a file there. Returns stdout, stderr, the exit code and every
+   file the run left behind, with its contents. *)
+let ipi args =
   let dir = Filename.temp_file "ipi-test-cli" ".dir" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -381,7 +381,7 @@ let ipi_sweep args =
       Filename.concat dir (String.sub a 1 (String.length a - 1))
     else a
   in
-  let argv = Array.of_list (ipi_exe :: "sweep" :: List.map arg args) in
+  let argv = Array.of_list (ipi_exe :: List.map arg args) in
   let ((out, inp, err) as chans) =
     Unix.open_process_args_full ipi_exe argv (Unix.environment ())
   in
@@ -402,6 +402,8 @@ let ipi_sweep args =
   in
   Unix.rmdir dir;
   (stdout, stderr, code, files)
+
+let ipi_sweep args = ipi ("sweep" :: args)
 
 let small = [ "-a"; "FloodSet"; "-n"; "4"; "-t"; "1"; "--binary"; "--reduce"; "dedup" ]
 
@@ -544,6 +546,34 @@ let test_inapplicable_refused () =
   check_string "names the entry and its regime"
     "AMR-leader requires t < n/3; got n=5, t=2\n" err
 
+(* A size no system has, or one outside the regime a construction needs,
+   is a usage error in every command that takes -n/-t: exit 2, no output,
+   one stderr line naming n and t. *)
+let test_bad_size_refused () =
+  let no_system n t =
+    Printf.sprintf "a system needs 0 <= t < n; got n=%d, t=%d\n" n t
+  in
+  List.iter
+    (fun (args, expected) ->
+      let name = String.concat " " args in
+      let out, err, code, _ = ipi args in
+      check_int (name ^ ": usage error") 2 code;
+      check_string (name ^ ": no output") "" out;
+      check_string (name ^ ": one line naming n and t") expected err)
+    [
+      ([ "sweep"; "-a"; "FloodSet"; "-n"; "3"; "-t"; "3" ], no_system 3 3);
+      ([ "run"; "-n"; "0"; "-t"; "0" ], no_system 0 0);
+      ([ "fuzz"; "-n"; "2"; "-t"; "2" ], no_system 2 2);
+      ([ "attack"; "-n"; "3"; "-t"; "5" ], no_system 3 5);
+      ([ "figure1"; "-n"; "3"; "-t"; "3" ], no_system 3 3);
+      ( [ "sweep-worker"; "-a"; "FloodSet"; "-n"; "3"; "-t"; "3" ],
+        no_system 3 3 );
+      ( [ "figure1"; "-n"; "4"; "-t"; "2" ],
+        "the Fig. 1 construction requires 0 < t < n/2; got n=4, t=2\n" );
+      ( [ "attack"; "-a"; "FloodSet"; "-n"; "2"; "-t"; "1" ],
+        "the lower-bound attack requires 0 < t < n/2; got n=2, t=1\n" );
+    ]
+
 let () =
   Alcotest.run "supervise"
     [
@@ -589,5 +619,7 @@ let () =
             test_unchecked_runs_exit_4;
           Alcotest.test_case "inapplicable algorithm refused" `Quick
             test_inapplicable_refused;
+          Alcotest.test_case "bad n/t refused by every command" `Quick
+            test_bad_size_refused;
         ] );
     ]

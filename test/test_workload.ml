@@ -102,7 +102,16 @@ let test_all_named () =
       | Ok () -> ()
       | Error e -> Alcotest.fail (name ^ ": " ^ e));
       check_bool (name ^ " is synchronous") true (Sim.Schedule.synchronous s))
-    (Workload.Cascade.all_named c52)
+    [
+      ("chain", Workload.Cascade.chain c52);
+      ( "silent-prefix",
+        Workload.Cascade.silent_crashes c52
+          ~rounds:(List.map Round.of_int [ 1; 2 ]) );
+      ( "coordinator-killer/2",
+        Workload.Cascade.coordinator_killer c52 ~phase_rounds:2 );
+      ( "coordinator-killer/4",
+        Workload.Cascade.coordinator_killer c52 ~phase_rounds:4 );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Partition                                                           *)
@@ -339,15 +348,6 @@ let test_search_over () =
   check_int "worst is t+1" 2 outcome.Workload.Search.worst_round;
   check_bool "no violations" true (outcome.Workload.Search.violations = [])
 
-let test_search_random () =
-  let proposals = Sim.Runner.distinct_proposals c52 in
-  let outcome =
-    Workload.Search.random_synchronous ~samples:50 ~seed:3 ~algo:at2
-      ~config:c52 ~proposals ()
-  in
-  check_int "runs counted" 50 outcome.Workload.Search.runs;
-  check_int "worst is t+2" 4 outcome.Workload.Search.worst_round
-
 let () =
   Alcotest.run "workload"
     [
@@ -380,6 +380,5 @@ let () =
       ( "search",
         [
           Alcotest.test_case "over" `Quick test_search_over;
-          Alcotest.test_case "random" `Quick test_search_random;
         ] );
     ]

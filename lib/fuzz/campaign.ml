@@ -28,32 +28,35 @@ let default_gen config rng =
 
 let mutation_gen ~base config rng = Workload.Mutate.generator ~base config rng
 
-(* Contiguous slice of runs handled by shard [k] of [jobs]: sizes differ
-   by at most one, the larger slices first, so shard boundaries depend
-   only on [runs] and [jobs], never on timing. *)
-let slice ~jobs ~total k =
-  let base = total / jobs and rem = total mod jobs in
-  let lo = (k * base) + min k rem in
-  let hi = lo + base + if k < rem then 1 else 0 in
-  (lo, hi)
-
 let run ?metrics ?(jobs = 1) ?fuel ?budget_s ?(shrink = false)
     ?(monitor = true) ?prof ?(progress = Obs.Progress.disabled) ~seed ~runs
     ~algo ~config ~proposals ~gen () =
   let started = Unix.gettimeofday () in
-  let deadline = Option.map (fun b -> started +. b) budget_s in
-  (* The schedule stream is drawn serially from the single seeded
-     generator before any shard starts: sharding must repartition the
-     exact same runs, not reseed per shard, or [--jobs] would change what
-     the campaign explores. An explicit loop fixes the evaluation order
-     ([Array.init]'s is unspecified). *)
-  let schedules =
-    let rng = Rng.create ~seed in
-    let rec generate i acc =
-      if i = runs then Array.of_list (List.rev acc)
-      else generate (i + 1) (gen config rng :: acc)
-    in
-    generate 0 []
+  (* [>=], so a zero budget runs nothing however soon the first take
+     comes. *)
+  let expired () =
+    match budget_s with
+    | Some b -> Unix.gettimeofday () >= started +. b
+    | None -> false
+  in
+  (* The schedule stream is drawn from the single seeded generator, one
+     schedule per take and under one lock, so schedule [i] is the [i]-th
+     draw whichever domain runs it: [--jobs] never changes what the
+     campaign explores, and the campaign holds only the schedules in
+     flight. Nothing is drawn once the stream ends or the budget expires,
+     and a raising [gen] leaves [next] at [runs], which ends the stream for
+     every other domain. *)
+  let rng = Rng.create ~seed and lock = Mutex.create () and next = ref 0 in
+  let take () =
+    Mutex.protect lock (fun () ->
+        let index = !next in
+        if index >= runs || expired () then None
+        else begin
+          next := runs;
+          let schedule = gen config rng in
+          next := index + 1;
+          Some (index, schedule)
+        end)
   in
   let jobs = max 1 jobs in
   Obs.Progress.set_total progress runs;
@@ -65,8 +68,7 @@ let run ?metrics ?(jobs = 1) ?fuel ?budget_s ?(shrink = false)
     | Some _ -> Array.init jobs (fun _ -> Obs.Prof.acc ())
     | None -> [||]
   in
-  let one ?acc run index =
-    let schedule = schedules.(index) in
+  let one ?acc run (index, schedule) =
     let contained () = run schedule in
     let outcome =
       match acc with
@@ -86,42 +88,36 @@ let run ?metrics ?(jobs = 1) ?fuel ?budget_s ?(shrink = false)
   let shard k () =
     let acc = if shard_accs = [||] then None else Some shard_accs.(k) in
     let run = Harness.runner ~algo ~config ?fuel ~monitor ~proposals in
-    let lo, hi = slice ~jobs ~total:runs k in
-    let rec go i (processed, skipped, findings) =
-      if i >= hi then (processed, skipped, List.rev findings)
-      else if
-        match deadline with
-        | Some d -> Unix.gettimeofday () > d
-        | None -> false
-      then go (i + 1) (processed, skipped + 1, findings)
-      else begin
-        let findings =
-          match one ?acc run i with None -> findings | Some f -> f :: findings
-        in
-        if Obs.Progress.enabled progress then
-          Obs.Progress.step progress ~items:1 ~runs:1 ~hits:0 ~lookups:0;
-        go (i + 1) (processed + 1, skipped, findings)
-      end
+    let rec go findings =
+      match take () with
+      | None -> findings
+      | Some taken ->
+          let findings =
+            match one ?acc run taken with
+            | None -> findings
+            | Some f -> f :: findings
+          in
+          if Obs.Progress.enabled progress then
+            Obs.Progress.step progress ~items:1 ~runs:1 ~hits:0 ~lookups:0;
+          go findings
     in
-    go lo (0, 0, [])
+    go []
   in
   let shards =
-    Array.to_list
-      (Par.map_tasks
-         ?report:
-           (Option.map (fun m -> Obs.Prof.pool m ~prefix:"par") metrics)
-         ~jobs
-         (Array.init jobs (fun k -> shard k)))
+    Par.map_tasks
+      ?report:(Option.map (fun m -> Obs.Prof.pool m ~prefix:"par") metrics)
+      ~jobs (Array.init jobs shard)
   in
   (match prof with
   | Some into -> Array.iter (fun a -> Obs.Prof.merge ~into a) shard_accs
   | None -> ());
-  let processed, skipped, findings =
-    List.fold_left
-      (fun (p, s, fs) (p', s', fs') -> (p + p', s + s', fs @ [ fs' ]))
-      (0, 0, []) shards
+  (* Every index below [next] was taken and, the join being past, run. *)
+  let processed = !next in
+  let findings =
+    List.sort
+      (fun a b -> Int.compare a.index b.index)
+      (List.concat (Array.to_list shards))
   in
-  let findings = List.concat findings in
   let shrink_steps =
     List.fold_left
       (fun acc f ->
@@ -132,7 +128,7 @@ let run ?metrics ?(jobs = 1) ?fuel ?budget_s ?(shrink = false)
   let report =
     {
       runs = processed;
-      skipped;
+      skipped = runs - processed;
       passed = processed - List.length findings;
       findings;
       shrink_steps;

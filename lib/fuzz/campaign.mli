@@ -4,14 +4,19 @@
     each through the monitored, contained, fueled {!Harness}, optionally
     {!Shrink}s every failure, and aggregates a report.
 
-    {b Determinism.} The schedule stream is generated serially from the
-    single [seed] before any shard starts; [jobs] only repartitions the
-    same indexed runs into contiguous slices (executed on {!Kernel.Par}
-    domains), and shard results are merged in shard order. Every report
-    field except [wall_s] is therefore bit-identical across [jobs] values
-    — unless a wall-clock [budget_s] expires mid-campaign, since which
-    runs get skipped then depends on timing. The determinism tests assert
-    the [jobs] invariance. *)
+    {b Determinism.} The schedule stream is drawn from the single [seed]
+    one schedule at a time, as a run starts: the {!Kernel.Par} domains
+    take the next index together with its schedule under one lock, so
+    schedule [i] is the [i]-th draw at any [jobs], and findings are
+    merged by index. Every report field except [wall_s] is therefore
+    bit-identical across [jobs] values — unless a wall-clock [budget_s]
+    expires mid-campaign, since how many runs start then depends on
+    timing. The determinism tests and the fuzz goldens assert the [jobs]
+    invariance.
+
+    {b Memory.} The campaign holds the schedules in flight (at most one
+    per domain) and its findings, never the whole stream, so its memory
+    does not grow with [runs]. *)
 
 open Kernel
 
@@ -63,10 +68,12 @@ val run :
 (** Run a campaign. [jobs] (default 1) shards across domains; [fuel]
     bounds each run's rounds (default: the engine bound per schedule);
     [budget_s] is a wall-clock cap after which remaining runs are
-    {e skipped}, not aborted mid-run; [shrink] (default [false])
-    minimizes every finding; [monitor] (default [true]) enables the
-    online monitor (off = post-hoc checking only, for overhead
-    benchmarks).
+    {e skipped}, not aborted mid-run: once it has expired nothing more is
+    drawn, and [skipped] is [runs] minus the runs executed; [shrink]
+    (default [false]) minimizes every finding; [monitor] (default
+    [true]) enables the online monitor (off = post-hoc checking only,
+    for overhead benchmarks). If [gen] raises, no domain draws again,
+    and the exception leaves [run] once every domain has stopped.
 
     With [metrics] the campaign reports the [fuzz.runs],
     [fuzz.violations] (safety/termination findings), [fuzz.crashed]

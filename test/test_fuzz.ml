@@ -456,13 +456,50 @@ let test_campaign_metrics () =
     | Some v -> v > 0
     | None -> false)
 
+(* The schedule stream is drawn lazily: one draw per executed run, none
+   once the budget has expired, and none after a draw raised. [counting]
+   is the default generator, counting its draws; with [fail_at] that draw
+   raises [Draw_failed] instead. *)
+exception Draw_failed
+
+let counting ?(fail_at = 0) () =
+  let draws = Atomic.make 0 in
+  let gen config rng =
+    if Atomic.fetch_and_add draws 1 + 1 = fail_at then raise Draw_failed;
+    Fuzz.Campaign.default_gen config rng
+  in
+  (gen, draws)
+
 let test_campaign_budget_skips () =
+  let gen, draws = counting () in
   let r =
     Fuzz.Campaign.run ~budget_s:(-1.0) ~seed:5 ~runs:25 ~algo:at2 ~config:c52
-      ~proposals:(props c52) ~gen:Fuzz.Campaign.default_gen ()
+      ~proposals:(props c52) ~gen ()
   in
   check_int "nothing executed" 0 r.Fuzz.Campaign.runs;
-  check_int "everything skipped" 25 r.Fuzz.Campaign.skipped
+  check_int "everything skipped" 25 r.Fuzz.Campaign.skipped;
+  check_int "no schedule drawn" 0 (Atomic.get draws)
+
+let test_campaign_draws_once_per_run () =
+  List.iter
+    (fun jobs ->
+      let gen, draws = counting () in
+      let r = campaign ~shrink:false ~jobs ~algo:at2 ~gen ~seed:5 () in
+      let label what = Printf.sprintf "%s at --jobs %d" what jobs in
+      check_int (label "every run executed") 40 r.Fuzz.Campaign.runs;
+      check_int (label "one draw per run") 40 (Atomic.get draws))
+    [ 1; 2; 4 ]
+
+let test_campaign_generator_raises () =
+  List.iter
+    (fun jobs ->
+      let gen, draws = counting ~fail_at:10 () in
+      let label what = Printf.sprintf "%s at --jobs %d" what jobs in
+      Alcotest.check_raises (label "the draw's exception leaves the campaign")
+        Draw_failed (fun () ->
+          ignore (campaign ~shrink:false ~jobs ~algo:at2 ~gen ~seed:5 ()));
+      check_int (label "no draw after the raise") 10 (Atomic.get draws))
+    [ 1; 4 ]
 
 (* Seeded omission campaigns: A(t+2) survives the mixed menu (indulgence
    covers omissions), the campaign is bit-identical across --jobs, and a
@@ -575,6 +612,10 @@ let () =
           Alcotest.test_case "metrics reported" `Quick test_campaign_metrics;
           Alcotest.test_case "wall budget skips runs" `Quick
             test_campaign_budget_skips;
+          Alcotest.test_case "one draw per run" `Quick
+            test_campaign_draws_once_per_run;
+          Alcotest.test_case "raising generator stops the campaign" `Quick
+            test_campaign_generator_raises;
           Alcotest.test_case "JSON report roundtrips" `Quick
             test_campaign_json_roundtrips;
         ] );

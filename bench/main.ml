@@ -137,25 +137,18 @@ let micro_tests workloads =
   List.map (fun w -> Test.make ~name:w.name (Staged.stage w.fn)) workloads
 
 (* ------------------------------------------------------------------ *)
-(* The mc suite: the oracle vs the sweep driver on 1 and 4 domains      *)
+(* The mc suite: the oracle vs the sweep driver                         *)
 
-(* Every sweep row below runs through the one sweep driver; only the
-   spec and the executor differ from row to row. *)
-let drive ?(jobs = 1) ?prof ?spans ?progress ?checkpoint spec () =
-  match
-    Mc.Distrib.run ~executor:(Mc.Distrib.Domains jobs) ?prof ?spans ?progress
-      ?checkpoint spec
-  with
+(* Every sweep row below runs through the one sweep driver, in process;
+   only the spec differs from row to row. *)
+let drive ?prof ?spans ?progress ?checkpoint spec () =
+  match Mc.Distrib.run ?prof ?spans ?progress ?checkpoint spec with
   | Ok _ -> ()
   | Error msg -> failwith msg
 
 (* The from-scratch oracle and the driver over identical state spaces
    (the results are bit-identical, which the equivalence tests assert);
-   what this suite tracks is their relative wall-clock cost. The
-   acceptance bar is the driver at n=5, t=2, jobs=4 beating the oracle
-   by >= 3x. *)
-let mc_jobs = 4
-
+   what this suite tracks is their relative wall-clock cost. *)
 let mc_workloads () =
   let sweep_case tag algo config =
     let proposals = Sim.Runner.distinct_proposals config in
@@ -165,7 +158,6 @@ let mc_workloads () =
       plain (prefix ^ "/serial") (fun () ->
           ignore (Mc.Exhaustive.sweep ~algo ~config ~proposals ()));
       plain (prefix ^ "/incremental") (drive spec);
-      plain (Printf.sprintf "%s/parallel-j%d" prefix mc_jobs) (drive ~jobs:mc_jobs spec);
     ]
   in
   let at2 = Expt.Registry.at_plus_2.Expt.Registry.algo in
@@ -191,26 +183,19 @@ let reduction_workloads () =
   let fixed = Mc.Distrib.Fixed (Sim.Runner.distinct_proposals c52) in
   let case name scope ?faults rows =
     List.map
-      (fun (tag, reduce, jobs) ->
+      (fun (tag, reduce) ->
         plain
           (Printf.sprintf "mc-reduction/%s/%s" name tag)
-          (drive ?jobs (Mc.Distrib.make ?faults ~reduce ~algo c52 scope)))
+          (drive (Mc.Distrib.make ?faults ~reduce ~algo c52 scope)))
       rows
   in
-  let j = Some mc_jobs and jtag tag = Printf.sprintf "%s-j%d" tag mc_jobs in
   case "floodset-n5t2" fixed
-    [
-      ("none", Mc.Distrib.Rnone, None);
-      ("dedup", Mc.Distrib.Rdedup, None);
-      (jtag "dedup", Mc.Distrib.Rdedup, j);
-    ]
+    [ ("none", Mc.Distrib.Rnone); ("dedup", Mc.Distrib.Rdedup) ]
   @ case "floodset-n5t2-binary" Mc.Distrib.Binary
       [
-        ("none", Mc.Distrib.Rnone, None);
-        ("dedup", Mc.Distrib.Rdedup, None);
-        ("dedup+sym", Mc.Distrib.Rsym, None);
-        (jtag "dedup", Mc.Distrib.Rdedup, j);
-        (jtag "dedup+sym", Mc.Distrib.Rsym, j);
+        ("none", Mc.Distrib.Rnone);
+        ("dedup", Mc.Distrib.Rdedup);
+        ("dedup+sym", Mc.Distrib.Rsym);
       ]
   (* The omission-fault adversary rides the same no-pessimisation gate:
      its dedup row (keys extended with the omitter bitsets) must at least
@@ -218,7 +203,7 @@ let reduction_workloads () =
      menu (one crash + one omitter) is large enough that the extended keys
      must actually collapse states to win. *)
   @ case "floodset-n5t2-mixed" fixed ~faults:Sim.Model.Mixed
-      [ ("none", Mc.Distrib.Rnone, None); ("dedup", Mc.Distrib.Rdedup, None) ]
+      [ ("none", Mc.Distrib.Rnone); ("dedup", Mc.Distrib.Rdedup) ]
 
 (* ------------------------------------------------------------------ *)
 (* The fuzz suite: campaign throughput, online monitors on vs off       *)
@@ -524,7 +509,7 @@ let meta_json () =
       ("commit", commit);
       ("ocaml", Obs.Json.String Sys.ocaml_version);
       ("hostname", Obs.Json.String (Unix.gethostname ()));
-      ("default_jobs", Obs.Json.Int (Par.default_jobs ()));
+      ("default_jobs", Obs.Json.Int (Domain.recommended_domain_count ()));
     ]
 
 let write_bench_json suites =
@@ -688,9 +673,8 @@ let mc_rows () =
       (Stats.Table.make ~headers:[ "sweep"; "time/run"; "vs serial" ])
       rows
   in
-  Format.printf
-    "Model-checker sweeps (serial vs incremental vs parallel, jobs=%d):@.%a@."
-    mc_jobs Stats.Table.render table;
+  Format.printf "Model-checker sweeps (serial vs incremental):@.%a@."
+    Stats.Table.render table;
   rows
 
 let reduction_rows () =
@@ -713,34 +697,19 @@ let reduction_rows () =
       (Stats.Table.make ~headers:[ "sweep"; "time/run"; "vs none" ])
       rows
   in
-  Format.printf
-    "State-space reduction (none vs dedup vs dedup+sym, jobs=%d):@.%a@."
-    mc_jobs Stats.Table.render table;
+  Format.printf "State-space reduction (none vs dedup vs dedup+sym):@.%a@."
+    Stats.Table.render table;
   rows
 
 (* The no-pessimisation gate: every reduced row must at least match its
    unreduced "/none" sibling. Returns the offending rows. *)
-(* On a single-core machine the [-jN] rows spawn N domains with nothing
-   to run them on, so "parallel at least matches serial" is not a
-   property of the code there; exempt them rather than fail every
-   1-core container. *)
-let parallel_row name =
-  let n = String.length name in
-  let rec scan i =
-    i + 2 <= n && ((name.[i] = '-' && name.[i + 1] = 'j') || scan (i + 1))
-  in
-  scan 0
-
 let reduction_regressions rows =
-  let single_core = Par.default_jobs () < 2 in
   List.filter_map
     (fun r ->
-      if single_core && parallel_row r.row_name then None
-      else
-        match none_min_of rows r.row_name with
-        | Some none when r.min_s > 0. && none /. r.min_s < 1.0 ->
-            Some (r.row_name, none /. r.min_s)
-        | _ -> None)
+      match none_min_of rows r.row_name with
+      | Some none when r.min_s > 0. && none /. r.min_s < 1.0 ->
+          Some (r.row_name, none /. r.min_s)
+      | _ -> None)
     rows
 
 let check_reduction_gate rows =

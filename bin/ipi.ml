@@ -618,11 +618,15 @@ let sweep_cmd =
   let jobs_arg =
     Cmdliner.Arg.(
       value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
+      & info [ "j"; "jobs"; "workers" ] ~docv:"N"
           ~doc:
-            "Worker domains for the sweep; 0 means one per recommended \
-             core. The result is bit-identical to --jobs 1. Not combined \
-             with --workers.")
+            "Run the sweep's shards on $(docv) >= 2 supervised worker \
+             processes (`ipi sweep-worker`) with heartbeats, per-shard \
+             timeouts, bounded retry and work reassignment on worker \
+             death; 0 means one per recommended core, and 1 runs every \
+             shard in this process, one after another (default). The \
+             merged aggregates are bit-identical to --jobs 1 for any \
+             worker count.")
   in
   let metrics_arg =
     Cmdliner.Arg.(
@@ -632,9 +636,8 @@ let sweep_cmd =
             "Print the sweep's metrics registry, including the \
              allocation-probe histograms (mc.minor_words_per_round — the \
              checker-core rate, one interval per arena DFS round over the \
-             distinct work — and mc.minor_words_per_sweep) and the par.* \
-             worker-utilization gauges. Under --workers the per-round \
-             probes stay in the worker processes.")
+             distinct work — and mc.minor_words_per_sweep). Under --jobs \
+             N >= 2 the per-round probes stay in the worker processes.")
   in
   let trace_file_arg =
     Cmdliner.Arg.(
@@ -643,8 +646,8 @@ let sweep_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Write the sweep's profiling spans (sweep > shard > run \
-             nesting, with per-span GC deltas) to $(docv). Under --workers \
-             only the sweep span is recorded.")
+             nesting, with per-span GC deltas) to $(docv). Under --jobs N \
+             >= 2 only the sweep span is recorded.")
   in
   let trace_format_arg =
     Cmdliner.Arg.(
@@ -653,8 +656,7 @@ let sweep_cmd =
       & info [ "trace-format" ] ~docv:"FORMAT"
           ~doc:
             "Span-trace format: chrome (trace_event JSON, viewable in \
-             Perfetto; shards appear as tracks) or jsonl (one span per \
-             line).")
+             Perfetto) or jsonl (one span per line).")
   in
   let budget_arg =
     Cmdliner.Arg.(
@@ -695,17 +697,6 @@ let sweep_cmd =
              final aggregates are bit-identical to an undisturbed sweep. \
              The snapshot must describe the same sweep parameters.")
   in
-  let workers_arg =
-    Cmdliner.Arg.(
-      value & opt int 0
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Shard the sweep across $(docv) supervised worker processes \
-             (`ipi sweep-worker`) with heartbeats, per-shard timeouts, \
-             bounded retry and work reassignment on worker death; the \
-             merged aggregates are bit-identical to the serial sweep for \
-             any worker count. 0 or 1 keeps the sweep in-process.")
-  in
   let chaos_arg =
     Cmdliner.Arg.(
       value
@@ -720,11 +711,12 @@ let sweep_cmd =
           None
       & info [ "chaos" ] ~docv:"MODE"
           ~doc:
-            "Inject seeded faults into the --workers pool to exercise the \
-             supervisor: kill (SIGKILL a worker mid-shard), stall \
-             (SIGSTOP; the chunk timeout must rescue it) or slow (SIGSTOP \
-             then SIGCONT). The fault budget is bounded, so a chaos-ridden \
-             sweep still completes — bit-identical to an undisturbed one.")
+            "Inject seeded faults into the worker pool of --jobs N >= 2 to \
+             exercise the supervisor: kill (SIGKILL a worker mid-shard), \
+             stall (SIGSTOP; the chunk timeout must rescue it) or slow \
+             (SIGSTOP then SIGCONT). The fault budget is bounded, so a \
+             chaos-ridden sweep still completes — bit-identical to an \
+             undisturbed one.")
   in
   let chaos_seed_arg =
     Cmdliner.Arg.(
@@ -737,21 +729,22 @@ let sweep_cmd =
       value & opt float 60.
       & info [ "chunk-timeout" ] ~docv:"SECONDS"
           ~doc:
-            "Per-shard deadline under --workers: a worker silent past it \
+            "Per-shard deadline under --jobs N >= 2: a worker silent past it \
              is killed and its shard reassigned (default 60).")
   in
   let run label config faults omit_budget jobs binary policy horizon reduce
-      budget_s checkpoint checkpoint_every resume_path workers chaos_mode
-      chaos_seed chunk_timeout table_cap spill_dir print_metrics show_progress
-      heartbeat trace_file trace_format =
+      budget_s checkpoint checkpoint_every resume_path chaos_mode chaos_seed
+      chunk_timeout table_cap spill_dir print_metrics show_progress heartbeat
+      trace_file trace_format =
     let refuse msg =
       Format.eprintf "%s@." msg;
       exit 2
     in
-    if jobs <> 1 && workers > 1 then
-      refuse "--jobs and --workers each choose an executor: pass only one";
+    let workers =
+      if jobs = 0 then Domain.recommended_domain_count () else jobs
+    in
     if chaos_mode <> None && workers <= 1 then
-      refuse "--chaos exercises the --workers pool: add --workers N (N >= 2)";
+      refuse "--chaos exercises the worker pool: add --jobs N (N >= 2)";
     let n = Config.n config and t = Config.t config in
     let algo = lookup_runnable label ~raise_at:2 config in
     let spec =
@@ -786,7 +779,7 @@ let sweep_cmd =
             chunk_timeout = Some chunk_timeout;
             max_retries = None;
           }
-      else Mc.Distrib.Domains (if jobs = 0 then Par.default_jobs () else jobs)
+      else Mc.Distrib.In_process
     in
     let deadline = Option.map (fun b -> Unix.gettimeofday () +. b) budget_s in
     (* SIGINT/SIGTERM request a stop; the driver finishes the shard
@@ -938,7 +931,7 @@ let sweep_cmd =
       const run $ algo_arg $ config_arg $ faults_arg $ omit_budget_arg
       $ jobs_arg $ binary_arg $ policy_arg $ horizon_arg $ reduce_arg
       $ budget_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
-      $ workers_arg $ chaos_arg $ chaos_seed_arg $ chunk_timeout_arg
+      $ chaos_arg $ chaos_seed_arg $ chunk_timeout_arg
       $ table_cap_arg $ spill_dir_arg $ metrics_arg $ progress_flag_arg
       $ heartbeat_arg $ trace_file_arg $ trace_format_arg)
 
@@ -963,7 +956,7 @@ let sweep_worker_cmd =
        ~doc:
          "One supervised sweep shard executor: read task frames from \
           stdin, run each shard, write result frames to stdout. Spawned \
-          by `ipi sweep --workers`; not meant for interactive use.")
+          by `ipi sweep --jobs N`; not meant for interactive use.")
     Cmdliner.Term.(
       const run $ algo_arg $ config_arg $ faults_arg $ omit_budget_arg
       $ binary_arg $ policy_arg $ horizon_arg $ reduce_arg $ table_cap_arg
@@ -1044,21 +1037,39 @@ let heartbeat_check_cmd =
     Cmdliner.Term.(const run $ file_arg $ max_age_arg)
 
 (* ------------------------------------------------------------------ *)
-(* ipi fuzz                                                             *)
+(* ipi fuzz / fuzz-worker — the flags that define a campaign            *)
 
-let fuzz_cmd =
+let gen_names =
+  [
+    ("mix", `Mix);
+    ("sync", `Sync);
+    ("sync-delays", `Sync_delays);
+    ("es", `Es);
+    ("mutate", `Mutate);
+  ]
+
+(* Everything that fixes a campaign's schedule stream and its runs: the
+   parent passes exactly these to its [ipi fuzz-worker] processes. *)
+type campaign = {
+  label : string;
+  config : Config.t;
+  faults : Sim.Model.faults;
+  omit_budget : int;
+  seed : int;
+  runs : int;
+  gen_name : [ `Mix | `Sync | `Sync_delays | `Es | `Mutate ];
+  base : string;
+  gst : int;
+  raise_at : int;
+  fuel : int option;
+  no_monitor : bool;
+}
+
+let campaign_term =
   let runs_arg =
     Cmdliner.Arg.(
       value & opt int 200
       & info [ "r"; "runs" ] ~docv:"N" ~doc:"Schedules per campaign.")
-  in
-  let jobs_arg =
-    Cmdliner.Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains; 0 means one per recommended core. The report \
-             is bit-identical across values (unless --budget expires).")
   in
   let fuel_arg =
     Cmdliner.Arg.(
@@ -1070,21 +1081,6 @@ let fuzz_cmd =
              schedule); exhausting it is reported as a budget-exhausted \
              outcome, not an error.")
   in
-  let budget_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some float) None
-      & info [ "budget" ] ~docv:"SECONDS"
-          ~doc:
-            "Wall-clock budget; runs not started before it expires are \
-             skipped (and reported as such).")
-  in
-  let shrink_arg =
-    Cmdliner.Arg.(
-      value & flag
-      & info [ "shrink" ]
-          ~doc:"Minimize every finding to a 1-minimal schedule.")
-  in
   let no_monitor_arg =
     Cmdliner.Arg.(
       value & flag
@@ -1095,17 +1091,7 @@ let fuzz_cmd =
   in
   let gen_arg =
     Cmdliner.Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("mix", `Mix);
-               ("sync", `Sync);
-               ("sync-delays", `Sync_delays);
-               ("es", `Es);
-               ("mutate", `Mutate);
-             ])
-          `Mix
+      value & opt (enum gen_names) `Mix
       & info [ "gen" ] ~docv:"GEN"
           ~doc:
             "Schedule generator: mix (default), sync, sync-delays, es, or \
@@ -1130,6 +1116,92 @@ let fuzz_cmd =
       & info [ "raise-at" ] ~docv:"ROUND"
           ~doc:"Round from which the `raising` fixture algorithm raises.")
   in
+  let make label config faults omit_budget seed runs gen_name base gst
+      raise_at fuel no_monitor =
+    {
+      label;
+      config;
+      faults;
+      omit_budget;
+      seed;
+      runs;
+      gen_name;
+      base;
+      gst;
+      raise_at;
+      fuel;
+      no_monitor;
+    }
+  in
+  Cmdliner.Term.(
+    const make $ algo_arg $ config_arg $ faults_arg $ omit_budget_arg
+    $ seed_arg $ runs_arg $ gen_arg $ base_arg $ gst_arg $ raise_at_arg
+    $ fuel_arg $ no_monitor_arg)
+
+let campaign_algo c = lookup_runnable c.label ~raise_at:c.raise_at c.config
+
+let campaign_gen c : Fuzz.Campaign.gen =
+  match (c.gen_name, c.faults) with
+  (* Mutation campaigns keep their seed schedule whatever the menu — the
+     omission operators explore the neighbourhood on their own. *)
+  | `Mutate, _ ->
+      Fuzz.Campaign.mutation_gen
+        ~base:(schedule_of_name c.config ~seed:c.seed ~gst:c.gst c.base)
+  | _, (Sim.Model.Send_omit_only | Sim.Model.Recv_omit_only | Sim.Model.Mixed)
+    ->
+      fun config rng ->
+        Workload.Random_runs.with_omissions rng config ~faults:c.faults
+          ~omit_budget:c.omit_budget ()
+  | `Mix, Sim.Model.Crash_only -> Fuzz.Campaign.default_gen
+  | `Sync, Sim.Model.Crash_only ->
+      fun config rng -> Workload.Random_runs.synchronous rng config ()
+  | `Sync_delays, Sim.Model.Crash_only ->
+      fun config rng ->
+        Workload.Random_runs.synchronous_with_delays rng config ()
+  | `Es, Sim.Model.Crash_only ->
+      fun config rng ->
+        Workload.Random_runs.eventually_synchronous rng config ~gst:c.gst ()
+
+let fuzz_worker_argv c =
+  let int = string_of_int in
+  [ Sys.executable_name; "fuzz-worker"; "-a"; c.label ]
+  @ [ "-n"; int (Config.n c.config); "-t"; int (Config.t c.config) ]
+  @ [ "--faults"; faults_flag c.faults; "--omit-budget"; int c.omit_budget ]
+  @ [ "--seed"; int c.seed; "--runs"; int c.runs; "--base"; c.base ]
+  @ [ "--gen"; fst (List.find (fun (_, g) -> g = c.gen_name) gen_names) ]
+  @ [ "--gst"; int c.gst; "--raise-at"; int c.raise_at ]
+  @ (match c.fuel with Some f -> [ "--fuel"; int f ] | None -> [])
+  @ if c.no_monitor then [ "--no-monitor" ] else []
+
+(* ------------------------------------------------------------------ *)
+(* ipi fuzz                                                             *)
+
+let fuzz_cmd =
+  let jobs_arg =
+    Cmdliner.Arg.(
+      value & opt int 1
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Run the campaign on $(docv) >= 2 supervised worker processes \
+             (`ipi fuzz-worker`); 0 means one per recommended core, and 1 \
+             runs every schedule in this process (default). The report is \
+             bit-identical across values (unless --budget expires).")
+  in
+  let budget_arg =
+    Cmdliner.Arg.(
+      value
+      & opt (some float) None
+      & info [ "budget" ] ~docv:"SECONDS"
+          ~doc:
+            "Wall-clock budget; runs not started before it expires are \
+             skipped (and reported as such).")
+  in
+  let shrink_arg =
+    Cmdliner.Arg.(
+      value & flag
+      & info [ "shrink" ]
+          ~doc:"Minimize every finding to a 1-minimal schedule.")
+  in
   let metrics_arg =
     Cmdliner.Arg.(
       value & flag
@@ -1152,44 +1224,29 @@ let fuzz_cmd =
             "Exit non-zero when the campaign has any finding. Without \
              this flag findings are data, not errors.")
   in
-  let run label config faults omit_budget seed runs jobs fuel budget_s shrink
-      no_monitor gen_name base gst raise_at print_metrics out expect_clean
-      show_progress heartbeat =
-    let algo = lookup_runnable label ~raise_at config in
-    let jobs = if jobs = 0 then Par.default_jobs () else jobs in
-    let gen : Fuzz.Campaign.gen =
-      match (gen_name, faults) with
-      (* Mutation campaigns keep their seed schedule whatever the menu —
-         the omission operators explore the neighbourhood on their own. *)
-      | `Mutate, _ ->
-          Fuzz.Campaign.mutation_gen
-            ~base:(schedule_of_name config ~seed ~gst base)
-      | _, (Sim.Model.Send_omit_only | Sim.Model.Recv_omit_only | Sim.Model.Mixed)
-        ->
-          fun config rng ->
-            Workload.Random_runs.with_omissions rng config ~faults ~omit_budget
-              ()
-      | `Mix, Sim.Model.Crash_only -> Fuzz.Campaign.default_gen
-      | `Sync, Sim.Model.Crash_only ->
-          fun config rng -> Workload.Random_runs.synchronous rng config ()
-      | `Sync_delays, Sim.Model.Crash_only ->
-          fun config rng ->
-            Workload.Random_runs.synchronous_with_delays rng config ()
-      | `Es, Sim.Model.Crash_only ->
-          fun config rng ->
-            Workload.Random_runs.eventually_synchronous rng config ~gst ()
-    in
+  let run c jobs budget_s shrink print_metrics out expect_clean show_progress
+      heartbeat =
+    let algo = campaign_algo c in
+    let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
     let registry = Obs.Metrics.create () in
     let progress, finish_progress =
       make_progress ~label:"fuzz" ~show:show_progress ~heartbeat
     in
     let run_acc = if print_metrics then Some (Obs.Prof.acc ()) else None in
     let report =
-      Fuzz.Campaign.run ~metrics:registry ~jobs ?fuel ?budget_s ~shrink
-        ~monitor:(not no_monitor) ?prof:run_acc ~progress ~seed ~runs ~algo
-        ~config
-        ~proposals:(Sim.Runner.distinct_proposals config)
-        ~gen ()
+      match
+        Fuzz.Campaign.run ~metrics:registry ~jobs
+          ~worker_argv:(fuzz_worker_argv c) ?fuel:c.fuel ?budget_s ~shrink
+          ~monitor:(not c.no_monitor) ?prof:run_acc ~progress ~seed:c.seed
+          ~runs:c.runs ~algo ~config:c.config
+          ~proposals:(Sim.Runner.distinct_proposals c.config)
+          ~gen:(campaign_gen c) ()
+      with
+      | report -> report
+      | exception Failure msg ->
+          finish_progress ();
+          Format.eprintf "%s@." msg;
+          exit 1
     in
     finish_progress ();
     (match run_acc with
@@ -1205,10 +1262,10 @@ let fuzz_cmd =
           Fuzz.Campaign.to_json
             ~meta:
               [
-                ("algo", Obs.Json.String label);
-                ("n", Obs.Json.Int (Config.n config));
-                ("t", Obs.Json.Int (Config.t config));
-                ("seed", Obs.Json.Int seed);
+                ("algo", Obs.Json.String c.label);
+                ("n", Obs.Json.Int (Config.n c.config));
+                ("t", Obs.Json.Int (Config.t c.config));
+                ("seed", Obs.Json.Int c.seed);
                 ("jobs", Obs.Json.Int jobs);
               ]
             report
@@ -1228,11 +1285,33 @@ let fuzz_cmd =
           containment and a round budget, optionally shrink every finding \
           to a 1-minimal counterexample.")
     Cmdliner.Term.(
-      const run $ algo_arg $ config_arg $ faults_arg $ omit_budget_arg
-      $ seed_arg $ runs_arg $ jobs_arg $ fuel_arg $ budget_arg $ shrink_arg
-      $ no_monitor_arg $ gen_arg $ base_arg $ gst_arg $ raise_at_arg
+      const run $ campaign_term $ jobs_arg $ budget_arg $ shrink_arg
       $ metrics_arg $ out_arg $ expect_clean_arg $ progress_flag_arg
       $ heartbeat_arg)
+
+(* ------------------------------------------------------------------ *)
+(* ipi fuzz-worker                                                      *)
+
+let fuzz_worker_cmd =
+  let run c =
+    let algo = campaign_algo c in
+    try
+      Fuzz.Campaign.worker_loop ?fuel:c.fuel ~monitor:(not c.no_monitor)
+        ~seed:c.seed ~runs:c.runs ~algo ~config:c.config
+        ~proposals:(Sim.Runner.distinct_proposals c.config)
+        ~gen:(campaign_gen c) stdin stdout
+    with Failure msg ->
+      Format.eprintf "%s@." msg;
+      exit 2
+  in
+  Cmdliner.Cmd.v
+    (Cmdliner.Cmd.info "fuzz-worker"
+       ~doc:
+         "One supervised fuzz task executor: read task frames from stdin, \
+          run each task's schedules, write the indices of the failing runs \
+          to stdout. Spawned by `ipi fuzz --jobs N`; not meant for \
+          interactive use.")
+    Cmdliner.Term.(const run $ campaign_term)
 
 (* ------------------------------------------------------------------ *)
 (* ipi figure1                                                          *)
@@ -1380,6 +1459,7 @@ let () =
             sweep_worker_cmd;
             heartbeat_check_cmd;
             fuzz_cmd;
+            fuzz_worker_cmd;
             attack_cmd;
             figure1_cmd;
             bench_diff_cmd;

@@ -28,95 +28,144 @@ let default_gen config rng =
 
 let mutation_gen ~base config rng = Workload.Mutate.generator ~base config rng
 
-let run ?metrics ?(jobs = 1) ?fuel ?budget_s ?(shrink = false)
+module J = Obs.Json
+
+(* A worker campaign's tasks: runs [0, runs) cut into contiguous chunks of
+   [chunk runs] runs, so that a task stays far inside the supervisor's
+   chunk timeout. Parent and workers derive them from [runs] alone. *)
+let chunk runs = max 1 (min 1000 ((runs + 63) / 64))
+let task_count runs = (runs + chunk runs - 1) / chunk runs
+
+let task_range ~runs k =
+  let c = chunk runs in
+  (k * c, min runs ((k + 1) * c))
+
+let worker_loop ?fuel ?(monitor = true) ~seed ~runs ~algo ~config ~proposals
+    ~gen =
+  let run = Harness.runner ~algo ~config ?fuel ~monitor ~proposals in
+  (* [rng] is about to draw schedule [!next]. *)
+  let rng = ref (Rng.create ~seed) and next = ref 0 in
+  Mc.Supervise.serve ~name:"fuzz-worker" ~tasks:(task_count runs) (fun k ->
+      let lo, hi = task_range ~runs k in
+      if lo < !next then begin
+        rng := Rng.create ~seed;
+        next := 0
+      end;
+      let failed = ref [] in
+      while !next < hi do
+        let index = !next and schedule = gen config !rng in
+        incr next;
+        if index >= lo && Outcome.failure_of (run schedule) <> None then
+          failed := J.Int index :: !failed
+      done;
+      J.Obj [ ("task", J.Int k); ("failed", J.List (List.rev !failed)) ])
+
+let run ?metrics ?(jobs = 1) ?worker_argv ?fuel ?budget_s ?(shrink = false)
     ?(monitor = true) ?prof ?(progress = Obs.Progress.disabled) ~seed ~runs
     ~algo ~config ~proposals ~gen () =
   let started = Unix.gettimeofday () in
-  (* [>=], so a zero budget runs nothing however soon the first take
+  (* [>=], so a zero budget runs nothing however soon the first check
      comes. *)
   let expired () =
     match budget_s with
     | Some b -> Unix.gettimeofday () >= started +. b
     | None -> false
   in
-  (* The schedule stream is drawn from the single seeded generator, one
-     schedule per take and under one lock, so schedule [i] is the [i]-th
-     draw whichever domain runs it: [--jobs] never changes what the
-     campaign explores, and the campaign holds only the schedules in
-     flight. Nothing is drawn once the stream ends or the budget expires,
-     and a raising [gen] leaves [next] at [runs], which ends the stream for
-     every other domain. *)
-  let rng = Rng.create ~seed and lock = Mutex.create () and next = ref 0 in
-  let take () =
-    Mutex.protect lock (fun () ->
-        let index = !next in
-        if index >= runs || expired () then None
-        else begin
-          next := runs;
-          let schedule = gen config rng in
-          next := index + 1;
-          Some (index, schedule)
-        end)
-  in
-  let jobs = max 1 jobs in
-  Obs.Progress.set_total progress runs;
-  (* One probe accumulator per shard (GC counters are per-domain; each
-     worker touches only its own slot), merged into the caller's [prof]
-     after the join. *)
-  let shard_accs =
-    match prof with
-    | Some _ -> Array.init jobs (fun _ -> Obs.Prof.acc ())
-    | None -> [||]
-  in
-  let one ?acc run (index, schedule) =
-    let contained () = run schedule in
+  let runner = Harness.runner ~algo ~config ?fuel ~monitor ~proposals in
+  let finding ?acc index schedule =
     let outcome =
       match acc with
-      | None -> contained ()
-      | Some a -> Obs.Prof.measure a contained
+      | None -> runner schedule
+      | Some a -> Obs.Prof.measure a (fun () -> runner schedule)
     in
     match Outcome.failure_of outcome with
     | None -> None
     | Some _ ->
         let shrunk =
-          if shrink then
-            Shrink.shrink ?fuel ~algo ~config ~proposals schedule
+          if shrink then Shrink.shrink ?fuel ~algo ~config ~proposals schedule
           else None
         in
         Some { index; schedule; outcome; shrunk }
   in
-  let shard k () =
-    let acc = if shard_accs = [||] then None else Some shard_accs.(k) in
-    let run = Harness.runner ~algo ~config ?fuel ~monitor ~proposals in
-    let rec go findings =
-      match take () with
-      | None -> findings
-      | Some taken ->
-          let findings =
-            match one ?acc run taken with
-            | None -> findings
-            | Some f -> f :: findings
-          in
-          if Obs.Progress.enabled progress then
-            Obs.Progress.step progress ~items:1 ~runs:1 ~hits:0 ~lookups:0;
-          go findings
+  Obs.Progress.set_total progress runs;
+  (* The schedule stream is drawn from the single seeded generator, one
+     schedule as each run starts, so schedule [i] is the [i]-th draw and
+     the campaign holds only the run in flight and its findings. Nothing
+     is drawn once the stream ends or the budget expires. *)
+  let in_process () =
+    let rng = Rng.create ~seed in
+    let rec go index findings =
+      if index >= runs || expired () then (index, List.rev findings)
+      else
+        let findings =
+          match finding ?acc:prof index (gen config rng) with
+          | None -> findings
+          | Some f -> f :: findings
+        in
+        Obs.Progress.step progress ~items:1 ~runs:1 ~hits:0 ~lookups:0;
+        go (index + 1) findings
     in
-    go []
+    go 0 []
   in
-  let shards =
-    Par.map_tasks
-      ?report:(Option.map (fun m -> Obs.Prof.pool m ~prefix:"par") metrics)
-      ~jobs (Array.init jobs shard)
+  (* Workers run the tasks and answer each with the indices of its failing
+     runs. Every finding is then rebuilt here, in one pass over the same
+     stream: the same draw, run and shrink as in process, so no outcome or
+     schedule crosses the pipe and the report is the in-process one. *)
+  let on_workers argv =
+    let executed = ref 0 and failed = ref [] and bad = ref [] in
+    let on_result ~task payload =
+      let lo, hi = task_range ~runs task in
+      match Option.bind (J.member "failed" payload) J.to_list_opt with
+      | Some l
+        when List.for_all
+               (fun j ->
+                 match J.to_int_opt j with
+                 | Some i -> lo <= i && i < hi
+                 | None -> false)
+               l ->
+          failed := List.filter_map J.to_int_opt l @ !failed;
+          executed := !executed + (hi - lo);
+          Obs.Progress.step progress ~items:(hi - lo) ~runs:(hi - lo) ~hits:0
+            ~lookups:0
+      | _ -> bad := (task, "bad result frame") :: !bad
+    in
+    let o =
+      Mc.Supervise.run ~should_stop:expired ~on_result ~workers:jobs
+        ~spawn:(fun () -> Proc.spawn ~prog:(List.hd argv) ~args:argv)
+        ~tasks:(List.init (task_count runs) Fun.id)
+        ()
+    in
+    (match List.sort compare (o.failed @ !bad) with
+    | (task, reason) :: _ ->
+        let lo, hi = task_range ~runs task in
+        failwith
+          (Printf.sprintf "fuzz: task %d (runs %d-%d) failed: %s" task lo
+             (hi - 1) reason)
+    | [] -> ());
+    let rng = Rng.create ~seed in
+    let rec rebuild index failed findings =
+      match failed with
+      | [] -> List.rev findings
+      | next :: rest -> (
+          let schedule = gen config rng in
+          if index < next then rebuild (index + 1) failed findings
+          else
+            match finding index schedule with
+            | Some f -> rebuild (index + 1) rest (f :: findings)
+            | None ->
+                failwith
+                  (Printf.sprintf
+                     "fuzz: run #%d failed in a worker but passes in process"
+                     index))
+    in
+    (!executed, rebuild 0 (List.sort_uniq compare !failed) [])
   in
-  (match prof with
-  | Some into -> Array.iter (fun a -> Obs.Prof.merge ~into a) shard_accs
-  | None -> ());
-  (* Every index below [next] was taken and, the join being past, run. *)
-  let processed = !next in
-  let findings =
-    List.sort
-      (fun a b -> Int.compare a.index b.index)
-      (List.concat (Array.to_list shards))
+  let executed, findings =
+    match worker_argv with
+    | _ when jobs <= 1 -> in_process ()
+    | Some (_ :: _ as argv) -> on_workers argv
+    | None | Some [] ->
+        invalid_arg "Campaign.run: jobs >= 2 needs a worker_argv"
   in
   let shrink_steps =
     List.fold_left
@@ -127,9 +176,9 @@ let run ?metrics ?(jobs = 1) ?fuel ?budget_s ?(shrink = false)
   let wall_s = Unix.gettimeofday () -. started in
   let report =
     {
-      runs = processed;
-      skipped = runs - processed;
-      passed = processed - List.length findings;
+      runs = executed;
+      skipped = runs - executed;
+      passed = executed - List.length findings;
       findings;
       shrink_steps;
       wall_s;
@@ -157,7 +206,7 @@ let run ?metrics ?(jobs = 1) ?fuel ?budget_s ?(shrink = false)
         (Obs.Metrics.counter m "fuzz.skipped");
       Obs.Metrics.incr ~by:report.shrink_steps
         (Obs.Metrics.counter m "fuzz.shrink_steps");
-      Obs.Metrics.set (Obs.Metrics.gauge m "fuzz.jobs") jobs;
+      Obs.Metrics.set (Obs.Metrics.gauge m "fuzz.jobs") (max 1 jobs);
       Obs.Metrics.observe
         (Obs.Metrics.histogram m "fuzz.wall_seconds")
         report.wall_s;

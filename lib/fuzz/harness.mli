@@ -56,4 +56,4 @@ val runner :
   Outcome.t
 (** [runner ~algo ~config] is {!run_contained} for a stream of runs: it
     keeps one arena and rewinds it for each run instead of building a
-    fresh one, with the same outcomes. One runner per domain. *)
+    fresh one, with the same outcomes. One runner per process. *)

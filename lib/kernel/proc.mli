@@ -1,8 +1,6 @@
-(** Child-process primitives for the supervised sweep pool.
-
-    {!Par} shards work across domains inside one process; this module is
-    the process-boundary sibling: spawn a child with a pipe pair, signal
-    it, and reap it without blocking. It deliberately stops below policy —
+(** Child-process primitives for the supervised worker pool: spawn a
+    child with a pipe pair, signal it, and reap it without blocking. It
+    deliberately stops below policy —
     heartbeats, retries and chaos live in [Mc.Supervise]; here is only the
     thin, total wrapper over [Unix] that the supervisor and its tests
     share.

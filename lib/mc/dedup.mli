@@ -50,7 +50,7 @@ val merge_stats : stats -> stats -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
 type 'fp t
-(** One table, for one first-round subtree on one domain. ['fp] is the
+(** One table, for one first-round subtree. ['fp] is the
     arena's fingerprint type. *)
 
 val create :

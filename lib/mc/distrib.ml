@@ -345,7 +345,7 @@ let merge_entries spec entries =
 (* Executors                                                           *)
 
 type executor =
-  | Domains of int
+  | In_process
   | Workers of {
       workers : int;
       worker_argv : string list;
@@ -377,74 +377,38 @@ type outcome = {
   sup_metrics : Supervise.metrics option;
 }
 
-type attempt = Done | Cut of Checkpoint.entry | Skipped | Failed of int * string
-
 let past = function Some d -> Unix.gettimeofday () > d | None -> false
 
-(* Tasks on [jobs] domains of this process ([1]: the calling domain,
-   nothing spawned). A task runs only while [should_stop] and the deadline
+(* Tasks one after another in this process, sharing the caller's [prof]
+   and [spans]. A task runs only while [should_stop] and the deadline
    allow; after the first refusal or cut-short task no further task
-   starts, as in a plain loop. Anything a task raises besides the
-   engine's own contained errors becomes a failure, so one poisoned task
-   neither kills nor deadlocks the pool. Span recorders and probe
-   accumulators are single-domain, so each task gets its own, absorbed
-   in task order after the join; task [i]'s spans sit on track [1 + i]. *)
-let in_process ~jobs ?deadline ~should_stop ?metrics ?prof ~spans spec
-    ~pending ~complete =
-  let pending = Array.of_list pending in
-  let stop = Atomic.make false in
-  let task_spans =
-    if Obs.Span.enabled spans then
-      Array.map (fun i -> Obs.Span.child spans ~track:(i + 1)) pending
-    else [||]
+   starts. Anything a task raises besides the engine's own contained
+   errors becomes a failure of that task. *)
+let in_process ?deadline ~should_stop ?prof ~spans spec ~pending ~complete =
+  let outcome ?(fragments = []) failures ~stopped =
+    { failures; fragments; stopped; sup_metrics = None }
   in
-  let task_profs =
-    if Option.is_some prof then Array.map (fun _ -> Obs.Prof.acc ()) pending
-    else [||]
+  let rec go failures = function
+    | [] -> outcome failures ~stopped:false
+    | _ when should_stop () || past deadline -> outcome failures ~stopped:true
+    | i :: rest -> (
+        let task () = run_task ?deadline ?prof ~spans spec i in
+        match
+          if Obs.Span.enabled spans then
+            Obs.Span.with_ spans
+              (Printf.sprintf "shard %d: %s" i (task_context spec i))
+              task
+          else task ()
+        with
+        | e when e.Checkpoint.result.expired ->
+            outcome failures ~fragments:[ e ] ~stopped:true
+        | e ->
+            complete e;
+            go failures rest
+        | exception ((Stack_overflow | Out_of_memory) as x) -> raise x
+        | exception x -> go ((i, Printexc.to_string x) :: failures) rest)
   in
-  let attempt k () =
-    let i = pending.(k) in
-    if Atomic.get stop || should_stop () || past deadline then (
-      Atomic.set stop true;
-      Skipped)
-    else
-      let spans =
-        if task_spans = [||] then Obs.Span.disabled else task_spans.(k)
-      in
-      let prof = if task_profs = [||] then None else Some task_profs.(k) in
-      let go () = run_task ?deadline ?prof ~spans spec i in
-      match
-        if Obs.Span.enabled spans then
-          Obs.Span.with_ spans
-            (Printf.sprintf "shard %d: %s" i (task_context spec i))
-            go
-        else go ()
-      with
-      | e when e.Checkpoint.result.expired ->
-          Atomic.set stop true;
-          Cut e
-      | e ->
-          complete e;
-          Done
-      | exception ((Stack_overflow | Out_of_memory) as x) -> raise x
-      | exception x -> Failed (i, Printexc.to_string x)
-  in
-  let attempts =
-    Par.map_tasks
-      ?report:(Option.map (fun m -> Obs.Prof.pool m ~prefix:"par") metrics)
-      ~jobs
-      (Array.init (Array.length pending) attempt)
-  in
-  Array.iter (Obs.Span.absorb spans) task_spans;
-  Option.iter (fun into -> Array.iter (Obs.Prof.merge ~into) task_profs) prof;
-  let attempts = Array.to_list attempts in
-  {
-    failures =
-      List.filter_map (function Failed (i, m) -> Some (i, m) | _ -> None) attempts;
-    fragments = List.filter_map (function Cut e -> Some e | _ -> None) attempts;
-    stopped = List.exists (function Skipped -> true | _ -> false) attempts;
-    sup_metrics = None;
-  }
+  go [] pending
 
 (* Tasks on supervised [ipi sweep-worker] processes. A worker whose task
    raised answers with a failure frame; a task whose retries ran out
@@ -538,7 +502,7 @@ let report m spec executor ~wall0 ~cpu0 (r : run) =
   counter "mc.shard_failures" (List.length res.shard_failures);
   gauge "mc.max_decision_round" res.max_decision;
   (match executor with
-  | Domains jobs -> gauge "mc.domains" (max jobs 1)
+  | In_process -> ()
   | Workers w -> gauge "mc.workers" w.workers);
   let prefix_hits = (res.runs * horizon_of spec) - r.edges in
   if prefix_hits > 0 then counter "mc.prefix_hits" prefix_hits;
@@ -546,12 +510,12 @@ let report m spec executor ~wall0 ~cpu0 (r : run) =
   let wall = Unix.gettimeofday () -. wall0 in
   observe "mc.sweep_cpu_seconds" (Sys.time () -. cpu0);
   observe "mc.sweep_wall_seconds" wall;
-  (* Throughput over the wall clock: under several domains CPU time
-     overcounts elapsed time by up to the domain count. *)
+  (* Throughput over the wall clock: under workers this process's CPU
+     time leaves out the work. *)
   if wall > 0. then
     observe "mc.schedules_per_second" (float_of_int res.runs /. wall)
 
-let run ?(executor = Domains 1) ?resume ?checkpoint
+let run ?(executor = In_process) ?resume ?checkpoint
     ?(should_stop = fun () -> false) ?deadline ?metrics ?prof
     ?(spans = Obs.Span.disabled) ?(progress = Obs.Progress.disabled)
     ?(params = J.Null) spec =
@@ -582,24 +546,21 @@ let run ?(executor = Domains 1) ?resume ?checkpoint
                 completed = List.sort by_task !completed;
               }
       in
-      (* Called from whichever domain finished the task. *)
-      let lock = Mutex.create () in
       let complete e =
-        Mutex.protect lock (fun () ->
-            completed := e :: !completed;
-            step_progress progress e;
-            incr since_save;
-            if !since_save >= every then begin
-              save ();
-              since_save := 0
-            end)
+        completed := e :: !completed;
+        step_progress progress e;
+        incr since_save;
+        if !since_save >= every then begin
+          save ();
+          since_save := 0
+        end
       in
       let o =
         Obs.Span.with_ spans "sweep" (fun () ->
             match executor with
-            | Domains jobs ->
-                in_process ~jobs ?deadline ~should_stop ?metrics ?prof ~spans
-                  spec ~pending ~complete
+            | In_process ->
+                in_process ?deadline ~should_stop ?prof ~spans spec ~pending
+                  ~complete
             | Workers w ->
                 on_workers ~workers:w.workers ~worker_argv:w.worker_argv
                   ?chaos:w.chaos ?chunk_timeout:w.chunk_timeout
@@ -643,29 +604,11 @@ let run_supervised ?resume ?checkpoint ?should_stop ?chaos ?chunk_timeout
 (* ------------------------------------------------------------------ *)
 (* Worker side                                                         *)
 
-let worker_loop spec ic oc =
-  let total = total_tasks spec in
-  let rec go () =
-    match Obs.Wire.read ic with
-    | Error Obs.Wire.Eof -> ()
-    | Error err ->
-        failwith (Format.asprintf "sweep-worker: %a" Obs.Wire.pp_error err)
-    | Ok json -> (
-        if Option.is_some (J.member "shutdown" json) then ()
-        else
-          match Option.bind (J.member "task" json) J.to_int_opt with
-          | Some i when i >= 0 && i < total ->
-              Obs.Wire.write oc
-                (match run_task spec i with
-                | entry -> entry_to_frame entry
-                | exception ((Stack_overflow | Out_of_memory) as x) -> raise x
-                | exception x ->
-                    J.Obj
-                      [
-                        ("task", J.Int i);
-                        ("failure", J.String (Printexc.to_string x));
-                      ]);
-              go ()
-          | _ -> failwith "sweep-worker: malformed task frame")
-  in
-  go ()
+let worker_loop spec =
+  Supervise.serve ~name:"sweep-worker" ~tasks:(total_tasks spec) (fun i ->
+      match run_task spec i with
+      | entry -> entry_to_frame entry
+      | exception ((Stack_overflow | Out_of_memory) as x) -> raise x
+      | exception x ->
+          J.Obj
+            [ ("task", J.Int i); ("failure", J.String (Printexc.to_string x)) ])

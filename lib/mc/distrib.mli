@@ -10,15 +10,15 @@
       {!Dedup} table with one fresh table per first-round subtree;
       [dedup+sym] additionally makes the binary tasks the [n + 1]
       {!Symmetry} orbits when the algorithm is symmetric;
-    - an {!executor} runs the pending tasks: in this process on [jobs]
-      domains, or on supervised [ipi sweep-worker] processes;
+    - an {!executor} runs the pending tasks: one after another in this
+      process, or on supervised [ipi sweep-worker] processes;
     - every executor shares {!run_task}, the checkpoint bookkeeping, the
       progress meter, spans, metrics and shard-failure containment, and
       {!merge_entries}.
 
     Because the merge is a deterministic fold in task order over per-task
     results that do not depend on who computed them, {e any} executor,
-    job count, worker count, chaos, interruption and resume yields the
+    worker count, chaos, interruption and resume yields the
     same aggregates as one undisturbed serial sweep, and the same as the
     from-scratch oracle {!Exhaustive.sweep}. Tasks interrupted mid-subtree
     are never persisted — they rerun whole on resume.
@@ -88,7 +88,7 @@ val run_task :
     [deadline] passes mid-task the result has [expired = true] — such an
     entry must not be persisted or merged as completed. [prof] records one
     interval per engine round over the distinct work; [spans] one ["run"]
-    span per simulated leaf. Both are single-domain. *)
+    span per simulated leaf. *)
 
 val merge_entries :
   spec -> Checkpoint.entry list -> Exhaustive.result * Dedup.stats option * int
@@ -99,9 +99,9 @@ val merge_entries :
     this is the undisturbed serial sweep, bit-identically. *)
 
 type executor =
-  | Domains of int
-      (** this process, on up to [n] domains; [1] runs every task on the
-          calling domain and spawns nothing *)
+  | In_process
+      (** every task in this process, one after another: the reference
+          executor *)
   | Workers of {
       workers : int;
       worker_argv : string list;
@@ -139,7 +139,7 @@ val run :
   ?params:Obs.Json.t ->
   spec ->
   (run, string) result
-(** Run every pending task on [executor] (default [Domains 1]) and merge.
+(** Run every pending task on [executor] (default [In_process]) and merge.
 
     - [resume] seeds completed tasks from a loaded snapshot; it must be
       {!Checkpoint.compatible} with [params] (default [Null]) and have
@@ -156,17 +156,16 @@ val run :
       every executor.
     - [progress] steps once per completed task, with the total set up
       front. [spans] gets a ["sweep"] span; in process, each task adds a
-      ["shard <i>: <context>"] span nesting its ["run"] spans, on track
-      [1 + i]. [prof] accumulates the tasks' per-round intervals (in
-      process only). [metrics] receives [mc.runs], [mc.distinct_runs],
+      ["shard <i>: <context>"] span nesting its ["run"] spans. [prof]
+      accumulates the tasks' per-round intervals (in process only).
+      [metrics] receives [mc.runs], [mc.distinct_runs],
       [mc.violations], [mc.undecided_runs], [mc.crashed_runs],
       [mc.shard_failures], [mc.prefix_hits] (engine rounds saved by
-      prefix sharing), the [mc.max_decision_round] and
-      [mc.domains]/[mc.workers] gauges, the [mc.sweep_cpu_seconds],
+      prefix sharing), the [mc.max_decision_round] gauge, the
+      [mc.workers] gauge under [Workers], the [mc.sweep_cpu_seconds],
       [mc.sweep_wall_seconds] and [mc.schedules_per_second] histograms,
       and, when reduced, [mc.dedup_hits], [mc.dedup_entries],
-      [mc.arena_snapshots], [mc.arena_restores] and [mc.orbits]; in
-      process also the {!Kernel.Par} utilization as [par.*]. None of
+      [mc.arena_snapshots], [mc.arena_restores] and [mc.orbits]. None of
       these instruments changes the result. *)
 
 val run_supervised :
@@ -185,11 +184,9 @@ val run_supervised :
 (** {!run} with the [Workers] executor. *)
 
 val worker_loop : spec -> in_channel -> out_channel -> unit
-(** The [ipi sweep-worker] body: read [{"task": i}] frames off stdin, run
-    each task, write back the entry as a frame
-    [{"task", "result", "stats", "edges"}] — or [{"task", "failure"}] when
-    the task raised — and loop until [{"shutdown"}] or EOF. Raises on a
-    malformed stream so the supervisor sees a death, not silence. *)
+(** The [ipi sweep-worker] body, over {!Supervise.serve}: run each task
+    and answer its entry as a frame [{"task", "result", "stats", "edges"}]
+    — or [{"task", "failure"}] when the task raised. *)
 
 val entry_to_frame : Checkpoint.entry -> Obs.Json.t
 (** The worker protocol's result frame: {!Checkpoint.entry_to_json}, so

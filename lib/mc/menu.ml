@@ -10,7 +10,7 @@ open Kernel
    adversary state; a warm edge is two array loads and no allocation.
 
    A menu is single-owner like the arena it feeds: one per shard, never
-   shared across domains. *)
+   shared. *)
 
 type node = {
   adv : Serial.adversary;

@@ -10,8 +10,7 @@
     computes each of these once per {e distinct} adversary state; a warm
     edge costs two array loads and allocates nothing.
 
-    Ownership matches the arena's: one menu per shard, one domain, never
-    shared. *)
+    Ownership matches the arena's: one menu per shard, never shared. *)
 
 open Kernel
 

@@ -8,14 +8,15 @@ type t = {
   mutable size : int;  (** bytes appended; also the next record's offset *)
 }
 
-(* Atomic: tasks on several domains may open stores at once. *)
-let counter = Atomic.make 0
+(* A process may hold several stores at once; the pid keeps worker
+   processes apart. *)
+let counter = ref 0
 
 let create ~dir =
   let path =
     Filename.concat dir
-      (Printf.sprintf "dedup-spill.%d.%d" (Unix.getpid ())
-         (1 + Atomic.fetch_and_add counter 1))
+      (incr counter;
+       Printf.sprintf "dedup-spill.%d.%d" (Unix.getpid ()) !counter)
   in
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_EXCL ] 0o600 in
   { path; fd = Some fd; index = Hashtbl.create 1024; count = 0; size = 0 }

@@ -371,3 +371,20 @@ let run ?chaos ?(should_stop = fun () -> false) ?(on_result = fun ~task:_ _ -> (
             frames = !frames;
           };
       })
+
+let serve ~name ~tasks answer ic oc =
+  let rec go () =
+    match Obs.Wire.read ic with
+    | Error Obs.Wire.Eof -> ()
+    | Error err ->
+        failwith (Format.asprintf "%s: %a" name Obs.Wire.pp_error err)
+    | Ok json -> (
+        if Option.is_some (J.member "shutdown" json) then ()
+        else
+          match Option.bind (J.member "task" json) J.to_int_opt with
+          | Some i when i >= 0 && i < tasks ->
+              Obs.Wire.write oc (answer i);
+              go ()
+          | _ -> failwith (name ^ ": malformed task frame"))
+  in
+  go ()

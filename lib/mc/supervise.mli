@@ -1,13 +1,12 @@
-(** A supervisor for worker {e processes} chewing through a task list.
-
-    {!Kernel.Par} shards work across domains inside one process;
-    this is its process-boundary sibling, built for hostility: workers are
-    murdered, wedged and preempted — by the OS, by an operator, or by the
-    built-in {!chaos} injector — and the sweep must converge anyway.
+(** A supervisor for worker {e processes} chewing through a task list:
+    the one parallel executor of sweeps and fuzz campaigns, built for
+    hostility. Workers are murdered, wedged and preempted — by the OS, by
+    an operator, or by the built-in {!chaos} injector — and the work must
+    converge anyway.
 
     The supervisor owns a pool of [workers] children (spawned by a caller
-    factory, e.g. [ipi sweep-worker]), assigns tasks over a
-    length-prefixed JSON pipe protocol ({!Obs.Wire}), and enforces:
+    factory, e.g. [ipi sweep-worker] or [ipi fuzz-worker]), assigns tasks
+    over a length-prefixed JSON pipe protocol ({!Obs.Wire}), and enforces:
 
     - {b per-chunk timeouts}: an assignment not answered within
       [chunk_timeout] seconds gets its worker SIGKILLed and the task
@@ -29,8 +28,8 @@
     frame without a valid in-flight ["task"] as a protocol error (death).
 
     {b Determinism.} Completion order is timing-dependent, but the
-    supervisor never interprets payloads — the driver ({!Distrib}) merges
-    them by task index in enumeration order, which is what keeps
+    supervisor never interprets payloads — the drivers ({!Distrib} and
+    [Fuzz.Campaign]) merge them by task index, which is what keeps
     aggregates bit-identical to serial for any worker count, any chaos,
     any interleaving.
 
@@ -102,3 +101,16 @@ val run :
     [interrupted]. Defaults: no chaos, 60s chunk timeout, 3 retries, 0.1s
     backoff base. SIGPIPE is ignored for the duration (writes to a dead
     worker surface as [EPIPE], i.e. a death, not a crash). *)
+
+val serve :
+  name:string ->
+  tasks:int ->
+  (int -> Obs.Json.t) ->
+  in_channel ->
+  out_channel ->
+  unit
+(** The worker side of the protocol: read [{"task": i}] frames off the
+    input, write back [answer i] (which must carry ["task": i]) for each,
+    and loop until [{"shutdown"}] or EOF. Raises [Failure], prefixed with
+    [name], on a malformed stream or a task outside [0, tasks), so the
+    supervisor sees a death, not silence. *)

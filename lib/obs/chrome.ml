@@ -101,27 +101,22 @@ let to_string events = Json.to_string (to_json events)
 
 (* Span records map onto a second "process" (pid 1) so span tracks never
    collide with per-simulated-process event tracks when both exports are
-   concatenated by hand. Track 0 is the calling domain; track [1 + k] is
-   shard [k]'s worker recorder. Nesting within a track is implied by
-   ts/dur containment, which the viewers render as stacked slices. *)
+   concatenated by hand. Every span sits on the one "main" track; nesting
+   is implied by ts/dur containment, which the viewers render as stacked
+   slices. *)
 let span_pid = 1
 
-let span_track_meta track =
-  let name = if track = 0 then "main" else Printf.sprintf "shard %d" (track - 1) in
-  Json.Obj
-    [
-      ("name", Json.String "thread_name");
-      ("ph", Json.String "M");
-      ("pid", Json.Int span_pid);
-      ("tid", Json.Int track);
-      ("args", Json.Obj [ ("name", Json.String name) ]);
-    ]
-
 let of_spans records =
-  let tracks =
-    List.sort_uniq compare (List.map (fun r -> r.Span.track) records)
+  let meta =
+    Json.Obj
+      [
+        ("name", Json.String "thread_name");
+        ("ph", Json.String "M");
+        ("pid", Json.Int span_pid);
+        ("tid", Json.Int 0);
+        ("args", Json.Obj [ ("name", Json.String "main") ]);
+      ]
   in
-  let metas = List.map span_track_meta tracks in
   let slices =
     List.map
       (fun (r : Span.record) ->
@@ -132,7 +127,7 @@ let of_spans records =
             ("ts", Json.Int r.start_us);
             ("dur", Json.Int (max 1 r.dur_us));
             ("pid", Json.Int span_pid);
-            ("tid", Json.Int r.track);
+            ("tid", Json.Int 0);
             ( "args",
               Json.Obj
                 [
@@ -148,7 +143,7 @@ let of_spans records =
   in
   Json.Obj
     [
-      ("traceEvents", Json.List (metas @ slices));
+      ("traceEvents", Json.List (meta :: slices));
       ("displayTimeUnit", Json.String "ms");
     ]
 

@@ -16,10 +16,9 @@ val to_json : Event.t list -> Json.t
 val to_string : Event.t list -> string
 
 val of_spans : Span.record list -> Json.t
-(** Profiling spans as complete ("X") duration slices, one Chrome thread
-    per span track (track 0 is named "main", track [1+k] "shard k"), with
-    CPU and GC deltas in [args]. Spans live on their own Chrome pid so
-    they compose with the event export. Zero-length spans are widened to
-    1 µs so every span stays visible. *)
+(** Profiling spans as complete ("X") duration slices on one Chrome
+    thread named "main", with CPU and GC deltas in [args]. Spans live on
+    their own Chrome pid so they compose with the event export.
+    Zero-length spans are widened to 1 µs so every span stays visible. *)
 
 val spans_to_string : Span.record list -> string

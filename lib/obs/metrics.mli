@@ -45,8 +45,7 @@ val fold_samples :
   unit
 (** Merge a pre-aggregated batch of observations into the histogram in one
     step, as if each underlying sample had been {!observe}d individually.
-    This is how per-domain accumulators ({!Prof}) land in a shared registry
-    without the registry ever being touched from a worker domain. A
+    This is how probe accumulators ({!Prof}) land in the registry. A
     [count] of [0] is a no-op (the [min]/[max] arguments are ignored);
     negative counts raise [Invalid_argument]. *)
 

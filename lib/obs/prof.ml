@@ -86,19 +86,6 @@ let acc () =
 
 let intervals a = a.n
 
-let merge ~into src =
-  if src.n > 0 then begin
-    into.n <- into.n + src.n;
-    into.minor_sum <- into.minor_sum +. src.minor_sum;
-    into.minor_sumsq <- into.minor_sumsq +. src.minor_sumsq;
-    if src.minor_min < into.minor_min then into.minor_min <- src.minor_min;
-    if src.minor_max > into.minor_max then into.minor_max <- src.minor_max;
-    into.major <- into.major +. src.major;
-    into.promoted <- into.promoted +. src.promoted;
-    into.minor_cols <- into.minor_cols + src.minor_cols;
-    into.major_cols <- into.major_cols + src.major_cols
-  end
-
 let flush a ~metrics ~prefix ~per =
   if a.n > 0 then begin
     Metrics.fold_samples
@@ -117,14 +104,3 @@ let flush a ~metrics ~prefix ~per =
       ~by:(int_of_float a.promoted)
       (Metrics.counter metrics (prefix ^ ".promoted_words"))
   end
-
-let pool metrics ~prefix stats =
-  let us s = int_of_float (s *. 1e6) in
-  Metrics.set (Metrics.gauge metrics (prefix ^ ".workers")) (Array.length stats);
-  Array.iteri
-    (fun w (st : Kernel.Par.worker_stat) ->
-      let name field = Printf.sprintf "%s.w%d.%s" prefix w field in
-      Metrics.set (Metrics.gauge metrics (name "tasks")) st.tasks;
-      Metrics.set (Metrics.gauge metrics (name "busy_us")) (us st.busy_s);
-      Metrics.set (Metrics.gauge metrics (name "idle_us")) (us st.idle_s))
-    stats

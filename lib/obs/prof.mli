@@ -5,11 +5,10 @@
     (count/sum/sumsq/min/max) plus totals for major words, promoted words
     and collection counts. The intended wiring:
 
-    - the caller creates one [acc] per domain that will measure (the
-      registry itself is not safe to touch from worker domains);
+    - the caller creates one [acc] for the work it runs in process (work
+      done in worker processes is not measured);
     - hot loops bracket each unit of work — an engine round, a fuzzed run
       — with {!measure};
-    - after the parallel join, shard accumulators {!merge} into one;
     - {!flush} lands the result in the registry as
       [<prefix>.minor_words_per_<per>] (histogram) plus
       [<prefix>.{major_words,promoted_words,minor_collections,
@@ -35,16 +34,10 @@ val acc : unit -> acc
 
 val measure : acc -> (unit -> 'a) -> 'a
 (** Run the thunk and record the interval's GC deltas. The interval is
-    recorded even if the thunk raises (the exception is re-raised). Must
-    be called on the domain that owns the accumulator — GC counters are
-    per-domain. *)
+    recorded even if the thunk raises (the exception is re-raised). *)
 
 val intervals : acc -> int
 (** Number of intervals recorded so far. *)
-
-val merge : into:acc -> acc -> unit
-(** Fold a (joined) shard accumulator into another; the source is not
-    cleared. Safe once the source's domain has been joined. *)
 
 val flush :
   acc -> metrics:Metrics.t -> prefix:string -> per:string -> unit
@@ -59,9 +52,3 @@ val flush :
       truncated to int).
 
     A no-op when no interval was recorded. *)
-
-val pool : Metrics.t -> prefix:string -> Kernel.Par.worker_stat array -> unit
-(** Fold a {!Kernel.Par.map_tasks} utilization report into the registry:
-    gauge [<prefix>.workers], and per worker [w] gauges
-    [<prefix>.w<w>.tasks], [<prefix>.w<w>.busy_us], [<prefix>.w<w>.idle_us].
-    Partially applied, it is exactly the [?report] callback shape. *)

@@ -1,6 +1,5 @@
 type record = {
   label : string;
-  track : int;
   depth : int;
   start_us : int;
   dur_us : int;
@@ -28,7 +27,6 @@ type frame = {
 
 type recorder = {
   r_origin : float;
-  r_track : int;
   mutable stack : frame list;
   mutable rev_records : record list;
 }
@@ -37,16 +35,9 @@ type t = Disabled | Enabled of recorder
 
 let disabled = Disabled
 let enabled = function Disabled -> false | Enabled _ -> true
-let origin () = Unix.gettimeofday ()
 
-let recorder ?origin:(o = Unix.gettimeofday ()) ?(track = 0) () =
-  Enabled { r_origin = o; r_track = track; stack = []; rev_records = [] }
-
-let child t ~track =
-  match t with
-  | Disabled -> Disabled
-  | Enabled r ->
-      Enabled { r_origin = r.r_origin; r_track = track; stack = []; rev_records = [] }
+let recorder () =
+  Enabled { r_origin = Unix.gettimeofday (); stack = []; rev_records = [] }
 
 let enter t label =
   match t with
@@ -82,7 +73,6 @@ let exit t =
           r.rev_records <-
             {
               label = frame.f_label;
-              track = r.r_track;
               depth = frame.f_depth;
               start_us = us_of_span (frame.f_wall -. r.r_origin);
               dur_us = us_of_span (wall -. frame.f_wall);
@@ -108,20 +98,10 @@ let records = function
   | Disabled -> []
   | Enabled r -> List.rev r.rev_records
 
-let absorb parent child =
-  match (parent, child) with
-  | Disabled, _ | _, Disabled -> ()
-  | Enabled p, Enabled c ->
-      (* Completion order within each recorder is preserved; the child's
-         records land after everything the parent completed so far. *)
-      p.rev_records <- List.rev_append (List.rev c.rev_records) p.rev_records;
-      c.rev_records <- []
-
 let record_to_json r =
   Json.Obj
     [
       ("label", Json.String r.label);
-      ("track", Json.Int r.track);
       ("depth", Json.Int r.depth);
       ("start_us", Json.Int r.start_us);
       ("dur_us", Json.Int r.dur_us);

@@ -15,18 +15,15 @@
     allocation — so instrumented hot paths cost nothing when profiling is
     off.
 
-    Recorders are single-domain: each worker of a parallel sweep gets its
-    own recorder (with a distinct [track] and a shared [origin] so the
-    timelines line up), and the caller {!absorb}s them into the main
-    recorder after the join. Completed records export to Chrome
+    A recorder belongs to one process and one timeline: work done in
+    worker processes is not recorded. Completed records export to Chrome
     [trace_event] JSON via {!Chrome.of_spans} or line-by-line via
     {!record_to_json}. *)
 
 type record = {
   label : string;
-  track : int;  (** Chrome tid: 0 for the calling domain, [1 + shard] for workers. *)
   depth : int;  (** Nesting depth at [enter]: 0 for an outermost span. *)
-  start_us : int;  (** Wall-clock microseconds since the recorder's origin. *)
+  start_us : int;  (** Wall-clock microseconds since the recorder's creation. *)
   dur_us : int;  (** Wall-clock duration in microseconds. *)
   cpu_us : int;  (** [Sys.time] delta in microseconds (per-process CPU). *)
   minor_words : float;
@@ -36,7 +33,7 @@ type record = {
   major_collections : int;
 }
 (** One completed span. GC fields are [Gc.quick_stat] deltas between
-    {!enter} and {!exit} on the recording domain. *)
+    {!enter} and {!exit}. *)
 
 type t
 
@@ -46,20 +43,8 @@ val disabled : t
 val enabled : t -> bool
 (** [false] exactly for {!disabled} — the producer-side guard. *)
 
-val origin : unit -> float
-(** A fresh wall-clock origin ([Unix.gettimeofday ()]) to share between
-    the recorders of one profiled activity. *)
-
-val recorder : ?origin:float -> ?track:int -> unit -> t
-(** A live recorder. [origin] (default: now) anchors [start_us];
-    [track] (default 0) tags every record — parallel sweeps give each
-    shard recorder its own track so Chrome renders them as separate
-    rows. *)
-
-val child : t -> track:int -> t
-(** A fresh recorder sharing [t]'s origin, on its own [track] — what a
-    parallel sweep hands each shard so worker-domain spans line up with
-    the caller's timeline. {!disabled} if [t] is. *)
+val recorder : unit -> t
+(** A live recorder; [start_us] counts from its creation. *)
 
 val enter : t -> string -> unit
 (** Open a span. No-op on {!disabled}. *)
@@ -75,11 +60,6 @@ val with_ : t -> string -> (unit -> 'a) -> 'a
 val records : t -> record list
 (** Completed records in completion order (children before parents).
     [[]] on {!disabled}. Open spans are not included. *)
-
-val absorb : t -> t -> unit
-(** [absorb parent child] appends [child]'s completed records to
-    [parent]. No-op if either side is {!disabled}. The child recorder is
-    left empty. *)
 
 val record_to_json : record -> Json.t
 (** A flat object with every field, for JSONL trace output. *)

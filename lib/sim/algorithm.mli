@@ -18,7 +18,7 @@
       equal arguments they must return structurally equal results. The
       whole simulation stack assumes this: the engine forks states at DFS
       choice points without copying, fuzz campaigns replay runs from seeds,
-      and parallel sweeps re-run the same subtree on any domain expecting
+      and sweep workers re-run the same subtree in any process expecting
       bit-identical results.
     - [state] and [msg] must contain no functions, no mutable fields and no
       abstract values with non-structural identity (no closures, refs,

@@ -55,12 +55,12 @@ module Make (A : Algorithm.S) : sig
       Struct-of-arrays round state (status slab, state array, reusable
       envelope spine) with explicit branch-point snapshots, so a DFS over
       adversary choices mutates {e one} arena in place and rewinds it on
-      backtrack, and a fuzz campaign rewinds one arena per shard with
+      backtrack, and a fuzz campaign rewinds one arena per process with
       {!reset}.
 
       Ownership: an arena (and everything loaned out of it — the probe
-      fingerprint, inbox spines) belongs to one caller on one domain.
-      Sharded sweeps create one arena per shard. *)
+      fingerprint, inbox spines) belongs to one caller. Sharded sweeps
+      create one arena per shard. *)
   module Arena : sig
     type t
     (** Mutable system state. Steps advance it in place; {!save} /

@@ -86,3 +86,75 @@ let af2 = Sim.Algorithm.Packed (module Indulgent.Af_plus_2)
 let dls = Sim.Algorithm.Packed (module Baselines.Dls)
 let early_fs = Sim.Algorithm.Packed (module Baselines.Early_floodset)
 let floodmin = Sim.Algorithm.Packed (module Baselines.Floodmin.Std)
+
+(* The [ipi] binary the tests drive. dune's (deps ../bin/ipi.exe)
+   guarantees it exists and is fresh; it is resolved relative to the test
+   binary so the path holds under both `dune runtest` and `dune exec` from
+   the repository root. *)
+let ipi_exe =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) "..")
+    (Filename.concat "bin" "ipi.exe")
+
+(* The label `ipi` knows an algorithm by: its registry entry's, or the
+   name of a fuzz fixture. *)
+let ipi_label algo =
+  let name = Sim.Algorithm.name algo in
+  match
+    List.find_opt
+      (fun e -> Sim.Algorithm.name e.Expt.Registry.algo = name)
+      Expt.Registry.all
+  with
+  | Some e -> e.Expt.Registry.label
+  | None -> (
+      match name with
+      | "EagerFloodSet" -> "eager-floodset"
+      | "Raising@2" -> "raising"
+      | "RaisingInit" -> "raising-init"
+      | _ -> Alcotest.fail ("no ipi label for " ^ name))
+
+(* The [Workers] executor whose [ipi sweep-worker] processes build
+   [spec]. A [Fixed] spec must hold the distinct proposals, the only
+   fixed assignment the worker builds. *)
+let on_workers ?(workers = 2) (spec : Mc.Distrib.spec) =
+  let opt flag f = function Some v -> [ flag; f v ] | None -> [] in
+  let worker_argv =
+    [
+      ipi_exe;
+      "sweep-worker";
+      "-a";
+      ipi_label spec.algo;
+      "-n";
+      string_of_int (Config.n spec.config);
+      "-t";
+      string_of_int (Config.t spec.config);
+      "--faults";
+      (match spec.faults with
+      | Sim.Model.Crash_only -> "crash"
+      | Sim.Model.Send_omit_only -> "send-omit"
+      | Sim.Model.Recv_omit_only -> "recv-omit"
+      | Sim.Model.Mixed -> "mixed");
+      "--policy";
+      (match spec.policy with
+      | Mc.Serial.Prefixes -> "prefixes"
+      | Mc.Serial.All_subsets -> "all-subsets");
+      "--reduce";
+      (match spec.reduce with
+      | Mc.Distrib.Rnone -> "none"
+      | Mc.Distrib.Rdedup -> "dedup"
+      | Mc.Distrib.Rsym -> "dedup+sym");
+    ]
+    @ opt "--omit-budget" string_of_int spec.omit_budget
+    @ opt "--horizon" string_of_int spec.horizon
+    @ opt "--table-cap" string_of_int spec.table_cap
+    @ opt "--spill-dir" Fun.id spec.spill_dir
+    @ match spec.scope with Mc.Distrib.Binary -> [ "--binary" ] | Fixed _ -> []
+  in
+  Mc.Distrib.Workers
+    {
+      workers;
+      worker_argv;
+      chaos = None;
+      chunk_timeout = None;
+      max_retries = None;
+    }

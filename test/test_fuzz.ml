@@ -387,16 +387,47 @@ let report_equal (a : Fuzz.Campaign.report) (b : Fuzz.Campaign.report) =
   && a.Fuzz.Campaign.findings = b.Fuzz.Campaign.findings
   && a.Fuzz.Campaign.shrink_steps = b.Fuzz.Campaign.shrink_steps
 
-let campaign ?(shrink = true) ~jobs ~algo ~gen ~seed () =
-  Fuzz.Campaign.run ~jobs ~shrink ~seed ~runs:40 ~algo ~config:c52
-    ~proposals:(props c52) ~gen ()
+(* The [ipi fuzz-worker] invocation that builds the same campaign: [gen]
+   and [extra] are the `ipi fuzz` flags naming the test's generator. *)
+let fuzz_worker ~algo ~config ~seed ~runs ?(gen = "mix") ?(extra = []) () =
+  [
+    ipi_exe;
+    "fuzz-worker";
+    "-a";
+    ipi_label algo;
+    "-n";
+    string_of_int (Config.n config);
+    "-t";
+    string_of_int (Config.t config);
+    "--seed";
+    string_of_int seed;
+    "--runs";
+    string_of_int runs;
+    "--gen";
+    gen;
+  ]
+  @ extra
+
+(* A 40-run campaign at (5,2): with one run per task, every worker gets
+   several tasks. *)
+let campaign ?(shrink = true) ?worker ~jobs ~algo ~gen ~seed () =
+  let worker_argv =
+    Option.map
+      (fun (gen, extra) ->
+        fuzz_worker ~algo ~config:c52 ~seed ~runs:40 ~gen ~extra ())
+      worker
+  in
+  Fuzz.Campaign.run ~jobs ?worker_argv ~shrink ~seed ~runs:40 ~algo
+    ~config:c52 ~proposals:(props c52) ~gen ()
+
+let mutate_chain = ("mutate", [ "--base"; "chain" ])
 
 let prop_campaign_jobs_deterministic =
   qtest ~count:4 "campaign reports bit-identical across jobs"
     QCheck.(int_bound 9999)
     (fun seed ->
       let run jobs =
-        campaign ~jobs ~algo:eager
+        campaign ~worker:mutate_chain ~jobs ~algo:eager
           ~gen:(Fuzz.Campaign.mutation_gen ~base:(Workload.Cascade.chain c52))
           ~seed ()
       in
@@ -406,12 +437,21 @@ let prop_campaign_jobs_deterministic =
       r1.Fuzz.Campaign.findings <> []
       && report_equal r1 r2 && report_equal r1 r4)
 
-let test_campaign_contains_crashes () =
-  let r =
-    campaign ~shrink:false ~jobs:2
-      ~algo:(Fuzz.Faulty.raising ~at:2)
+(* The raising fixtures on worker processes: contained there, rebuilt
+   here, and the same report as in process. *)
+let contained_campaign ~jobs algo =
+  let run jobs =
+    campaign ~shrink:false ~worker:("mix", []) ~jobs ~algo
       ~gen:Fuzz.Campaign.default_gen ~seed:11 ()
   in
+  let serial = run 1 and r = run jobs in
+  check_bool
+    (Printf.sprintf "%d workers report what one process does" jobs)
+    true (report_equal serial r);
+  r
+
+let test_campaign_contains_crashes () =
+  let r = contained_campaign ~jobs:2 (Fuzz.Faulty.raising ~at:2) in
   check_int "campaign completed every run" 40 r.Fuzz.Campaign.runs;
   check_int "every run is a finding" 40 (List.length r.Fuzz.Campaign.findings);
   List.iter
@@ -425,10 +465,7 @@ let test_campaign_contains_crashes () =
     r.Fuzz.Campaign.findings
 
 let test_campaign_contains_raised () =
-  let r =
-    campaign ~shrink:false ~jobs:4 ~algo:Fuzz.Faulty.raising_init
-      ~gen:Fuzz.Campaign.default_gen ~seed:11 ()
-  in
+  let r = contained_campaign ~jobs:4 Fuzz.Faulty.raising_init in
   check_int "campaign survived an uncontained raiser" 40 r.Fuzz.Campaign.runs;
   check_bool "all findings are Raised" true
     (List.for_all
@@ -463,43 +500,74 @@ let test_campaign_metrics () =
 exception Draw_failed
 
 let counting ?(fail_at = 0) () =
-  let draws = Atomic.make 0 in
+  let draws = ref 0 in
   let gen config rng =
-    if Atomic.fetch_and_add draws 1 + 1 = fail_at then raise Draw_failed;
+    incr draws;
+    if !draws = fail_at then raise Draw_failed;
     Fuzz.Campaign.default_gen config rng
   in
   (gen, draws)
 
 let test_campaign_budget_skips () =
   let gen, draws = counting () in
-  let r =
-    Fuzz.Campaign.run ~budget_s:(-1.0) ~seed:5 ~runs:25 ~algo:at2 ~config:c52
-      ~proposals:(props c52) ~gen ()
+  let run ?worker_argv jobs =
+    Fuzz.Campaign.run ~jobs ?worker_argv ~budget_s:(-1.0) ~seed:5 ~runs:25
+      ~algo:at2 ~config:c52 ~proposals:(props c52) ~gen ()
   in
+  let r = run 1 in
   check_int "nothing executed" 0 r.Fuzz.Campaign.runs;
   check_int "everything skipped" 25 r.Fuzz.Campaign.skipped;
-  check_int "no schedule drawn" 0 (Atomic.get draws)
+  check_int "no schedule drawn" 0 !draws;
+  let r =
+    run 2
+      ~worker_argv:(fuzz_worker ~algo:at2 ~config:c52 ~seed:5 ~runs:25 ())
+  in
+  check_int "nothing executed on workers" 0 r.Fuzz.Campaign.runs;
+  check_int "everything skipped on workers" 25 r.Fuzz.Campaign.skipped;
+  check_int "no schedule drawn here" 0 !draws
 
-let test_campaign_draws_once_per_run () =
+(* A worker that reads a task frame it cannot run dies with a non-zero
+   exit, so the supervisor sees a death, not silence. *)
+let test_fuzz_worker_malformed_frame () =
   List.iter
-    (fun jobs ->
-      let gen, draws = counting () in
-      let r = campaign ~shrink:false ~jobs ~algo:at2 ~gen ~seed:5 () in
-      let label what = Printf.sprintf "%s at --jobs %d" what jobs in
-      check_int (label "every run executed") 40 r.Fuzz.Campaign.runs;
-      check_int (label "one draw per run") 40 (Atomic.get draws))
-    [ 1; 2; 4 ]
+    (fun (name, frame) ->
+      let argv = fuzz_worker ~algo:at2 ~config:c52 ~seed:5 ~runs:25 () in
+      let ((out, inp, err) as chans) =
+        Unix.open_process_args_full ipi_exe (Array.of_list argv)
+          (Unix.environment ())
+      in
+      Obs.Wire.write inp frame;
+      close_out inp;
+      let stdout = In_channel.input_all out in
+      let stderr = In_channel.input_all err in
+      let code =
+        match Unix.close_process_full chans with
+        | Unix.WEXITED c -> c
+        | _ -> -1
+      in
+      check_bool (name ^ ": non-zero exit") true (code <> 0);
+      check_string (name ^ ": no result frame") "" stdout;
+      check_bool (name ^ ": says why") true
+        (contains stderr "malformed task frame"))
+    [
+      ("no task", Obs.Json.Obj [ ("job", Obs.Json.Int 0) ]);
+      ("task not a number", Obs.Json.Obj [ ("task", Obs.Json.String "0") ]);
+      ("task out of range", Obs.Json.Obj [ ("task", Obs.Json.Int 25) ]);
+    ]
+
+(* A closure cannot reach an exec'd worker, so these two run in process. *)
+let test_campaign_draws_once_per_run () =
+  let gen, draws = counting () in
+  let r = campaign ~shrink:false ~jobs:1 ~algo:at2 ~gen ~seed:5 () in
+  check_int "every run executed" 40 r.Fuzz.Campaign.runs;
+  check_int "one draw per run" 40 !draws
 
 let test_campaign_generator_raises () =
-  List.iter
-    (fun jobs ->
-      let gen, draws = counting ~fail_at:10 () in
-      let label what = Printf.sprintf "%s at --jobs %d" what jobs in
-      Alcotest.check_raises (label "the draw's exception leaves the campaign")
-        Draw_failed (fun () ->
-          ignore (campaign ~shrink:false ~jobs ~algo:at2 ~gen ~seed:5 ()));
-      check_int (label "no draw after the raise") 10 (Atomic.get draws))
-    [ 1; 4 ]
+  let gen, draws = counting ~fail_at:10 () in
+  Alcotest.check_raises "the draw's exception leaves the campaign" Draw_failed
+    (fun () ->
+      ignore (campaign ~shrink:false ~jobs:1 ~algo:at2 ~gen ~seed:5 ()));
+  check_int "no draw after the raise" 10 !draws
 
 (* Seeded omission campaigns: A(t+2) survives the mixed menu (indulgence
    covers omissions), the campaign is bit-identical across --jobs, and a
@@ -510,9 +578,12 @@ let test_campaign_omissions () =
     Workload.Random_runs.with_omissions rng config ~faults ()
   in
   let at2_run jobs =
-    Fuzz.Campaign.run ~jobs ~shrink:true ~seed:42 ~runs:80 ~algo:at2
-      ~config:c52 ~proposals:(props c52)
-      ~gen:(gen Sim.Model.Mixed) ()
+    Fuzz.Campaign.run ~jobs
+      ~worker_argv:
+        (fuzz_worker ~algo:at2 ~config:c52 ~seed:42 ~runs:80
+           ~extra:[ "--faults"; "mixed" ] ())
+      ~shrink:true ~seed:42 ~runs:80 ~algo:at2 ~config:c52
+      ~proposals:(props c52) ~gen:(gen Sim.Model.Mixed) ()
   in
   let r1 = at2_run 1 and r4 = at2_run 4 in
   check_int "A(t+2) clean under mixed omissions" 0
@@ -612,6 +683,8 @@ let () =
           Alcotest.test_case "metrics reported" `Quick test_campaign_metrics;
           Alcotest.test_case "wall budget skips runs" `Quick
             test_campaign_budget_skips;
+          Alcotest.test_case "fuzz-worker refuses a malformed frame" `Quick
+            test_fuzz_worker_malformed_frame;
           Alcotest.test_case "one draw per run" `Quick
             test_campaign_draws_once_per_run;
           Alcotest.test_case "raising generator stops the campaign" `Quick

@@ -144,8 +144,13 @@ let run_ok name = function
 let sweep ?executor ?deadline name spec =
   run_ok name (Mc.Distrib.run ?executor ?deadline spec)
 
+(* Each executor for a given spec: in process, and two `ipi sweep-worker`
+   processes that build the same spec. *)
 let executors =
-  [ ("serial", Mc.Distrib.Domains 1); ("jobs=2", Mc.Distrib.Domains 2) ]
+  [
+    ("serial", fun _ -> Mc.Distrib.In_process);
+    ("workers=2", fun spec -> on_workers spec);
+  ]
 
 let unreduced = [ ("none", Mc.Distrib.Rnone) ]
 let reduced = [ ("dedup", Mc.Distrib.Rdedup); ("dedup+sym", Mc.Distrib.Rsym) ]
@@ -312,7 +317,7 @@ let check_driver ?(executors = executors) ~reduces rows =
           List.iter
             (fun (etag, executor) ->
               let tag = Printf.sprintf "%s %s %s" row rtag etag in
-              let r = sweep ~executor tag spec in
+              let r = sweep ~executor:(executor spec) tag spec in
               check_bool (tag ^ ": == serial") true
                 (result_equal serial.Mc.Distrib.result r.Mc.Distrib.result
                 && serial.Mc.Distrib.result.Mc.Exhaustive.distinct_runs
@@ -329,16 +334,17 @@ let check_driver ?(executors = executors) ~reduces rows =
    task the same way under every executor. *)
 let test_sweep_determinism () =
   check_driver ~reduces:unreduced (fixture_rows @ fixed_rows);
+  let spec =
+    Mc.Distrib.make ~horizon:2 ~algo:Fuzz.Faulty.raising_init c31 (fixed c31)
+  in
   let failures executor =
-    (sweep ~executor "raising init"
-       (Mc.Distrib.make ~horizon:2 ~algo:Fuzz.Faulty.raising_init c31 (fixed c31)))
-      .Mc.Distrib.result
+    (sweep ~executor "raising init" spec).Mc.Distrib.result
       .Mc.Exhaustive.shard_failures
   in
-  let serial = failures (Mc.Distrib.Domains 1) in
+  let serial = failures Mc.Distrib.In_process in
   check_int "raising init fails all 10 tasks" 10 (List.length serial);
-  check_bool "same shard failures under jobs=2" true
-    (serial = failures (Mc.Distrib.Domains 2))
+  check_bool "same shard failures under workers=2" true
+    (serial = failures (on_workers spec))
 
 let test_sweep_binary_determinism () =
   check_driver ~reduces:unreduced binary_rows
@@ -349,19 +355,19 @@ let test_sweep_binary_determinism () =
    [distinct_runs] may shrink. *)
 let test_dedup_equivalence () = check_driver ~reduces:reduced fixture_rows
 
-(* Reduced sweeps are deterministic across --jobs: every job count equals
-   the serial reduced sweep on every field, stats included, and the
-   reduced binary sweep the ROADMAP pins holds under each of them. *)
+(* Reduced sweeps are deterministic across executors: two worker
+   processes equal the serial reduced sweep on every field, stats
+   included, and the reduced binary sweep the ROADMAP pins holds under
+   each executor. *)
 let test_reduced_jobs_determinism () =
-  let executors = executors @ [ ("jobs=4", Mc.Distrib.Domains 4) ] in
-  check_driver ~executors ~reduces:reduced (fixed_rows @ binary_rows);
+  check_driver ~reduces:reduced (fixed_rows @ binary_rows);
+  let spec =
+    Mc.Distrib.make ~reduce:Mc.Distrib.Rdedup ~algo:floodset c52
+      Mc.Distrib.Binary
+  in
   List.iter
     (fun (etag, executor) ->
-      let r =
-        sweep ~executor ("pinned " ^ etag)
-          (Mc.Distrib.make ~reduce:Mc.Distrib.Rdedup ~algo:floodset c52
-             Mc.Distrib.Binary)
-      in
+      let r = sweep ~executor:(executor spec) ("pinned " ^ etag) spec in
       let pin what = Printf.sprintf "pinned %s %s" etag what in
       let res = r.Mc.Distrib.result in
       check_int (pin "runs") 80_032 res.Mc.Exhaustive.runs;
@@ -572,6 +578,7 @@ let test_sweep_deadline_expiry () =
       List.iter
         (fun (etag, executor) ->
           let tag = rtag ^ " " ^ etag in
+          let executor = executor spec in
           let past = sweep ~executor ~deadline:(now -. 1.) tag spec in
           check_bool (tag ^ ": past deadline is partial") true
             past.Mc.Distrib.partial;
@@ -610,12 +617,14 @@ let test_sweep_contains_step_errors () =
   | [] -> Alcotest.fail "expected crashed runs"
 
 (* An exception outside the engine's containment (raising init) must
-   surface as per-task failures with task context — the Par pool joins
+   surface as per-task failures with task context — every worker answers
    and the merged result still arrives. *)
 let test_parallel_shard_failures () =
-  let executor = Mc.Distrib.Domains 4 in
+  let sweep_on_workers name spec =
+    sweep ~executor:(on_workers spec) name spec
+  in
   let r =
-    (sweep ~executor "raising init"
+    (sweep_on_workers "raising init"
        (Mc.Distrib.make ~horizon:2 ~algo:Fuzz.Faulty.raising_init c31 (fixed c31)))
       .Mc.Distrib.result
   in
@@ -632,7 +641,8 @@ let test_parallel_shard_failures () =
     r.Mc.Exhaustive.shard_failures;
   (* A healthy sweep reports no shard failures. *)
   let ok =
-    (sweep ~executor "healthy" (Mc.Distrib.make ~algo:floodset c31 (fixed c31)))
+    (sweep_on_workers "healthy"
+       (Mc.Distrib.make ~algo:floodset c31 (fixed c31)))
       .Mc.Distrib.result
   in
   check_bool "healthy sweep has none" true
@@ -1337,13 +1347,13 @@ let test_spill_equivalence () =
   in
   check_bool "dropping sweep is bit-identical" true
     (result_equal full.Mc.Distrib.result dropped.Mc.Distrib.result);
-  (* tasks on two domains open their spill stores side by side *)
+  (* tasks on two worker processes open their spill stores side by side *)
+  let spill_spec = mk_spec ~table_cap:16 ~spill_dir:dir ~algo:floodset c52 in
   let spilled2 =
-    run_ok "spilling, jobs=2"
-      (Mc.Distrib.run ~executor:(Mc.Distrib.Domains 2) ~params
-         (mk_spec ~table_cap:16 ~spill_dir:dir ~algo:floodset c52))
+    run_ok "spilling, workers=2"
+      (Mc.Distrib.run ~executor:(on_workers spill_spec) ~params spill_spec)
   in
-  check_bool "spilling on two domains is bit-identical" true
+  check_bool "spilling on two workers is bit-identical" true
     (result_equal full.Mc.Distrib.result spilled2.Mc.Distrib.result
     && spilled.Mc.Distrib.stats = spilled2.Mc.Distrib.stats)
 

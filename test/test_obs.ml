@@ -374,7 +374,7 @@ let test_span_disabled_is_inert () =
     (Obs.Span.with_ t "y" (fun () -> 7))
 
 let test_span_nesting () =
-  let t = Obs.Span.recorder ~track:3 () in
+  let t = Obs.Span.recorder () in
   check_bool "recorder enabled" true (Obs.Span.enabled t);
   Obs.Span.enter t "outer";
   Obs.Span.enter t "inner";
@@ -387,7 +387,6 @@ let test_span_nesting () =
       check_int "inner depth" 1 inner.Obs.Span.depth;
       check_string "outer label" "outer" outer.Obs.Span.label;
       check_int "outer depth" 0 outer.Obs.Span.depth;
-      check_int "track" 3 inner.Obs.Span.track;
       check_bool "outer starts no later than inner" true
         (outer.Obs.Span.start_us <= inner.Obs.Span.start_us);
       check_bool "outer lasts at least as long" true
@@ -407,21 +406,6 @@ let test_span_exit_without_enter () =
   match Obs.Span.exit t with
   | () -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
-
-let test_span_absorb_ordering () =
-  let parent = Obs.Span.recorder () in
-  Obs.Span.with_ parent "p1" (fun () -> ());
-  let child = Obs.Span.child parent ~track:2 in
-  Obs.Span.with_ child "c1" (fun () -> ());
-  Obs.Span.with_ child "c2" (fun () -> ());
-  Obs.Span.absorb parent child;
-  Obs.Span.with_ parent "p2" (fun () -> ());
-  check_bool "child drained" true (Obs.Span.records child = []);
-  let field f = List.map f (Obs.Span.records parent) in
-  check_bool "absorb preserves completion order" true
-    (field (fun r -> r.Obs.Span.label) = [ "p1"; "c1"; "c2"; "p2" ]);
-  check_bool "absorbed spans keep the child's track" true
-    (field (fun r -> r.Obs.Span.track) = [ 0; 2; 2; 0 ])
 
 let test_span_record_json () =
   let t = Obs.Span.recorder () in
@@ -464,13 +448,7 @@ let test_prof_records_on_exception () =
   (try Obs.Prof.measure a (fun () -> failwith "boom") with Failure _ -> ());
   check_int "raised interval recorded" 1 (Obs.Prof.intervals a)
 
-let test_prof_merge_and_empty_flush () =
-  let a = Obs.Prof.acc () and b = Obs.Prof.acc () in
-  Obs.Prof.measure a (fun () -> ());
-  Obs.Prof.measure b (fun () -> ());
-  Obs.Prof.measure b (fun () -> ());
-  Obs.Prof.merge ~into:a b;
-  check_int "merged intervals" 3 (Obs.Prof.intervals a);
+let test_prof_empty_flush () =
   let metrics = Obs.Metrics.create () in
   Obs.Prof.flush (Obs.Prof.acc ()) ~metrics ~prefix:"empty" ~per:"step";
   check_bool "empty acc flushes nothing" true
@@ -547,10 +525,8 @@ let test_progress_set_total_render_json () =
 
 let test_chrome_of_spans_shape () =
   let t = Obs.Span.recorder () in
-  Obs.Span.with_ t "sweep" (fun () -> Obs.Span.with_ t "run" (fun () -> ()));
-  let shard = Obs.Span.child t ~track:1 in
-  Obs.Span.with_ shard "shard 0" (fun () -> ());
-  Obs.Span.absorb t shard;
+  Obs.Span.with_ t "sweep" (fun () ->
+      Obs.Span.with_ t "shard 0" (fun () -> Obs.Span.with_ t "run" ignore));
   let json = Obs.Chrome.of_spans (Obs.Span.records t) in
   match
     Option.bind (Obs.Json.member "traceEvents" json) Obs.Json.to_list_opt
@@ -563,6 +539,8 @@ let test_chrome_of_spans_shape () =
       check_int "one X slice per record" 3 (List.length slices);
       check_bool "slices on the span pid" true
         (List.for_all (fun e -> int "pid" e = Some 1) slices);
+      check_bool "slices on the one track" true
+        (List.for_all (fun e -> int "tid" e = Some 0) slices);
       check_bool "zero-length slices widened to 1us" true
         (List.for_all
            (fun e -> match int "dur" e with Some d -> d >= 1 | None -> false)
@@ -576,8 +554,7 @@ let test_chrome_of_spans_shape () =
             else None)
           entries
       in
-      check_bool "main track named" true (List.mem "main" track_names);
-      check_bool "shard track named" true (List.mem "shard 0" track_names)
+      check_bool "one track, named main" true (track_names = [ "main" ])
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation must never change results                           *)
@@ -592,38 +569,22 @@ let test_instrumented_sweep_results_unchanged () =
     | Ok r -> (r.Mc.Distrib.result, r.Mc.Distrib.stats)
     | Error msg -> Alcotest.fail msg
   in
-  let plain = sweep (Mc.Distrib.Domains 1) in
+  let plain = sweep Mc.Distrib.In_process in
   let instruments () =
     ( Obs.Prof.acc (),
       Obs.Span.recorder (),
       Obs.Progress.create ~label:"t" ~emit:ignore () )
   in
   let prof, spans, progress = instruments () in
-  let serial = sweep ~prof ~spans ~progress (Mc.Distrib.Domains 1) in
+  let serial = sweep ~prof ~spans ~progress Mc.Distrib.In_process in
   check_bool "serial dedup: instruments leave result and stats alone" true
     (plain = serial);
   check_bool "prof saw the distinct work" true (Obs.Prof.intervals prof > 0);
   check_bool "spans recorded" true (Obs.Span.records spans <> []);
   let prof, spans, progress = instruments () in
-  let par = sweep ~prof ~spans ~progress (Mc.Distrib.Domains 2) in
-  check_bool "parallel dedup agrees with serial on every field" true
-    (plain = par)
-
-let test_par_report () =
-  let got = ref None in
-  let tasks = Array.init 7 (fun i () -> i * i) in
-  let results =
-    Par.map_tasks ~report:(fun s -> got := Some s) ~jobs:4 tasks
-  in
-  check_bool "results in task order" true
-    (results = Array.init 7 (fun i -> i * i));
-  match !got with
-  | None -> Alcotest.fail "report callback not invoked"
-  | Some stats ->
-      check_int "every task accounted to some worker" 7
-        (Array.fold_left
-           (fun acc (s : Par.worker_stat) -> acc + s.tasks)
-           0 stats)
+  let result, stats = sweep ~prof ~spans ~progress (on_workers spec) in
+  check_bool "dedup on workers agrees with serial on every field" true
+    (Mc.Codec.result_equal (fst plain) result && snd plain = stats)
 
 (* ------------------------------------------------------------------ *)
 (* Wire: length-prefixed JSON framing for the worker pipe protocol      *)
@@ -921,8 +882,6 @@ let () =
             test_span_exception_safety;
           Alcotest.test_case "exit without enter" `Quick
             test_span_exit_without_enter;
-          Alcotest.test_case "absorb ordering" `Quick
-            test_span_absorb_ordering;
           Alcotest.test_case "record json" `Quick test_span_record_json;
         ] );
       ( "prof",
@@ -931,8 +890,7 @@ let () =
             test_prof_measure_counts_and_alloc;
           Alcotest.test_case "exception interval" `Quick
             test_prof_records_on_exception;
-          Alcotest.test_case "merge / empty flush" `Quick
-            test_prof_merge_and_empty_flush;
+          Alcotest.test_case "empty flush" `Quick test_prof_empty_flush;
           Alcotest.test_case "find_histogram" `Quick
             test_find_histogram_matches_summary;
         ] );
@@ -948,7 +906,6 @@ let () =
         [
           Alcotest.test_case "results unchanged" `Quick
             test_instrumented_sweep_results_unchanged;
-          Alcotest.test_case "par report" `Quick test_par_report;
         ] );
       ( "wire",
         [

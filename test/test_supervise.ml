@@ -170,14 +170,6 @@ let test_supervise_chaos_converges () =
 (* ------------------------------------------------------------------ *)
 (* End to end: the real `ipi sweep-worker` binary                       *)
 
-(* dune's (deps ../bin/ipi.exe) guarantees the binary exists and is
-   fresh; resolve it relative to this test binary so the path holds under
-   both `dune runtest` and `dune exec` from the repository root. *)
-let ipi_exe =
-  Filename.concat
-    (Filename.concat (Filename.dirname Sys.executable_name) "..")
-    (Filename.concat "bin" "ipi.exe")
-
 let result_equal = Mc.Codec.result_equal
 
 let e2e_spec ?(reduce = Mc.Distrib.Rdedup) ?scope config =
@@ -281,9 +273,9 @@ let test_supervised_immediate_stop () =
   check_int "nothing completed" 0 (List.length stopped.Mc.Distrib.completed)
 
 (* The symmetric binary sweep under every executor: orbit tasks run in
-   process, on two domains, on two real worker processes, and through an
-   interrupted, checkpointed run finished by a resume — each reproducing
-   the same pinned result. *)
+   process, on two real worker processes, and through an interrupted,
+   checkpointed run finished by a resume — each reproducing the same
+   pinned result. *)
 let test_sym_sweep_every_executor () =
   let cfg = config ~n:5 ~t:2 in
   let spec =
@@ -306,9 +298,6 @@ let test_sym_sweep_every_executor () =
     | None -> Alcotest.fail (name ^ ": no stats")
   in
   check_pinned "serial" (run_ok "serial" (Mc.Distrib.run ~params spec));
-  check_pinned "jobs=2"
-    (run_ok "jobs=2"
-       (Mc.Distrib.run ~executor:(Mc.Distrib.Domains 2) ~params spec));
   check_pinned "workers=2"
     (run_ok "workers=2"
        (Mc.Distrib.run_supervised ~workers:2
@@ -429,23 +418,30 @@ let metric stdout name =
       | _ -> None)
     (String.split_on_char '\n' stdout)
 
+(* [workers] is the [mc.workers] gauge a row must print: none in process;
+   a pool prints its [supervisor:] line too. *)
 let test_metrics_under_every_executor () =
   let plain, _, _, _ = ipi_sweep small in
   List.iter
-    (fun (name, extra, gauge) ->
+    (fun (name, extra, workers) ->
       let out, _, code, _ = ipi_sweep (small @ extra @ [ "--metrics" ]) in
       check_int (name ^ ": exit 0") 0 code;
       check_bool (name ^ ": metrics block printed") true (contains out "\nmetrics:\n");
       check_bool (name ^ ": mc.runs counted") true
         (metric out "mc.runs" <> None);
-      check_bool (name ^ ": executor gauge") true (metric out (fst gauge) = Some (snd gauge));
+      check_bool (name ^ ": executor gauge") true
+        (metric out "mc.workers" = workers);
+      check_bool (name ^ ": supervisor line") (workers <> None)
+        (contains out "\nsupervisor: ");
       check_bool (name ^ ": same result block") true
         (result_block out = result_block plain))
     [
-      ("checkpoint", [ "--checkpoint"; "@x.ckpt" ], ("mc.domains", "1"));
-      ("jobs 2 + checkpoint", [ "--jobs"; "2"; "--checkpoint"; "@x.ckpt" ], ("mc.domains", "2"));
-      ("jobs 2 + table cap", [ "--jobs"; "2"; "--table-cap"; "50" ], ("mc.domains", "2"));
-      ("workers", [ "--workers"; "2" ], ("mc.workers", "2"));
+      ("checkpoint", [ "--checkpoint"; "@x.ckpt" ], None);
+      ( "jobs 2 + checkpoint",
+        [ "--jobs"; "2"; "--checkpoint"; "@x.ckpt" ],
+        Some "2" );
+      ("jobs 2 + table cap", [ "--jobs"; "2"; "--table-cap"; "50" ], Some "2");
+      ("workers", [ "--workers"; "2" ], Some "2");
     ]
 
 let test_trace_under_every_executor () =
@@ -475,7 +471,20 @@ let test_trace_under_every_executor () =
       ("workers", [ "--workers"; "2" ]);
     ]
 
+(* --jobs and --workers name one option, so passing both repeats it: a
+   command-line error (exit 124). --chaos without a pool is refused in one
+   line (exit 2). *)
 let test_conflicting_flags_refused () =
+  List.iter
+    (fun (name, extra) ->
+      let out, err, code, _ = ipi_sweep (small @ extra) in
+      check_int (name ^ ": command-line error") 124 code;
+      check_string (name ^ ": no result") "" out;
+      check_bool (name ^ ": names the option") true (contains err "--workers"))
+    [
+      ("jobs + workers", [ "--jobs"; "2"; "--workers"; "2" ]);
+      ("jobs 0 + workers", [ "--jobs"; "0"; "--workers"; "2" ]);
+    ];
   List.iter
     (fun (name, extra) ->
       let out, err, code, _ = ipi_sweep (small @ extra) in
@@ -484,9 +493,8 @@ let test_conflicting_flags_refused () =
       check_int (name ^ ": one-line message") 1
         (List.length (List.filter (( <> ) "") (String.split_on_char '\n' err))))
     [
-      ("jobs + workers", [ "--jobs"; "2"; "--workers"; "2" ]);
-      ("jobs 0 + workers", [ "--jobs"; "0"; "--workers"; "2" ]);
       ("chaos without workers", [ "--chaos"; "kill" ]);
+      ("chaos on one job", [ "--jobs"; "1"; "--chaos"; "kill" ]);
     ]
 
 (* A negative omission budget is a usage error: the parser refuses it

@@ -124,20 +124,20 @@ let micro_workloads () =
     plain "mc/figure1-n3" (fun () ->
         ignore (Mc.Figure1.against_floodset_ws (Config.make ~n:3 ~t:1)));
     (* the model checker itself *)
-    plain "mc/exhaustive-sweep-n3" (fun () ->
+    plain "mc/distrib-sweep-n3" (fun () ->
         let c31 = Config.make ~n:3 ~t:1 in
         ignore
-          (Mc.Exhaustive.sweep
-             ~algo:Expt.Registry.at_plus_2.Expt.Registry.algo ~config:c31
-             ~proposals:(Sim.Runner.distinct_proposals c31)
-             ()));
+          (Mc.Distrib.run
+             (Mc.Distrib.make ~algo:Expt.Registry.at_plus_2.Expt.Registry.algo
+                c31
+                (Mc.Distrib.Fixed (Sim.Runner.distinct_proposals c31)))));
   ]
 
 let micro_tests workloads =
   List.map (fun w -> Test.make ~name:w.name (Staged.stage w.fn)) workloads
 
 (* ------------------------------------------------------------------ *)
-(* The mc suite: the oracle vs the sweep driver                         *)
+(* The mc suite: the sweep driver in process                            *)
 
 (* Every sweep row below runs through the one sweep driver, in process;
    only the spec differs from row to row. *)
@@ -146,19 +146,12 @@ let drive ?prof ?spans ?progress ?checkpoint spec () =
   | Ok _ -> ()
   | Error msg -> failwith msg
 
-(* The from-scratch oracle and the driver over identical state spaces
-   (the results are bit-identical, which the equivalence tests assert);
-   what this suite tracks is their relative wall-clock cost. *)
+(* Unreduced fixed-proposal sweeps of growing size, one row each. *)
 let mc_workloads () =
   let sweep_case tag algo config =
     let proposals = Sim.Runner.distinct_proposals config in
     let spec = Mc.Distrib.make ~algo config (Mc.Distrib.Fixed proposals) in
-    let prefix = "mc/" ^ tag in
-    [
-      plain (prefix ^ "/serial") (fun () ->
-          ignore (Mc.Exhaustive.sweep ~algo ~config ~proposals ()));
-      plain (prefix ^ "/incremental") (drive spec);
-    ]
+    [ plain ("mc/" ^ tag ^ "/driver") (drive spec) ]
   in
   let at2 = Expt.Registry.at_plus_2.Expt.Registry.algo in
   let floodset = Expt.Registry.floodset.Expt.Registry.algo in
@@ -211,9 +204,8 @@ let reduction_workloads () =
 (* Identical seeded campaigns, so both rows execute the same schedules
    through the same engine path; the only difference is the per-decision
    monitor fold and the early abort. The "/monitors-off" row is the
-   baseline sibling (like "/serial" in the mc suite), so the JSON
-   artifact's speedup_vs_serial field reports the monitor overhead ratio
-   directly. *)
+   baseline sibling, so the JSON artifact's speedup_vs_serial field
+   reports the monitor overhead ratio directly. *)
 let fuzz_workloads () =
   let case tag algo config =
     let proposals = Sim.Runner.distinct_proposals config in
@@ -379,10 +371,10 @@ let bench_rows workloads =
       })
     workloads
 
-(* The baseline sibling row's mean, for speedup annotations: ".../serial"
-   in the mc suite ("mc/<case>/<mode>"), ".../monitors-off" in the fuzz
-   suite ("fuzz/<case>/monitors-<on|off>") and ".../none" in the
-   mc-reduction suite ("mc-reduction/<case>/<reduction>"). *)
+(* The baseline sibling row's mean, for speedup annotations:
+   ".../monitors-off" in the fuzz suite ("fuzz/<case>/monitors-<on|off>")
+   and ".../none" in the mc-reduction suite
+   ("mc-reduction/<case>/<reduction>"). *)
 let sibling_mean_of rows name suffix =
   match String.rindex_opt name '/' with
   | None -> None
@@ -394,10 +386,7 @@ let sibling_mean_of rows name suffix =
           (fun r -> if r.row_name = sibling then Some r.mean_s else None)
           rows
 
-let serial_mean_of rows name =
-  match sibling_mean_of rows name "/serial" with
-  | Some m -> Some m
-  | None -> sibling_mean_of rows name "/monitors-off"
+let monitors_off_mean_of rows name = sibling_mean_of rows name "/monitors-off"
 
 let none_mean_of rows name = sibling_mean_of rows name "/none"
 
@@ -426,9 +415,8 @@ let json_of_suites ~meta suites =
       (List.map
          (fun r ->
            let speedup =
-             match serial_mean_of rows r.row_name with
-             | Some serial when r.mean_s > 0. ->
-                 Obs.Json.Float (serial /. r.mean_s)
+             match monitors_off_mean_of rows r.row_name with
+             | Some off when r.mean_s > 0. -> Obs.Json.Float (off /. r.mean_s)
              | _ -> Obs.Json.Null
            in
            let speedup_vs_none =
@@ -658,22 +646,12 @@ let mc_rows () =
   let table =
     List.fold_left
       (fun table r ->
-        let speedup =
-          match serial_mean_of rows r.row_name with
-          | Some serial when r.mean_s > 0. ->
-              Printf.sprintf "%.2fx" (serial /. r.mean_s)
-          | _ -> "-"
-        in
         Stats.Table.add_row table
-          [
-            r.row_name;
-            Printf.sprintf "%.2f ms" (r.mean_s *. 1_000.0);
-            speedup;
-          ])
-      (Stats.Table.make ~headers:[ "sweep"; "time/run"; "vs serial" ])
+          [ r.row_name; Printf.sprintf "%.2f ms" (r.mean_s *. 1_000.0) ])
+      (Stats.Table.make ~headers:[ "sweep"; "time/run" ])
       rows
   in
-  Format.printf "Model-checker sweeps (serial vs incremental):@.%a@."
+  Format.printf "Model-checker sweeps (the sweep driver, in process):@.%a@."
     Stats.Table.render table;
   rows
 
@@ -732,7 +710,7 @@ let fuzz_rows () =
     List.fold_left
       (fun table r ->
         let overhead =
-          match serial_mean_of rows r.row_name with
+          match monitors_off_mean_of rows r.row_name with
           | Some off when r.mean_s > 0. ->
               Printf.sprintf "%.2fx" (r.mean_s /. off)
           | _ -> "-"

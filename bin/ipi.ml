@@ -1062,7 +1062,6 @@ type campaign = {
   gst : int;
   raise_at : int;
   fuel : int option;
-  no_monitor : bool;
 }
 
 let campaign_term =
@@ -1080,14 +1079,6 @@ let campaign_term =
             "Round budget per run (default: the engine bound for each \
              schedule); exhausting it is reported as a budget-exhausted \
              outcome, not an error.")
-  in
-  let no_monitor_arg =
-    Cmdliner.Arg.(
-      value & flag
-      & info [ "no-monitor" ]
-          ~doc:
-            "Disable the online monitor (violations then surface from the \
-             post-hoc check only); for overhead measurements.")
   in
   let gen_arg =
     Cmdliner.Arg.(
@@ -1117,7 +1108,7 @@ let campaign_term =
           ~doc:"Round from which the `raising` fixture algorithm raises.")
   in
   let make label config faults omit_budget seed runs gen_name base gst
-      raise_at fuel no_monitor =
+      raise_at fuel =
     {
       label;
       config;
@@ -1130,13 +1121,12 @@ let campaign_term =
       gst;
       raise_at;
       fuel;
-      no_monitor;
     }
   in
   Cmdliner.Term.(
     const make $ algo_arg $ config_arg $ faults_arg $ omit_budget_arg
     $ seed_arg $ runs_arg $ gen_arg $ base_arg $ gst_arg $ raise_at_arg
-    $ fuel_arg $ no_monitor_arg)
+    $ fuel_arg)
 
 let campaign_algo c = lookup_runnable c.label ~raise_at:c.raise_at c.config
 
@@ -1170,8 +1160,7 @@ let fuzz_worker_argv c =
   @ [ "--seed"; int c.seed; "--runs"; int c.runs; "--base"; c.base ]
   @ [ "--gen"; fst (List.find (fun (_, g) -> g = c.gen_name) gen_names) ]
   @ [ "--gst"; int c.gst; "--raise-at"; int c.raise_at ]
-  @ (match c.fuel with Some f -> [ "--fuel"; int f ] | None -> [])
-  @ if c.no_monitor then [ "--no-monitor" ] else []
+  @ match c.fuel with Some f -> [ "--fuel"; int f ] | None -> []
 
 (* ------------------------------------------------------------------ *)
 (* ipi fuzz                                                             *)
@@ -1237,8 +1226,8 @@ let fuzz_cmd =
       match
         Fuzz.Campaign.run ~metrics:registry ~jobs
           ~worker_argv:(fuzz_worker_argv c) ?fuel:c.fuel ?budget_s ~shrink
-          ~monitor:(not c.no_monitor) ?prof:run_acc ~progress ~seed:c.seed
-          ~runs:c.runs ~algo ~config:c.config
+          ?prof:run_acc ~progress ~seed:c.seed ~runs:c.runs ~algo
+          ~config:c.config
           ~proposals:(Sim.Runner.distinct_proposals c.config)
           ~gen:(campaign_gen c) ()
       with
@@ -1296,8 +1285,8 @@ let fuzz_worker_cmd =
   let run c =
     let algo = campaign_algo c in
     try
-      Fuzz.Campaign.worker_loop ?fuel:c.fuel ~monitor:(not c.no_monitor)
-        ~seed:c.seed ~runs:c.runs ~algo ~config:c.config
+      Fuzz.Campaign.worker_loop ?fuel:c.fuel ~seed:c.seed ~runs:c.runs ~algo
+        ~config:c.config
         ~proposals:(Sim.Runner.distinct_proposals c.config)
         ~gen:(campaign_gen c) stdin stdout
     with Failure msg ->

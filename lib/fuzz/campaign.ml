@@ -40,9 +40,8 @@ let task_range ~runs k =
   let c = chunk runs in
   (k * c, min runs ((k + 1) * c))
 
-let worker_loop ?fuel ?(monitor = true) ~seed ~runs ~algo ~config ~proposals
-    ~gen =
-  let run = Harness.runner ~algo ~config ?fuel ~monitor ~proposals in
+let worker_loop ?fuel ~seed ~runs ~algo ~config ~proposals ~gen =
+  let run = Harness.runner ~algo ~config ?fuel ~proposals in
   (* [rng] is about to draw schedule [!next]. *)
   let rng = ref (Rng.create ~seed) and next = ref 0 in
   Mc.Supervise.serve ~name:"fuzz-worker" ~tasks:(task_count runs) (fun k ->

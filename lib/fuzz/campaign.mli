@@ -72,9 +72,10 @@ val run :
     process, one after another. [jobs >= 2] runs the tasks on that many
     supervised worker processes ({!Mc.Supervise}), each started as
     [worker_argv]: an [ipi fuzz-worker] invocation that builds the same
-    [algo], [config], [gen], [seed], [runs], [fuel] and [monitor], and
-    calls {!worker_loop} (Invalid_argument without one). A task whose
-    retries run out raises [Failure] naming the task.
+    [algo], [config], [gen], [seed], [runs] and [fuel], and calls
+    {!worker_loop} (Invalid_argument without one); workers always run the
+    monitor. A task whose retries run out raises [Failure] naming the
+    task.
 
     [fuel] bounds each run's rounds (default: the engine bound per
     schedule); [budget_s] is a wall-clock cap after which remaining runs
@@ -101,7 +102,6 @@ val run :
 
 val worker_loop :
   ?fuel:int ->
-  ?monitor:bool ->
   seed:int ->
   runs:int ->
   algo:Sim.Algorithm.packed ->

@@ -19,9 +19,13 @@
     Because the merge is a deterministic fold in task order over per-task
     results that do not depend on who computed them, {e any} executor,
     worker count, chaos, interruption and resume yields the
-    same aggregates as one undisturbed serial sweep, and the same as the
-    from-scratch oracle {!Exhaustive.sweep}. Tasks interrupted mid-subtree
-    are never persisted — they rerun whole on resume.
+    same aggregates as one undisturbed serial sweep. The test suite
+    checks every scope, reduction and executor against a reference sweep
+    that runs each leaf from round 1 on its own naive interpreter
+    ([test/oracle.ml]), which shares the adversary's definition
+    ({!Serial}) and the result algebra ({!Exhaustive}) with this module
+    and no code that executes a round. Tasks interrupted mid-subtree are
+    never persisted — they rerun whole on resume.
 
     The same search computes each task's {!Exhaustive.valency} and the
     sweep's (Lemmas 3 and 4): [Fixed] tasks are subtrees of one root,

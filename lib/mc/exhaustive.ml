@@ -150,68 +150,11 @@ let merge a b = join ~siblings:false a b
    go in front. *)
 let combine acc later = join ~siblings:true acc later
 
-(* The valency of a tree from its leaves in enumeration order, each its
-   path below the root and the values its run decided: every prefix of a
-   path is a node, and the bivalent one is the deepest, then first met,
-   node under which two different values are decided. *)
-let valency_of_leaves leaves =
-  let below = Hashtbl.create 256 and nodes = ref [] in
-  List.iter
-    (fun (path, vs) ->
-      for k = 0 to List.length path do
-        let node = List.filteri (fun i _ -> i < k) path in
-        if not (Hashtbl.mem below node) then nodes := node :: !nodes;
-        let old = Option.value (Hashtbl.find_opt below node) ~default:[] in
-        Hashtbl.replace below node (List.sort_uniq Value.compare (vs @ old))
-      done)
-    leaves;
-  let bivalent node =
-    List.compare_length_with (Hashtbl.find below node) 2 >= 0
-  in
-  let deeper b node = if List.compare_lengths node b > 0 then node else b in
-  match List.filter bivalent (List.rev !nodes) with
-  | first :: rest -> Bivalent (List.fold_left deeper first rest)
-  | [] -> (
-      match Hashtbl.find_opt below [] with
-      | Some (v :: _) -> Univalent v
-      | _ -> Undecided)
-
-(* The oracle: every run simulated from round 1, so it shares nothing with
-   the driver's depth-first search ({!Distrib}) that the tests compare it
-   against. *)
-let sweep ?faults ?omit_budget ?(policy = Serial.Prefixes) ?horizon ~algo
-    ~config ~proposals () =
-  let horizon = Option.value horizon ~default:(Config.t config + 2) in
-  let budget =
-    Serial.budget_of ?omit_budget
-      ~faults:(Option.value faults ~default:Sim.Model.Crash_only)
-      config
-  in
-  let acc = ref empty and leaves = ref [] in
-  Serial.enumerate ?faults ?omit_budget ~policy config ~horizon
-    ~f:(fun choices ->
-      let schedule = Serial.to_schedule ?budget config choices in
-      match Sim.Runner.run algo config ~proposals schedule with
-      | trace ->
-          acc := add_run !acc ~choices:(fun () -> choices) ~trace;
-          leaves := (choices, Sim.Trace.decided_values trace) :: !leaves
-      | exception Sim.Engine.Step_error error ->
-          acc := add_crashed !acc ~choices ~error);
-  { !acc with valency = valency_of_leaves (List.rev !leaves) }
-
 let binary_assignments config =
   let n = Config.n config in
   List.map
     (fun ones -> Sim.Runner.binary_proposals config ~ones:(Pid.Set.of_list ones))
     (Listx.subsets (Pid.all ~n))
-
-let sweep_binary ?faults ?omit_budget ?policy ?horizon ~algo ~config () =
-  List.fold_left
-    (fun acc proposals ->
-      merge acc
-        (sweep ?faults ?omit_budget ?policy ?horizon ~algo ~config ~proposals
-           ()))
-    empty (binary_assignments config)
 
 let pp_result ppf r =
   let undecided = r.min_decision = max_int in

@@ -1,4 +1,4 @@
-(** Sweep results over serial synchronous runs, and the reference oracle.
+(** The result algebra of sweeps over serial synchronous runs.
 
     For a deterministic algorithm and fixed proposals, the serial adversary's
     choices determine the run completely, so enumerating all choice
@@ -7,9 +7,11 @@
     violation found — e.g. [A_{t+2}] sweeps must show max = min = [t + 2]
     with zero violations, while FloodSet shows [t + 1].
 
-    Sweeps run through {!Distrib}; this module holds the result algebra
-    they fold with and the from-scratch {!sweep} the tests check them
-    against. *)
+    Sweeps run through {!Distrib}. This module holds what they fold with:
+    the {!result} record, the per-run folds {!add_run} and {!add_crashed},
+    and the joins {!merge} and {!combine}. The test suite's reference
+    interpreter folds its own runs with the same functions, so a
+    {!Distrib} result and an oracle result compare field by field. *)
 
 open Kernel
 
@@ -130,45 +132,8 @@ val add_crashed :
 (** Fold one contained {!Sim.Engine.Step_error} run into a result. *)
 
 val binary_assignments : Config.t -> Value.t Pid.Map.t list
-(** All [2^n] binary proposal assignments, in the subset order
-    {!sweep_binary} enumerates them. *)
-
-val sweep :
-  ?faults:Sim.Model.faults ->
-  ?omit_budget:int ->
-  ?policy:Serial.policy ->
-  ?horizon:int ->
-  algo:Sim.Algorithm.packed ->
-  config:Config.t ->
-  proposals:Value.t Pid.Map.t ->
-  unit ->
-  result
-(** The reference oracle: enumerate every serial run whose crashes happen
-    within [horizon] rounds (default [t + 2]; crashes later than that
-    cannot affect the decision rounds of any algorithm here) under
-    [policy] (default [Prefixes]), simulating each from round 1. It shares
-    no search code with {!Distrib}, whose every scope, reduction and
-    executor must reproduce it; only the tests and the bench's oracle rows
-    call it.
-
-    [faults] (default [Crash_only]) selects the adversary's fault menu and
-    [omit_budget] (default 1, clamped per {!Sim.Model.split_budget}) the
-    omission side of its budget; omission runs are judged with agreement
-    and termination restricted to fault-free processes. A run that raises
-    {!Sim.Engine.Step_error} is recorded as a {!crashed_run} and the sweep
-    continues. The [valency] is derived from the leaves' choice lists. *)
-
-val sweep_binary :
-  ?faults:Sim.Model.faults ->
-  ?omit_budget:int ->
-  ?policy:Serial.policy ->
-  ?horizon:int ->
-  algo:Sim.Algorithm.packed ->
-  config:Config.t ->
-  unit ->
-  result
-(** {!sweep} over {e all} [2^n] binary proposal assignments, merged in
-    {!binary_assignments} order. *)
+(** All [2^n] binary proposal assignments, in the subset order a
+    [Binary] {!Distrib} sweep takes them as tasks. *)
 
 val pp_result : Format.formatter -> result -> unit
 (** Prints [[-, -]] for the decision-round interval when no run decided. *)

@@ -18,8 +18,8 @@ type node = {
   adv : Serial.adversary;
   choices : Serial.choice array;
       (** in {!Serial.adversary_choices} order — the DFS visiting
-          [choices] left to right reproduces the immutable sweep's
-          exploration order exactly *)
+          [choices] left to right explores the choice tree in the order
+          the test suite's reference sweep enumerates it *)
   plans : Sim.Schedule.compiled_plan array;
       (** [plans.(i)] is [choices.(i)]'s round plan, precompiled *)
   nexts : node option array;  (** memoized {!child} slots *)

@@ -181,44 +181,6 @@ let omitters_of choices =
     [] choices
 
 let to_schedule ?budget config choices =
-  match omitters_of choices with
-  | [] ->
-      (* Crash-only sequences take the historical constructor shape so
-         crash-only sweeps stay bit-identical with earlier releases. *)
-      Sim.Schedule.make ?budget ~model:Sim.Model.Es ~gst:Round.first
-        (List.map (plan_of config) choices)
-  | omitters ->
-      Sim.Schedule.make ~omitters ?budget ~model:Sim.Model.Es ~gst:Round.first
-        (List.map (plan_of config) choices)
-
-(* ------------------------------------------------------------------ *)
-(* Enumeration                                                         *)
-
-let fold ?(faults = Sim.Model.Crash_only) ?omit_budget ~policy ?(prefix = [])
-    config ~horizon ~root ~step ~leaf =
-  let rec go depth adv prefix_rev state =
-    if depth = 0 then leaf (List.rev prefix_rev) state
-    else
-      List.iter
-        (fun choice ->
-          go (depth - 1) (advance adv choice) (choice :: prefix_rev)
-            (step state choice))
-        (adversary_choices ~policy ~faults adv)
-  in
-  let depth = horizon - List.length prefix in
-  if depth < 0 then invalid_arg "Serial.fold: prefix longer than the horizon";
-  let adv =
-    List.fold_left advance (initial ?omit_budget ~faults config) prefix
-  in
-  go depth adv (List.rev prefix) root
-
-let enumerate ?faults ?omit_budget ~policy config ~horizon ~f =
-  fold ?faults ?omit_budget ~policy config ~horizon ~root:()
-    ~step:(fun () _ -> ())
-    ~leaf:(fun choices () -> f choices)
-
-let count ?faults ?omit_budget ~policy config ~horizon =
-  let total = ref 0 in
-  enumerate ?faults ?omit_budget ~policy config ~horizon ~f:(fun _ ->
-      incr total);
-  !total
+  Sim.Schedule.make ~omitters:(omitters_of choices) ?budget
+    ~model:Sim.Model.Es ~gst:Round.first
+    (List.map (plan_of config) choices)

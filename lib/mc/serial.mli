@@ -1,10 +1,14 @@
-(** Serial runs and their enumeration.
+(** Serial runs: the adversary's vocabulary and transition.
 
     The lower-bound proof (Section 2) works with {e serial} runs: synchronous
-    runs in which at most one process crashes per round. This module
-    enumerates every serial schedule of a small system up to a crash horizon
-    — the adversary's full strategy space against a deterministic algorithm —
-    which is what makes valency computable.
+    runs in which at most one process crashes per round. Against a
+    deterministic algorithm, the adversary's choices are its whole strategy
+    space, which is what makes valency computable. This module defines
+    those choices, what each one denotes, and how the adversary's state
+    moves from round to round. It enumerates nothing: {!Distrib} searches
+    the choice tree through {!Menu}, and the test suite's reference sweep
+    walks the same tree with {!initial}, {!adversary_choices} and
+    {!advance}.
 
     A serial schedule is described by one {!choice} per round: either nobody
     crashes, or one victim crashes and its round message reaches exactly the
@@ -72,8 +76,8 @@ val omitters_of : choice list -> (Pid.t * Sim.Model.omission) list
 val to_schedule :
   ?budget:Sim.Model.budget -> Config.t -> choice list -> Sim.Schedule.t
 (** The synchronous schedule whose round [k] applies the [k]-th choice,
-    with {!omitters_of} declared as its omitter set. Crash-only sequences
-    produce exactly the schedules of the crash-only enumerator. *)
+    with {!omitters_of} declared as its omitter set (none for a crash-only
+    sequence). *)
 
 val budget_of :
   ?omit_budget:int -> faults:Sim.Model.faults -> Config.t -> Sim.Model.budget option
@@ -83,9 +87,9 @@ val budget_of :
 
 (** {1 Adversary state}
 
-    The per-branch state the enumerator threads down the DFS; exposed so
-    the reduced sweeps ({!Dedup}) can reuse exactly the same transition
-    relation instead of re-deriving it. *)
+    The per-branch state a search threads down the choice tree. {!Menu}
+    interns it for {!Distrib}, and the reference sweep steps it directly,
+    so both walk exactly the same transition relation. *)
 
 type adversary = {
   alive : Pid.Set.t;
@@ -109,50 +113,3 @@ val advance : adversary -> choice -> adversary
 val adversary_choices :
   policy:policy -> faults:Sim.Model.faults -> adversary -> choice list
 (** {!choices} with every budget/omitter argument drawn from the state. *)
-
-val fold :
-  ?faults:Sim.Model.faults ->
-  ?omit_budget:int ->
-  policy:policy ->
-  ?prefix:choice list ->
-  Config.t ->
-  horizon:int ->
-  root:'s ->
-  step:('s -> choice -> 's) ->
-  leaf:(choice list -> 's -> unit) ->
-  unit
-(** DFS over every serial choice sequence of length [horizon] (with at most
-    [t] crashes in total, and omission acts per the fault menu), threading
-    a caller state down the tree: the root carries [root], each edge
-    extends its parent's state with [step], and [leaf] receives the full
-    sequence together with the state at its end. Because [step] runs once
-    per {e tree edge} rather than once per leaf, carrying the simulation
-    state here is what makes sweeps prefix-sharing: the common prefix of
-    two schedules is simulated exactly once.
-
-    [prefix] (default empty) pins the first rounds to the given choices and
-    explores only that subtree — the sharding hook for parallel sweeps.
-    [root] must then be the caller's state at the {e end} of the prefix;
-    [leaf] still receives full sequences ([prefix] included). Raises
-    [Invalid_argument] if the prefix is longer than the horizon. *)
-
-val enumerate :
-  ?faults:Sim.Model.faults ->
-  ?omit_budget:int ->
-  policy:policy ->
-  Config.t ->
-  horizon:int ->
-  f:(choice list -> unit) ->
-  unit
-(** Apply [f] to every serial choice sequence of length [horizon] (with at
-    most [t] crashes in total). The number of sequences is exponential in
-    [horizon]; intended for [n <= 5]. *)
-
-val count :
-  ?faults:Sim.Model.faults ->
-  ?omit_budget:int ->
-  policy:policy ->
-  Config.t ->
-  horizon:int ->
-  int
-(** Number of sequences {!enumerate} visits. *)

@@ -286,14 +286,25 @@ let run ?chaos ?(should_stop = fun () -> false) ?(on_result = fun ~task:_ _ -> (
                           else handle_death slot ~now ~reason:"worker exited"
                       | None -> ())))
             slots;
-          (* Respawn and hand out work. *)
+          (* Respawn and hand out work: a slot is spawned only while the
+             live idle workers are fewer than the pending tasks, so a pool
+             larger than its queue never starts a worker with nothing to
+             do. *)
+          let idle =
+            Array.fold_left
+              (fun k slot ->
+                if slot.child <> None && slot.assigned = None then k + 1
+                else k)
+              0 slots
+          in
+          let wanted = ref (Queue.length pending - idle) in
           Array.iter
             (fun slot ->
-              if
-                slot.child = None
-                && (not (Queue.is_empty pending))
-                && slot.respawn_at <= now
-              then respawn slot)
+              if slot.child = None && !wanted > 0 && slot.respawn_at <= now
+              then begin
+                respawn slot;
+                decr wanted
+              end)
             slots;
           Array.iter
             (fun slot ->

@@ -94,7 +94,10 @@ val run :
   unit ->
   outcome
 (** Drive [tasks] (the driver's indices, any order — preserved for
-    assignment) to completion across [workers] children. [on_result] runs
+    assignment) to completion across at most [workers] children: a child
+    is started only while the idle live ones are fewer than the pending
+    tasks, so a pool larger than its queue starts one child per task.
+    [on_result] runs
     in completion order as frames arrive — the driver's hook for progress
     meters and periodic checkpoints. [should_stop] is polled every loop
     iteration; once true, workers are killed and unfinished tasks land in

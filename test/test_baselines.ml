@@ -271,7 +271,7 @@ let test_early_fs_exhaustive () =
     (fun (n, t) ->
       let config = config ~n ~t in
       let r =
-        Mc.Exhaustive.sweep_binary ~policy:Mc.Serial.All_subsets
+        Oracle.sweep_binary ~policy:Mc.Serial.All_subsets
           ~horizon:(t + 2) ~algo:early_fs ~config ()
       in
       check_bool
@@ -398,7 +398,7 @@ let test_floodmin_exhaustive () =
   List.iter
     (fun (n, t) ->
       let config = config ~n ~t in
-      let r = Mc.Exhaustive.sweep_binary ~algo:floodmin ~config () in
+      let r = Oracle.sweep_binary ~algo:floodmin ~config () in
       check_bool
         (Printf.sprintf "no violations at (%d,%d)" n t)
         true

@@ -64,7 +64,7 @@ let test_at2_survives_witness () =
    exactly t+2 and respects uniform consensus. *)
 let test_at2_exhaustive_52 () =
   let r =
-    Mc.Exhaustive.sweep ~policy:Mc.Serial.All_subsets ~algo:at2 ~config:c52
+    Oracle.sweep ~policy:Mc.Serial.All_subsets ~algo:at2 ~config:c52
       ~proposals:(Sim.Runner.distinct_proposals c52)
       ()
   in

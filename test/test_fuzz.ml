@@ -269,7 +269,7 @@ let test_harness_recv_omit_starvation () =
 let test_shrink_omission_minimal () =
   let faults = Sim.Model.Send_omit_only in
   let proposals = props c41 in
-  let r = Mc.Exhaustive.sweep ~faults ~algo:floodset ~config:c41 ~proposals () in
+  let r = Oracle.sweep ~faults ~algo:floodset ~config:c41 ~proposals () in
   let choices, _ =
     match r.Mc.Exhaustive.violations with
     | w :: _ -> w

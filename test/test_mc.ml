@@ -28,10 +28,10 @@ let test_serial_choices () =
 let test_serial_enumerate_count () =
   (* depth 1: exactly the branching factor *)
   check_int "depth 1" 13
-    (Mc.Serial.count ~policy:Mc.Serial.All_subsets c31 ~horizon:1);
+    (Oracle.count ~policy:Mc.Serial.All_subsets c31 ~horizon:1);
   (* depth 2 with budget 1: crash in round 1 leaves only No_crash after *)
   check_int "depth 2" (12 + 13)
-    (Mc.Serial.count ~policy:Mc.Serial.All_subsets c31 ~horizon:2)
+    (Oracle.count ~policy:Mc.Serial.All_subsets c31 ~horizon:2)
 
 (* Closed-form count of serial choice sequences: with [a] alive processes
    and [b] crashes left, a round offers 1 no-crash choice plus (for each of
@@ -58,7 +58,7 @@ let test_serial_count_closed_form () =
           check_int
             (Printf.sprintf "%s n=%d t=%d h=%d" pol_name n t h)
             (closed_form ~branch n t h)
-            (Mc.Serial.count ~policy (config ~n ~t) ~horizon:h))
+            (Oracle.count ~policy (config ~n ~t) ~horizon:h))
         [ (3, 1, 1); (3, 1, 3); (4, 1, 3); (4, 2, 3); (5, 1, 2); (5, 2, 4) ])
     [
       (Mc.Serial.Prefixes, "prefixes", fun a -> a * a);
@@ -89,7 +89,7 @@ let prop_serial_schedules_valid =
   qtest ~count:1 "every enumerated serial schedule validates" QCheck.unit
     (fun () ->
       let ok = ref true in
-      Mc.Serial.enumerate ~policy:Mc.Serial.All_subsets c31 ~horizon:3
+      Oracle.enumerate ~policy:Mc.Serial.All_subsets c31 ~horizon:3
         ~f:(fun choices ->
           match
             Sim.Schedule.validate c31 (Mc.Serial.to_schedule c31 choices)
@@ -103,7 +103,7 @@ let prop_serial_schedules_valid =
 
 let test_exhaustive_floodset () =
   let r =
-    Mc.Exhaustive.sweep ~policy:Mc.Serial.All_subsets ~algo:floodset
+    Oracle.sweep ~policy:Mc.Serial.All_subsets ~algo:floodset
       ~config:c31
       ~proposals:(Sim.Runner.distinct_proposals c31)
       ()
@@ -114,7 +114,7 @@ let test_exhaustive_floodset () =
   check_int "no undecided" 0 r.Mc.Exhaustive.undecided_runs
 
 let test_exhaustive_at2 () =
-  let r = Mc.Exhaustive.sweep_binary ~algo:at2 ~config:c41 () in
+  let r = Oracle.sweep_binary ~algo:at2 ~config:c41 () in
   check_int "min = t+2" 3 r.Mc.Exhaustive.min_decision;
   check_int "max = t+2" 3 r.Mc.Exhaustive.max_decision;
   check_bool "no violations" true (r.Mc.Exhaustive.violations = []);
@@ -164,10 +164,10 @@ let oracle (spec : Mc.Distrib.spec) =
   in
   match spec.scope with
   | Mc.Distrib.Fixed proposals ->
-      Mc.Exhaustive.sweep ~faults ?omit_budget ~policy ?horizon ~algo ~config
+      Oracle.sweep ~faults ?omit_budget ~policy ?horizon ~algo ~config
         ~proposals ()
   | Mc.Distrib.Binary ->
-      Mc.Exhaustive.sweep_binary ~faults ?omit_budget ~policy ?horizon ~algo
+      Oracle.sweep_binary ~faults ?omit_budget ~policy ?horizon ~algo
         ~config ()
 
 (* A driver run against the oracle: bit-identical, except that orbit tasks
@@ -506,7 +506,7 @@ let test_omission_sweep_determinism () =
     (fun (algo, name, expect_viol, expect_min, expect_max) ->
       let proposals = Sim.Runner.distinct_proposals c41 in
       let faults = Sim.Model.Send_omit_only in
-      let s = Mc.Exhaustive.sweep ~faults ~algo ~config:c41 ~proposals () in
+      let s = Oracle.sweep ~faults ~algo ~config:c41 ~proposals () in
       check_int (name ^ ": runs") 253 s.Mc.Exhaustive.runs;
       check_int (name ^ ": violations") expect_viol
         (List.length s.Mc.Exhaustive.violations);
@@ -604,7 +604,7 @@ let test_sweep_deadline_expiry () =
 let test_sweep_contains_step_errors () =
   let algo = Fuzz.Faulty.raising ~at:2 in
   let proposals = Sim.Runner.distinct_proposals c31 in
-  let s = Mc.Exhaustive.sweep ~algo ~config:c31 ~proposals ~horizon:2 () in
+  let s = Oracle.sweep ~algo ~config:c31 ~proposals ~horizon:2 () in
   check_bool "every run crashed" true
     (List.length s.Mc.Exhaustive.crashed = s.Mc.Exhaustive.runs);
   check_bool "some runs" true (s.Mc.Exhaustive.runs > 0);
@@ -945,12 +945,12 @@ let test_codec_result_roundtrip () =
   let all_zero = Sim.Runner.binary_proposals c41 ~ones:Pid.Set.empty in
   let results =
     ( "all-zero",
-      Mc.Exhaustive.sweep ~algo:floodset ~config:c41 ~proposals:all_zero () )
+      Oracle.sweep ~algo:floodset ~config:c41 ~proposals:all_zero () )
     :: List.map
          (fun (algo, name, n, t) ->
            let config = config ~n ~t in
            let proposals = Sim.Runner.distinct_proposals config in
-           (name, Mc.Exhaustive.sweep ~algo ~config ~proposals ()))
+           (name, Oracle.sweep ~algo ~config ~proposals ()))
          reduction_fixtures
   in
   List.iter
@@ -979,7 +979,7 @@ let test_codec_valency_errors () =
   let fields =
     match
       Mc.Codec.result_to_json
-        (Mc.Exhaustive.sweep ~algo:floodset ~config:c31
+        (Oracle.sweep ~algo:floodset ~config:c31
            ~proposals:(Sim.Runner.distinct_proposals c31)
            ())
     with
@@ -1282,10 +1282,9 @@ let test_resume_validation_errors () =
       check_bool "task count mismatch is named" true
         (contains msg "task count mismatch")
 
-(* The checkpointing serial executor is the classic from-scratch sweeps in
-   a new harness: snapshotting after every task must leave it
-   bit-identical to them, with the stats of a run that snapshots nothing,
-   and the last snapshot must hold every task. *)
+(* The checkpointing serial executor: snapshotting after every task must
+   leave it bit-identical to the reference sweep, with the stats of a run
+   that snapshots nothing, and the last snapshot must hold every task. *)
 let test_distrib_serial_matches_classic_drivers () =
   with_temp_file @@ fun path ->
   let params = Obs.Json.Obj [ ("test", Obs.Json.String "distrib-eq") ] in

@@ -538,6 +538,31 @@ let test_engine_send_attribution () =
         (e.Sim.Engine.reason = (snd (List.hd errors)).Sim.Engine.reason))
     errors
 
+(* The oracle contains what the engine contains, and raises the same
+   [Step_error] field for field: a raising [on_receive], a changed
+   decision, and a raising [on_send] attributed to the highest sender. *)
+let test_oracle_step_errors () =
+  let cfg = config ~n:4 ~t:1 in
+  let proposals = Sim.Runner.distinct_proposals cfg in
+  let raised name run =
+    match run () with
+    | () -> Alcotest.fail (name ^ ": expected Step_error")
+    | exception Sim.Engine.Step_error e ->
+        Format.asprintf "%a" Sim.Engine.pp_step_error e
+  in
+  List.iter
+    (fun (name, algo, max_rounds) ->
+      check_string (name ^ ": the engine's step error")
+        (raised name (fun () ->
+             ignore (Sim.Runner.run ?max_rounds algo cfg ~proposals quiet_es)))
+        (raised name (fun () ->
+             ignore (Oracle.run ?max_rounds algo cfg ~proposals quiet_es))))
+    [
+      ("raising", Fuzz.Faulty.raising ~at:2, None);
+      ("flipper", Sim.Algorithm.Packed (module Flipper), Some 5);
+      ("send-raiser", Sim.Algorithm.Packed (module Send_raiser), None);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Props                                                               *)
 
@@ -1181,6 +1206,8 @@ let () =
           Alcotest.test_case "decision stability" `Quick test_engine_decision_stability;
           Alcotest.test_case "on_send attribution" `Quick
             test_engine_send_attribution;
+          Alcotest.test_case "oracle raises the engine's step errors" `Quick
+            test_oracle_step_errors;
         ] );
       ( "props",
         [

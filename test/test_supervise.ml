@@ -58,6 +58,19 @@ let test_supervise_completes_in_order () =
   check_int "no deaths on a calm run" 0
     outcome.Mc.Supervise.metrics.Mc.Supervise.deaths
 
+(* A pool larger than its queue starts one worker per pending task, not
+   one per slot. *)
+let test_supervise_spawns_per_task () =
+  let outcome =
+    Mc.Supervise.run ~workers:4
+      ~spawn:(fun () -> scripted_worker ())
+      ~tasks:[ 0 ] ()
+  in
+  check_bool "the task completed" true
+    (List.map fst outcome.Mc.Supervise.completed = [ 0 ]);
+  check_int "one worker for one task" 1
+    outcome.Mc.Supervise.metrics.Mc.Supervise.spawned
+
 let test_supervise_death_and_retry () =
   (* The first spawned worker dies on its first assignment; every
      replacement behaves. The murdered task must be reassigned and the
@@ -444,6 +457,16 @@ let test_metrics_under_every_executor () =
       ("workers", [ "--workers"; "2" ], Some "2");
     ]
 
+(* One task on a pool of four: the supervisor starts one worker. *)
+let test_pool_larger_than_tasks () =
+  let out, _, code, _ =
+    ipi_sweep
+      [ "-a"; "FloodSet"; "-n"; "3"; "-t"; "1"; "--horizon"; "0"; "--jobs"; "4" ]
+  in
+  check_int "exit 0" 0 code;
+  check_bool "supervisor: 1 spawned" true
+    (contains out "\nsupervisor: 1 spawned, ")
+
 let test_trace_under_every_executor () =
   List.iter
     (fun (name, extra) ->
@@ -589,6 +612,8 @@ let () =
         [
           Alcotest.test_case "completes in order" `Quick
             test_supervise_completes_in_order;
+          Alcotest.test_case "one worker per pending task" `Quick
+            test_supervise_spawns_per_task;
           Alcotest.test_case "death and retry" `Quick
             test_supervise_death_and_retry;
           Alcotest.test_case "poison task bounded retry" `Quick
@@ -615,6 +640,8 @@ let () =
         [
           Alcotest.test_case "metrics under every executor" `Quick
             test_metrics_under_every_executor;
+          Alcotest.test_case "pool larger than its tasks" `Quick
+            test_pool_larger_than_tasks;
           Alcotest.test_case "trace under every executor" `Quick
             test_trace_under_every_executor;
           Alcotest.test_case "conflicting flags refused" `Quick
